@@ -1,6 +1,7 @@
 #include "runtime/sim_allocator.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "analysis/gate.hh"
 #include "common/logging.hh"
@@ -16,14 +17,28 @@ namespace
 /** Approximate instruction cost of one malloc/free call. */
 constexpr std::uint64_t alloc_compute_cost = 40;
 
+constexpr Addr pageBytes = TaggedMemory::pageBytes;
+constexpr Addr chunkBytes = 64 * wordBytes; ///< one bitmap word's worth
+
+constexpr Addr
+alignUp(Addr a, Addr align)
+{
+    return (a + align - 1) & ~(align - 1);
+}
+
 } // namespace
+
+const SimAllocator::PageBits SimAllocator::free_bits{};
+const SimAllocator::PageBits SimAllocator::interior_bits{
+    {~0ull, ~0ull, ~0ull, ~0ull, ~0ull, ~0ull, ~0ull, ~0ull}, {}};
 
 SimAllocator::SimAllocator(Machine &machine, Addr base, Addr span,
                            std::uint64_t seed)
-    : machine_(machine), base_(base), span_(span), rng_(seed)
+    : machine_(machine), base_(base), span_(span), rng_(seed),
+      live_end_(base)
 {
     memfwd_assert(isWordAligned(base_), "heap base must be word-aligned");
-    memfwd_assert(span_ >= TaggedMemory::pageBytes, "heap span too small");
+    memfwd_assert(span_ >= pageBytes, "heap span too small");
 }
 
 SimAllocator::SimAllocator(Machine &machine, std::uint64_t seed)
@@ -32,76 +47,161 @@ SimAllocator::SimAllocator(Machine &machine, std::uint64_t seed)
 {
 }
 
+const SimAllocator::PageBits &
+SimAllocator::bits(Addr page) const
+{
+    if (page != cached_page_) {
+        const FlatPageIndex::Value v = index_.find(page);
+        if (v == FlatPageIndex::no_value)
+            return free_bits;
+        cached_page_ = page;
+        cached_slot_ = v;
+    }
+    return *pages_[cached_slot_];
+}
+
+const SimAllocator::PageBits *&
+SimAllocator::pageSlot(Addr page)
+{
+    bits(page); // caches the slot of a page already in the index
+    if (page != cached_page_) {
+        cached_page_ = page;
+        cached_slot_ = static_cast<FlatPageIndex::Value>(pages_.size());
+        pages_.push_back(&free_bits);
+        index_.insert(page, cached_slot_);
+    }
+    return pages_[cached_slot_];
+}
+
+Addr
+SimAllocator::scan(Addr from, Addr to, std::uint64_t flip,
+                   std::uint64_t starts) const
+{
+    for (Addr a = from; a < to;) {
+        const Addr page = a / pageBytes;
+        const PageBits &b = bits(page);
+        const unsigned w = static_cast<unsigned>(a % pageBytes) >> wordShift;
+        for (unsigned i = w / 64; i < std::size(b.occupied); ++i) {
+            std::uint64_t m = (b.occupied[i] ^ flip) | (b.start[i] & starts);
+            if (i == w / 64)
+                m &= ~0ull << (w % 64);
+            if (m != 0) {
+                return std::min(to, page * pageBytes +
+                                        (Addr(i * 64 + __builtin_ctzll(m))
+                                         << wordShift));
+            }
+        }
+        a = (page + 1) * pageBytes;
+    }
+    return to;
+}
+
 bool
 SimAllocator::rangeFree(Addr start, Addr bytes) const
 {
-    if (start < base_ || start + bytes > base_ + span_)
-        return false;
-    // Check the first block starting at or after `start`, and the block
-    // preceding it, for overlap.
-    auto it = blocks_.lower_bound(start);
-    if (it != blocks_.end() && it->first < start + bytes)
-        return false;
-    if (it != blocks_.begin()) {
-        --it;
-        if (it->second > start)
-            return false;
+    return start >= base_ && start + bytes <= base_ + span_ &&
+           scan(start, start + bytes, 0, 0) == start + bytes;
+}
+
+Addr
+SimAllocator::lowestFit(Addr from, Addr bytes, Addr align) const
+{
+    // Per 64-word chunk, a shift-and over the free bits of the chunk and
+    // its successor marks each aligned word starting min(n, 64) free
+    // words.  The lowest mark is then checked over its whole range.
+    const Addr limit = base_ + span_;
+    const Addr n = std::min<Addr>(bytes >> wordShift, 64);
+    const Addr g = align >> wordShift;
+    const std::uint64_t aligned = g < 64 ? ~0ull / ((1ull << g) - 1) : 1;
+    auto freeWords = [this](Addr c) {
+        return ~bits(c / pageBytes).occupied[c % pageBytes / chunkBytes];
+    };
+    for (Addr a = alignUp(from, align); a <= limit && bytes <= limit - a;) {
+        const Addr chunk = a & ~(chunkBytes - 1);
+        unsigned __int128 run = freeWords(chunk + chunkBytes);
+        run = run << 64 | freeWords(chunk);
+        for (Addr len = 1; len < n; len *= 2)
+            run &= run >> std::min(len, n - len);
+        const std::uint64_t marks = std::uint64_t(run) & aligned &
+                                    (~0ull << ((a - chunk) >> wordShift));
+        if (marks == 0) {
+            a = alignUp(chunk + chunkBytes, align);
+            continue;
+        }
+        a = chunk + (Addr(__builtin_ctzll(marks)) << wordShift);
+        if (rangeFree(a, bytes))
+            return a;
+        // Resume past the run of occupied words that defeated it.
+        a = alignUp(scan(scan(a, a + bytes, 0, 0), limit, ~0ull, 0), align);
     }
-    return true;
+    throw AllocFailure(bytes, "simulated heap exhausted");
 }
 
 Addr
 SimAllocator::place(Addr bytes, Placement placement, Addr align)
 {
-    if (placement == Placement::scattered) {
+    if (placement == Placement::scattered && bytes < span_) {
         // Pseudo-random placement across the arena: this stands in for
         // the allocation interleaving and heap churn that scatter real
         // applications' nodes.  With span >> live bytes the first
         // probes almost always succeed.
+        const Addr limit = base_ + span_;
         for (int attempt = 0; attempt < 64; ++attempt) {
-            Addr candidate =
-                base_ + (rng_.below(span_ - bytes) & ~(align - 1));
-            if (candidate < base_)
-                candidate = base_;
+            Addr candidate = alignUp(
+                base_ + (rng_.below(span_ - bytes) & ~(align - 1)), align);
+            if (candidate + bytes > limit)
+                candidate = (limit - bytes) & ~(align - 1);
             if (rangeFree(candidate, bytes))
                 return candidate;
         }
         memfwd_warn("scattered placement degraded to sequential "
                     "(heap too full)");
     }
-    if (placement == Placement::first_fit) {
-        // Lowest hole that fits: walk the live blocks in address order
-        // tracking the gap before each.  Host-side cost is O(live
-        // blocks); the simulated cost stays the flat alloc charge.
-        Addr candidate = (base_ + align - 1) & ~(align - 1);
-        for (const auto &[start, end] : blocks_) {
-            if (candidate + bytes <= start)
-                break;
-            if (end > candidate)
-                candidate = (end + align - 1) & ~(align - 1);
+    // Sequential: from the bump pointer.  first_fit: from the base.
+    const Addr addr = lowestFit(
+        placement == Placement::first_fit ? base_ : base_ + bump_, bytes,
+        align);
+    bump_ = std::max(bump_, addr + bytes - base_);
+    return addr;
+}
+
+void
+SimAllocator::setBlock(Addr start, Addr end, bool live)
+{
+    // Every word of the range flips: allocation only claims free words
+    // and release only frees the words of one block.
+    for (Addr a = start, stop = 0; a < end; a = stop) {
+        const Addr page = a / pageBytes;
+        stop = std::min(end, (page + 1) * pageBytes);
+        const PageBits *&slot = pageSlot(page);
+        const bool owned = slot != &free_bits && slot != &interior_bits;
+        if (a + pageBytes == stop && (a != start || !live)) {
+            // The block covers the whole page and does not start on it.
+            if (owned)
+                spare_bits_.push_back(const_cast<PageBits *>(slot));
+            slot = live ? &interior_bits : &free_bits;
+            continue;
         }
-        if (candidate + bytes > base_ + span_)
-            throw AllocFailure(bytes, "simulated heap exhausted");
-        bump_ = std::max(bump_, candidate + bytes - base_);
-        return candidate;
+        if (!owned) {
+            if (spare_bits_.empty())
+                spare_bits_.push_back(&bits_.emplace_back());
+            *spare_bits_.back() = PageBits{};
+            slot = spare_bits_.back();
+            spare_bits_.pop_back();
+        }
+        // Owned storage is never one of the shared const sentinels.
+        PageBits &b = const_cast<PageBits &>(*slot);
+        const unsigned w0 = static_cast<unsigned>(a % pageBytes) >> wordShift;
+        for (unsigned w = w0; w < w0 + (stop - a) / wordBytes; ++w)
+            b.occupied[w / 64] ^= 1ull << (w % 64);
+        if (a == start)
+            b.start[w0 / 64] ^= 1ull << (w0 % 64);
+        if (std::all_of(std::begin(b.occupied), std::end(b.occupied),
+                        [](std::uint64_t x) { return x == 0; })) {
+            spare_bits_.push_back(&b);
+            slot = &free_bits;
+        }
     }
-    // Sequential bump with a free-range check (the scattered blocks
-    // share the arena).
-    Addr candidate = base_ + bump_;
-    for (;;) {
-        candidate = (candidate + align - 1) & ~(align - 1);
-        if (candidate + bytes > base_ + span_)
-            throw AllocFailure(bytes, "simulated heap exhausted");
-        if (rangeFree(candidate, bytes))
-            break;
-        // Skip past the colliding block.
-        auto it = blocks_.upper_bound(candidate);
-        if (it != blocks_.begin())
-            --it;
-        candidate = std::max(candidate + align, it->second);
-    }
-    bump_ = candidate + bytes - base_;
-    return candidate;
 }
 
 Addr
@@ -120,7 +220,8 @@ SimAllocator::alloc(Addr bytes, Placement placement, Addr align)
     }
 
     const Addr addr = place(bytes, placement, align);
-    blocks_.emplace(addr, addr + bytes);
+    setBlock(addr, addr + bytes, true);
+    live_end_ = std::max(live_end_, addr + bytes);
 
     // The OS guarantees clear forwarding bits on fresh memory
     // (Section 3.3); the sweep is functional, the allocator's own work
@@ -138,14 +239,34 @@ SimAllocator::alloc(Addr bytes, Placement placement, Addr align)
 bool
 SimAllocator::isAllocated(Addr addr) const
 {
-    return blocks_.count(addr) != 0;
+    const unsigned w = static_cast<unsigned>(addr % pageBytes) >> wordShift;
+    return isWordAligned(addr) &&
+           (bits(addr / pageBytes).start[w / 64] >> (w % 64) & 1) != 0;
 }
 
 Addr
 SimAllocator::allocationSize(Addr addr) const
 {
-    auto it = blocks_.find(addr);
-    return it == blocks_.end() ? 0 : it->second - it->first;
+    // A block runs until the next free word or the next block's start.
+    return isAllocated(addr)
+               ? scan(addr + wordBytes, base_ + span_, ~0ull, ~0ull) - addr
+               : 0;
+}
+
+Addr
+SimAllocator::highestLiveEnd() const
+{
+    // Walk down from the cached bound to the last occupied word.
+    for (; live_end_ > base_; live_end_ -= wordBytes) {
+        const Addr last = live_end_ - wordBytes;
+        const Addr w = last % pageBytes >> wordShift;
+        const PageBits &b = bits(last / pageBytes);
+        if ((b.occupied[w / 64] >> (w % 64) & 1) != 0)
+            break;
+        if (&b == &free_bits) // skip the rest of a free page
+            live_end_ = std::max(base_, last - last % pageBytes) + wordBytes;
+    }
+    return live_end_;
 }
 
 void
@@ -155,6 +276,11 @@ SimAllocator::free(Addr addr)
     // deallocates every relocated copy of the object, then the block
     // itself.  The walk is performed with the ISA extensions so its
     // cost appears in the timing.
+    auto release = [this](Addr start) {
+        const Addr bytes = allocationSize(start);
+        bytes_live_ -= bytes;
+        setBlock(start, start + bytes, false);
+    };
     Addr cur = wordAlign(addr);
     unsigned guard = 0;
     // Hand-proven chain walk: each raw read targets a word just
@@ -162,19 +288,14 @@ SimAllocator::free(Addr addr)
     ScopedUnforwardedAnnotation walk_ok(machine_.analysisGate());
     while ((machine_.access(Access::readFBit(cur)).value != 0)) {
         cur = wordAlign(machine_.access(Access::unforwardedRead(cur)).value);
-        if (auto it = blocks_.find(cur); it != blocks_.end()) {
-            bytes_live_ -= it->second - it->first;
-            blocks_.erase(it);
-        }
+        if (isAllocated(cur))
+            release(cur);
         memfwd_assert(++guard < 1u << 20, "free(): runaway chain");
     }
 
-    auto it = blocks_.find(addr);
-    memfwd_assert(it != blocks_.end(),
-                  "free() of unallocated address %#llx",
+    memfwd_assert(isAllocated(addr), "free() of unallocated address %#llx",
                   static_cast<unsigned long long>(addr));
-    bytes_live_ -= it->second - it->first;
-    blocks_.erase(it);
+    release(addr);
 
     machine_.access(Access::compute(alloc_compute_cost));
     ++free_calls_;

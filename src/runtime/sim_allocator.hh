@@ -2,7 +2,7 @@
  * @file
  * Memory allocation on the simulated heap.
  *
- * Two placement policies:
+ * Placement policies:
  *
  *  - *sequential* — a bump allocator, giving the tight, ordered layout
  *    a fresh heap would give;
@@ -11,7 +11,11 @@
  *    / allocation interleaving that scatters the paper's real
  *    applications' nodes across the address space (DESIGN.md Section 2):
  *    the paper's premise is data "scattered sparsely throughout the
- *    address space", which fresh bump allocation would not reproduce.
+ *    address space", which fresh bump allocation would not reproduce;
+ *  - *first_fit*  — the lowest hole, for compaction.
+ *
+ * Live blocks sit in a paged bitmap: a placement probe tests one or two
+ * words, and the lowest-fit search skips 64 words a step.
  *
  * free() is the forwarding-chain-aware wrapper of Section 3.3: when a
  * block whose first word carries a forwarding address is freed, every
@@ -28,12 +32,13 @@
 #define MEMFWD_RUNTIME_SIM_ALLOCATOR_HH
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <stdexcept>
+#include <vector>
 
-#include "common/arena.hh"
 #include "common/random.hh"
 #include "common/types.hh"
+#include "mem/flat_page_index.hh"
 
 namespace memfwd
 {
@@ -69,7 +74,7 @@ enum class Placement
     sequential,
     scattered,
     /**
-     * Lowest hole that fits, scanning live blocks from the arena base.
+     * Lowest aligned hole that fits, searched from the arena base.
      * This is the compacting placement: relocating a high block into a
      * first-fit hole shrinks the live extent of the heap.
      */
@@ -96,7 +101,8 @@ class SimAllocator
     /**
      * Allocate @p bytes (rounded up to whole words) with the given
      * placement.  Alignment is at least a word; pass a larger
-     * power-of-two @p align to line-align blocks.
+     * power-of-two @p align to line-align blocks.  Throws AllocFailure
+     * when no aligned range fits (docs/API.md, "Allocation").
      */
     Addr alloc(Addr bytes, Placement placement = Placement::sequential,
                Addr align = wordBytes);
@@ -134,15 +140,29 @@ class SimAllocator
      * extent `highestLiveEnd() - base()` versus bytesLive() is the
      * external-fragmentation measure the kv_server bench reports.
      */
-    Addr
-    highestLiveEnd() const
-    {
-        return blocks_.empty() ? base_ : blocks_.rbegin()->second;
-    }
+    Addr highestLiveEnd() const;
 
   private:
+    /** Per word of a 4 KiB arena page: occupied, and block start. */
+    struct PageBits
+    {
+        std::uint64_t occupied[8];
+        std::uint64_t start[8];
+    };
+
+    /** Shared bits of pages with no storage of their own. */
+    static const PageBits free_bits;
+    static const PageBits interior_bits;
+
     Addr place(Addr bytes, Placement placement, Addr align);
+    Addr lowestFit(Addr from, Addr bytes, Addr align) const;
     bool rangeFree(Addr start, Addr bytes) const;
+    /** Lowest word in [from, to) with (occupied^flip)|(start&starts). */
+    Addr scan(Addr from, Addr to, std::uint64_t flip,
+              std::uint64_t starts) const;
+    const PageBits &bits(Addr page) const;
+    const PageBits *&pageSlot(Addr page);
+    void setBlock(Addr start, Addr end, bool live);
 
     Machine &machine_;
     Addr base_;
@@ -150,18 +170,20 @@ class SimAllocator
     Rng rng_;
 
     /**
-     * Backing store for the block map's tree nodes: one node per live
-     * simulated object, so pooling them kills the per-simulated-malloc
-     * host malloc and keeps the tree dense in host memory.  Declared
-     * before blocks_ so the map is destroyed first.
+     * Block index: page -> slot in pages_.  Absent or free_bits pages
+     * are free; pages inside a block that starts elsewhere share
+     * interior_bits (a RelocationPool costs index entries only); others
+     * own a PageBits of bits_, recycled through spare_bits_.
      */
-    ArenaPool node_pool_;
+    FlatPageIndex index_;
+    std::vector<const PageBits *> pages_;
+    std::deque<PageBits> bits_;
+    std::vector<PageBits *> spare_bits_;
+    mutable Addr cached_page_ = FlatPageIndex::empty_key;
+    mutable FlatPageIndex::Value cached_slot_ = 0;
 
-    using BlockMap = std::map<Addr, Addr, std::less<Addr>,
-                              PoolAllocator<std::pair<const Addr, Addr>>>;
-
-    /** start -> end of every live block, ordered by start. */
-    BlockMap blocks_{PoolAllocator<std::pair<const Addr, Addr>>(node_pool_)};
+    /** Upper bound on highestLiveEnd(), tightened when it is read. */
+    mutable Addr live_end_;
 
     Addr bump_ = 0;
     Addr bytes_live_ = 0;

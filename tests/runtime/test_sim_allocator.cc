@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
+#include <vector>
 
+#include "common/logging.hh"
+#include "common/random.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
 #include "runtime/sim_allocator.hh"
@@ -12,6 +18,287 @@ namespace memfwd
 {
 namespace
 {
+
+Addr
+alignUp(Addr a, Addr align)
+{
+    return (a + align - 1) & ~(align - 1);
+}
+
+/**
+ * Reference model: an ordered start -> end block map with one plain
+ * loop per placement (a first-fit walk over the blocks, a sequential
+ * bump that skips colliding blocks, scattered draws with the same Rng
+ * stream).  Scattered candidates align the address, not the offset,
+ * and requests of at least the whole arena make no draws.  A failed
+ * allocation is std::nullopt.
+ */
+class ReferenceAllocator
+{
+  public:
+    ReferenceAllocator(Addr base, Addr span, std::uint64_t seed)
+        : base_(base), span_(span), rng_(seed)
+    {
+    }
+
+    std::optional<Addr>
+    alloc(Addr bytes, Placement placement, Addr align)
+    {
+        bytes = roundUpToWord(bytes);
+        const std::optional<Addr> addr = place(bytes, placement, align);
+        if (addr)
+            blocks_.emplace(*addr, *addr + bytes);
+        return addr;
+    }
+
+    /** Free @p addr and the relocated copies its chain reaches. */
+    void
+    free(Addr addr, const std::vector<Addr> &chain)
+    {
+        for (const Addr c : chain)
+            blocks_.erase(c);
+        blocks_.erase(addr);
+    }
+
+    Addr
+    size(Addr addr) const
+    {
+        const auto it = blocks_.find(addr);
+        return it == blocks_.end() ? 0 : it->second - it->first;
+    }
+
+    Addr
+    bytesLive() const
+    {
+        Addr n = 0;
+        for (const auto &[start, end] : blocks_)
+            n += end - start;
+        return n;
+    }
+
+    Addr
+    highestLiveEnd() const
+    {
+        return blocks_.empty() ? base_ : blocks_.rbegin()->second;
+    }
+
+    const std::map<Addr, Addr> &blocks() const { return blocks_; }
+
+  private:
+    bool
+    rangeFree(Addr start, Addr bytes) const
+    {
+        if (start < base_ || start + bytes > base_ + span_)
+            return false;
+        auto it = blocks_.lower_bound(start);
+        if (it != blocks_.end() && it->first < start + bytes)
+            return false;
+        return it == blocks_.begin() || std::prev(it)->second <= start;
+    }
+
+    std::optional<Addr>
+    place(Addr bytes, Placement placement, Addr align)
+    {
+        const Addr limit = base_ + span_;
+        if (placement == Placement::scattered && bytes < span_) {
+            for (int attempt = 0; attempt < 64; ++attempt) {
+                Addr c = alignUp(
+                    base_ + (rng_.below(span_ - bytes) & ~(align - 1)),
+                    align);
+                if (c + bytes > limit)
+                    c = (limit - bytes) & ~(align - 1);
+                if (rangeFree(c, bytes))
+                    return c;
+            }
+        }
+        if (placement == Placement::first_fit) {
+            Addr c = alignUp(base_, align);
+            for (const auto &[start, end] : blocks_) {
+                if (c + bytes <= start)
+                    break;
+                if (end > c)
+                    c = alignUp(end, align);
+            }
+            if (c + bytes > limit)
+                return std::nullopt;
+            bump_ = std::max(bump_, c + bytes - base_);
+            return c;
+        }
+        Addr c = base_ + bump_;
+        for (;;) {
+            c = alignUp(c, align);
+            if (c + bytes > limit)
+                return std::nullopt;
+            if (rangeFree(c, bytes))
+                break;
+            auto it = blocks_.upper_bound(c);
+            if (it != blocks_.begin())
+                --it;
+            c = std::max(c + align, it->second);
+        }
+        bump_ = c + bytes - base_;
+        return c;
+    }
+
+    Addr base_;
+    Addr span_;
+    Rng rng_;
+    std::map<Addr, Addr> blocks_;
+    Addr bump_ = 0;
+};
+
+struct OracleArena
+{
+    const char *name;
+    Addr base_offset; ///< from the machine's heap base
+    Addr span;
+    Addr small_max;   ///< most requests are 1..small_max bytes
+    Addr big_max;     ///< one in sixteen is 1..big_max bytes
+    int ops;
+    bool fills; ///< the sequence must hit AllocFailure
+};
+
+/**
+ * Drive the allocator and the reference model through one random
+ * sequence of allocations (every placement, align 8..256), frees and
+ * relocations, and compare them after every operation.
+ */
+void
+runOracle(const OracleArena &arena, std::uint64_t seed)
+{
+    SCOPED_TRACE(arena.name);
+    SCOPED_TRACE(seed);
+    Machine m;
+    const Addr base = m.config().heap_base + arena.base_offset;
+    SimAllocator real(m, base, arena.span, seed);
+    ReferenceAllocator model(base, arena.span, seed);
+    Rng pick(seed ^ 0x5a17ULL);
+    std::vector<Addr> heads;                     // freeable blocks
+    std::map<Addr, std::vector<Addr>> relocated; // head -> chain blocks
+    unsigned failures = 0;
+
+    auto allocBoth = [&](Addr bytes, Placement placement,
+                         Addr align) -> std::optional<Addr> {
+        std::optional<Addr> got;
+        try {
+            got = real.alloc(bytes, placement, align);
+        } catch (const AllocFailure &) {
+            ++failures;
+        }
+        const std::optional<Addr> want = model.alloc(bytes, placement, align);
+        EXPECT_EQ(got, want) << "bytes " << bytes << " placement "
+                             << static_cast<int>(placement) << " align "
+                             << align;
+        return got;
+    };
+    auto randomPlacement = [&] {
+        return static_cast<Placement>(pick.below(3));
+    };
+
+    for (int op = 0; op < arena.ops && !::testing::Test::HasFailure();
+         ++op) {
+        const std::uint64_t kind = pick.below(10);
+        if (kind < 6 || heads.empty()) {
+            Addr bytes = 1 + pick.below(arena.small_max);
+            if (pick.below(16) == 0)
+                bytes = 1 + pick.below(arena.big_max);
+            const Addr align = Addr(wordBytes) << pick.below(6);
+            if (const auto a = allocBoth(bytes, randomPlacement(), align))
+                heads.push_back(*a);
+        } else if (kind < 9) {
+            const std::size_t i = pick.below(heads.size());
+            const Addr head = heads[i];
+            heads.erase(heads.begin() + static_cast<std::ptrdiff_t>(i));
+            real.free(head);
+            model.free(head, relocated[head]);
+            relocated.erase(head);
+        } else {
+            // Move a small head into a fresh block: later frees of the
+            // head must reclaim the copy through its forwarding chain.
+            const Addr head = heads[pick.below(heads.size())];
+            const Addr bytes = model.size(head);
+            if (bytes > 512)
+                continue;
+            if (const auto tgt = allocBoth(bytes, randomPlacement(), 8)) {
+                relocate(m, head, *tgt,
+                         static_cast<unsigned>(bytes / wordBytes));
+                relocated[head].push_back(*tgt);
+            }
+        }
+
+        ASSERT_EQ(real.bytesLive(), model.bytesLive()) << "op " << op;
+        ASSERT_EQ(real.highestLiveEnd(), model.highestLiveEnd())
+            << "op " << op;
+        for (const auto &[start, end] : model.blocks()) {
+            for (const Addr a : {start, start + wordBytes, end}) {
+                ASSERT_EQ(real.allocationSize(a), model.size(a))
+                    << "op " << op << " addr " << a;
+                ASSERT_EQ(real.isAllocated(a), model.size(a) != 0);
+            }
+        }
+    }
+    if (arena.fills) {
+        EXPECT_GT(failures, 0u) << "the sequence never filled the arena";
+    }
+}
+
+constexpr OracleArena oracle_arenas[] = {
+    // Small arena, base off line alignment, filled past exhaustion.
+    {"small_unaligned_base", 8, 64 << 10, 160, 3 * 4096, 2500, true},
+    {"small_page_base", 0, 48 << 10, 96, 2 * 4096, 2500, true},
+    // Sparse 4 GiB span: scattered blocks land on fresh pages and some
+    // blocks cover hundreds of pages.
+    {"sparse_4gib", 0, Addr(1) << 32, 4096, 4 << 20, 600, false},
+};
+
+TEST(SimAllocatorOracle, MatchesMapBasedReferenceModel)
+{
+    const bool was_verbose = verbose();
+    setVerbose(false); // scattered fallbacks warn on every full arena
+    for (const OracleArena &arena : oracle_arenas) {
+        for (const std::uint64_t seed : {1ull, 2ull, 0x5eedull}) {
+            runOracle(arena, testSeed(seed));
+            if (HasFailure())
+                break;
+        }
+    }
+    setVerbose(was_verbose);
+}
+
+TEST(SimAllocator, ScatteredPlacementAlignsTheAddress)
+{
+    // The arena base is a word, not a line, off alignment: aligning
+    // only the random offset would leave every block 8 mod 64.
+    Machine m;
+    SimAllocator alloc(m, m.config().heap_base + 8, 1 << 20);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(alloc.alloc(64, Placement::scattered, 64) % 64, 0u);
+}
+
+TEST(SimAllocator, WholeArenaScatteredRequestTakesTheLowestFit)
+{
+    Machine m;
+    const Addr span = 64 << 10;
+    SimAllocator alloc(m, m.config().heap_base, span);
+    EXPECT_EQ(alloc.alloc(span, Placement::scattered), alloc.base());
+    EXPECT_EQ(alloc.allocationSize(alloc.base()), span);
+}
+
+TEST(SimAllocator, OversizedScatteredRequestFailsWithoutDrawing)
+{
+    Machine m;
+    const Addr span = 64 << 10;
+    SimAllocator a(m, m.config().heap_base, span, 9);
+    SimAllocator b(m, m.config().heap_base + span, span, 9);
+    EXPECT_THROW(a.alloc(span + wordBytes, Placement::scattered),
+                 AllocFailure);
+    EXPECT_EQ(a.bytesLive(), 0u);
+    // The failed request drew nothing, so both streams stay in step.
+    for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(a.alloc(64, Placement::scattered) - a.base(),
+                  b.alloc(64, Placement::scattered) - b.base());
+    }
+}
 
 TEST(SimAllocator, AllocationsAreWordAlignedAndDisjoint)
 {
