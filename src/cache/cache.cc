@@ -1,6 +1,7 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "mem/main_memory.hh"
@@ -42,13 +43,14 @@ Cache::Cache(const CacheConfig &cfg, MemLevel &below)
                       (cfg_.numSets() & (cfg_.numSets() - 1)) == 0,
                   "cache geometry must give a power-of-two set count");
     lines_.resize(static_cast<std::size_t>(cfg_.numSets()) * cfg_.assoc);
+    line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.line_bytes));
+    set_mask_ = cfg_.numSets() - 1;
 }
 
 unsigned
 Cache::setIndex(Addr line_addr) const
 {
-    return static_cast<unsigned>((line_addr / cfg_.line_bytes) %
-                                 cfg_.numSets());
+    return static_cast<unsigned>(line_addr >> line_shift_) & set_mask_;
 }
 
 Cache::Line *

@@ -182,6 +182,8 @@ class Cache : public MemLevel
     MshrFile mshrs_;
     CacheStats stats_;
     std::vector<Line> lines_; ///< sets_ x assoc, row-major
+    unsigned line_shift_ = 0; ///< log2(line_bytes)
+    unsigned set_mask_ = 0;   ///< numSets() - 1
     Line *mru_hint_ = nullptr; ///< last line hit or installed
     std::uint64_t lru_clock_ = 0;
     std::uint64_t victim_seed_ = 0x2545f4914f6cdd1dULL;

@@ -19,10 +19,11 @@ Cycles
 Rob::dispatch()
 {
     // Window constraint: instruction seq_ cannot enter until
-    // instruction (seq_ - window_) has retired and freed its slot.
-    Cycles earliest = 0;
-    if (seq_ >= window_)
-        earliest = retire_ring_[seq_ % window_];
+    // instruction (seq_ - window_) has retired and freed its slot.  The
+    // ring starts zeroed, so the first window_ dispatches read 0.
+    const Cycles earliest = retire_ring_[dispatch_slot_];
+    if (++dispatch_slot_ == window_)
+        dispatch_slot_ = 0;
 
     if (earliest > fetch_cycle_) {
         fetch_cycle_ = earliest;
@@ -76,7 +77,9 @@ Rob::graduate(Cycles completion, WaitKind kind)
     ++stalls_.busy;
     ++grad_slots_;
     ++graduated_;
-    retire_ring_[(graduated_ - 1) % window_] = grad_cycle_;
+    retire_ring_[retire_slot_] = grad_cycle_;
+    if (++retire_slot_ == window_)
+        retire_slot_ = 0;
     return grad_cycle_;
 }
 

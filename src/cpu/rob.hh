@@ -83,6 +83,8 @@ class Rob
 
     /** retire cycle of instruction i, indexed i % window_. */
     std::vector<Cycles> retire_ring_;
+    unsigned dispatch_slot_ = 0; ///< seq_ % window_
+    unsigned retire_slot_ = 0;   ///< graduated_ % window_
 };
 
 } // namespace memfwd

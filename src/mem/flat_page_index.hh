@@ -2,15 +2,14 @@
  * @file
  * Flat open-addressed page index.
  *
- * Maps sparse page numbers to dense arena slots for TaggedMemory and
- * for the optional per-word MetadataPlane that mirrors its paging.  The
- * previous implementation kept pages behind
- * `std::unordered_map<Addr, std::unique_ptr<Page>>`, which costs a
- * hash-node pointer chase per simulated reference; this table keeps the
- * whole index in one contiguous power-of-two array probed linearly, so
- * the common lookup touches a single host cache line.
+ * Maps sparse unit numbers (address >> log2 of the unit size) to dense
+ * slots: TaggedMemory's 256-byte granules, the optional MetadataPlane's
+ * 4 KiB pages and SimAllocator's 4 KiB bitmap pages.  The whole index
+ * is one contiguous power-of-two array probed linearly, so the common
+ * lookup touches a single host cache line, where a
+ * `std::unordered_map` costs a hash-node pointer chase per reference.
  *
- * Pages are never unmapped, so the table never deletes — that keeps
+ * Units are never unmapped, so the table never deletes — that keeps
  * probing tombstone-free.  Growth rehashes into a table twice the size
  * at 70% load.
  */
@@ -37,7 +36,7 @@ class FlatPageIndex
     /** Returned by find() when the key is absent. */
     static constexpr Value no_value = ~Value(0);
 
-    /** Reserved key; page numbers (addr >> 12) can never reach it. */
+    /** Reserved key; unit numbers (addr >> 8 or more) never reach it. */
     static constexpr Addr empty_key = ~Addr(0);
 
     FlatPageIndex() { slots_.resize(initial_capacity); }

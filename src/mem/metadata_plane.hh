@@ -15,9 +15,9 @@
  *   bits 30..8  object id (23 bits, 0 = untagged)
  *   bits  7..0  bounds class — ceil(log2(object bytes))
  *
- * Storage mirrors TaggedMemory: sparse 4KB-granular pages materialized
- * on first tag, indexed by the same FlatPageIndex used for the data
- * pages, with a one-entry last-page cache.  The plane is a separate,
+ * Storage: sparse 4 KiB pages materialized on first tag, indexed by a
+ * FlatPageIndex (the structure TaggedMemory uses for its 256-byte
+ * granules), with a one-entry last-page cache.  The plane is a separate,
  * optional object precisely so that the common configuration pays
  * nothing: a machine without `MachineConfig::metadataPlane()` never
  * constructs one, and no hot path tests more than a null pointer.

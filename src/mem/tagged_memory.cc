@@ -1,36 +1,41 @@
 #include "mem/tagged_memory.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace memfwd
 {
 
-TaggedMemory::Page &
-TaggedMemory::pageSlow(Addr addr)
+TaggedMemory::Granule
+TaggedMemory::materialize(Addr addr)
 {
-    const Addr key = addr / pageBytes;
-    FlatPageIndex::Value v = index_.find(key);
-    if (v == FlatPageIndex::no_value) {
-        v = static_cast<FlatPageIndex::Value>(page_arena_.size());
-        page_arena_.emplace_back();
-        index_.insert(key, v);
-    }
-    Page &p = page_arena_[v];
+    const Addr key = granuleKey(addr);
+    const auto id = static_cast<FlatPageIndex::Value>(fbits_.size());
+    if (id % slabGranules == 0)
+        slabs_.push_back(std::make_unique_for_overwrite<Slab>());
+    // Zero only the granule being materialized, so a slab's host pages
+    // are touched as its granules are, not all at once.
+    std::fill_n(granuleData(id), pageWords, Word(0));
+    fbits_.push_back(0);
+    index_.insert(key, id);
     last_key_ = key;
-    last_page_ = &p;
-    return p;
+    last_id_ = id;
+    last_data_ = granuleData(id);
+    return {last_data_, &fbits_[id]};
 }
 
 void
 TaggedMemory::rawWriteWord(Addr addr, Word value)
 {
-    Page &p = page(addr);
-    const unsigned idx = (addr % pageBytes) >> wordShift;
+    const Granule g = granule(addr);
+    const unsigned idx = wordIndex(addr);
     // Rewriting the payload of a forwarding word redirects its chain.
-    const bool notify = listener_ && p.fbits[idx] && p.data[idx] != value;
-    p.data[idx] = value;
+    const bool notify =
+        listener_ && (*g.fbits >> idx & 1) && g.data[idx] != value;
+    g.data[idx] = value;
     if (notify)
         listener_->fwdStateChanged(wordAlign(addr), true);
 }
@@ -38,10 +43,10 @@ TaggedMemory::rawWriteWord(Addr addr, Word value)
 void
 TaggedMemory::setFBit(Addr addr, bool value)
 {
-    Page &p = page(addr);
-    const unsigned idx = (addr % pageBytes) >> wordShift;
-    const bool old = p.fbits[idx];
-    p.fbits[idx] = value;
+    const Granule g = granule(addr);
+    const FbitMask bit = FbitMask(1) << wordIndex(addr);
+    const bool old = (*g.fbits & bit) != 0;
+    *g.fbits = value ? *g.fbits | bit : *g.fbits & ~bit;
     if (listener_ && old != value)
         listener_->fwdStateChanged(wordAlign(addr), old);
 }
@@ -49,17 +54,18 @@ TaggedMemory::setFBit(Addr addr, bool value)
 void
 TaggedMemory::unforwardedWrite(Addr addr, Word value, bool fbit_value)
 {
-    Page &p = page(addr);
-    const unsigned idx = (addr % pageBytes) >> wordShift;
-    const bool old = p.fbits[idx];
+    const Granule g = granule(addr);
+    const unsigned idx = wordIndex(addr);
+    const FbitMask bit = FbitMask(1) << idx;
+    const bool old = (*g.fbits & bit) != 0;
     // Untagged data staying untagged is the common, chain-neutral case;
     // everything else can redirect, create, or sever a chain.
     const bool notify = listener_ && (old || fbit_value)
-                        && (old != fbit_value || p.data[idx] != value);
+                        && (old != fbit_value || g.data[idx] != value);
     // Simulated memory is single-threaded, so updating both fields
     // back-to-back models the atomic word+tag write the ISA requires.
-    p.data[idx] = value;
-    p.fbits[idx] = fbit_value;
+    g.data[idx] = value;
+    *g.fbits = fbit_value ? *g.fbits | bit : *g.fbits & ~bit;
     if (notify)
         listener_->fwdStateChanged(wordAlign(addr), old);
 }
@@ -88,7 +94,19 @@ TaggedMemory::writeBytes(Addr addr, unsigned size, std::uint64_t value)
 bool
 TaggedMemory::isMapped(Addr addr) const
 {
-    return pageIfPresent(addr) != nullptr;
+    return granuleIfPresent(addr).data != nullptr;
+}
+
+std::vector<std::pair<Addr, FlatPageIndex::Value>>
+TaggedMemory::granulesIn(Addr first, Addr last) const
+{
+    std::vector<std::pair<Addr, FlatPageIndex::Value>> found;
+    index_.forEach([&](Addr key, FlatPageIndex::Value id) {
+        if (key >= first && key <= last)
+            found.emplace_back(key, id);
+    });
+    std::sort(found.begin(), found.end());
+    return found;
 }
 
 std::vector<Addr>
@@ -96,10 +114,8 @@ TaggedMemory::mappedPageBases() const
 {
     std::vector<Addr> bases;
     bases.reserve(index_.size());
-    index_.forEach([&](Addr key, FlatPageIndex::Value) {
+    for (const auto &[key, id] : granulesIn(0, ~Addr(0)))
         bases.push_back(key * pageBytes);
-    });
-    std::sort(bases.begin(), bases.end());
     return bases;
 }
 
@@ -107,13 +123,11 @@ void
 TaggedMemory::forEachForwardedWord(
     const std::function<void(Addr, Word)> &fn) const
 {
-    for (const Addr base : mappedPageBases()) {
-        const Page *p = pageIfPresent(base);
-        if (p->fbits.none())
-            continue;
-        for (unsigned i = 0; i < pageWords; ++i) {
-            if (p->fbits[i])
-                fn(base + Addr(i) * wordBytes, p->data[i]);
+    for (const auto &[key, id] : granulesIn(0, ~Addr(0))) {
+        const Word *data = granuleData(id);
+        for (FbitMask m = fbits_[id]; m != 0; m &= m - 1) {
+            const unsigned i = static_cast<unsigned>(std::countr_zero(m));
+            fn(key * pageBytes + Addr(i) * wordBytes, data[i]);
         }
     }
 }
@@ -122,8 +136,8 @@ std::uint64_t
 TaggedMemory::fbitCount() const
 {
     std::uint64_t count = 0;
-    for (const Page &p : page_arena_)
-        count += p.fbits.count();
+    for (const FbitMask m : fbits_)
+        count += static_cast<unsigned>(std::popcount(m));
     return count;
 }
 
@@ -132,25 +146,50 @@ TaggedMemory::initializeRegion(Addr addr, Addr bytes)
 {
     memfwd_assert(isWordAligned(addr) && isWordAligned(bytes),
                   "initializeRegion must be word-aligned");
-    // Pages that were never materialized are already all-zero with
-    // clear forwarding bits, so only touched pages need sweeping.  This
-    // keeps huge, mostly-cold regions (relocation pools) cheap.
-    const Addr end = addr + bytes;
-    Addr a = addr;
-    while (a < end) {
-        const Addr page_start = a - (a % pageBytes);
-        const Addr page_end = page_start + pageBytes;
-        const Addr sweep_end = end < page_end ? end : page_end;
-        if (index_.find(page_start / pageBytes) != FlatPageIndex::no_value) {
-            for (Addr w = a; w < sweep_end; w += wordBytes)
-                unforwardedWrite(w, 0, false);
-        }
-        a = sweep_end;
-    }
+    if (bytes != 0)
+        sweepRegion(addr, addr + bytes);
     // Freshly initialized memory belongs to no object: drop any stale
     // metadata so a recycled quarantine slot can never false-positive.
     if (meta_plane_)
         meta_plane_->clearRange(addr, bytes);
+}
+
+void
+TaggedMemory::sweepRegion(Addr addr, Addr end)
+{
+    // Granules never materialized are already all-zero with clear
+    // forwarding bits, so only materialized ones need sweeping.
+    const Addr first = granuleKey(addr);
+    const Addr last = granuleKey(end - 1);
+    // Zero one granule's words in range and their forwarding bits in one
+    // step, then make the calls a per-word unforwardedWrite(w, 0, false)
+    // sweep would: (word, true) once per set bit, ascending.
+    const auto sweep = [&](Addr key, FlatPageIndex::Value id) {
+        const unsigned lo = key == first ? wordIndex(addr) : 0;
+        const unsigned hi = key == last ? wordIndex(end - 1) + 1 : pageWords;
+        std::fill(granuleData(id) + lo, granuleData(id) + hi, Word(0));
+        const FbitMask span =
+            static_cast<FbitMask>((std::uint64_t(1) << (hi - lo)) - 1) << lo;
+        FbitMask cleared = fbits_[id] & span;
+        fbits_[id] &= ~span;
+        for (; listener_ && cleared != 0; cleared &= cleared - 1) {
+            const auto i = static_cast<unsigned>(std::countr_zero(cleared));
+            listener_->fwdStateChanged(key * pageBytes + Addr(i) * wordBytes,
+                                       true);
+        }
+    };
+    if (last - first < index_.size()) {
+        for (Addr key = first; key <= last; ++key) {
+            const FlatPageIndex::Value id = index_.find(key);
+            if (id != FlatPageIndex::no_value)
+                sweep(key, id);
+        }
+        return;
+    }
+    // The range spans more granules than are materialized (relocation
+    // pools, whole arenas): visit the materialized ones instead.
+    for (const auto &[key, id] : granulesIn(first, last))
+        sweep(key, id);
 }
 
 MetadataPlane &

@@ -29,19 +29,21 @@
  *                                     forwarding bits before memory is
  *                                     handed to the application.
  *
- * Storage is sparse: 4KB pages are allocated on first touch, so a 64-bit
- * address space costs only what the workload actually uses.
+ * Storage is sparse: 256-byte granules (32 words) are materialized on
+ * first touch, so a 64-bit address space costs only what the workload
+ * actually uses, even when its objects are scattered.  Granule data
+ * lives in 64 KiB slabs of 256 granules; each granule's 32 forwarding
+ * bits sit in one dense array indexed by granule id, small enough to
+ * stay in the host's caches.
  */
 
 #ifndef MEMFWD_MEM_TAGGED_MEMORY_HH
 #define MEMFWD_MEM_TAGGED_MEMORY_HH
 
-#include <array>
-#include <bitset>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -76,11 +78,16 @@ class FwdStateListener
     virtual void fwdStateChanged(Addr word, bool was_fbit) = 0;
 };
 
-/** Sparse, paged, word-tagged simulated memory. */
+/** Sparse, granule-grained, word-tagged simulated memory. */
 class TaggedMemory
 {
   public:
-    static constexpr unsigned pageBytes = 4096;
+    /**
+     * The materialization unit: a 256-byte granule of 32 words.  The
+     * "page" names (pageBytes, pageWords, pagesAllocated,
+     * mappedPageBases) all refer to this granule, not to a 4 KiB page.
+     */
+    static constexpr unsigned pageBytes = 256;
     static constexpr unsigned pageWords = pageBytes / wordBytes;
 
     TaggedMemory() = default;
@@ -96,10 +103,8 @@ class TaggedMemory
     Word
     rawReadWord(Addr addr) const
     {
-        const Page *p = pageIfPresent(addr);
-        if (!p)
-            return 0;
-        return p->data[(addr % pageBytes) >> wordShift];
+        const Granule g = granuleIfPresent(addr);
+        return g.data ? g.data[wordIndex(addr)] : 0;
     }
 
     /** Write the raw 64-bit payload of the word containing @p addr. */
@@ -109,10 +114,8 @@ class TaggedMemory
     bool
     fbit(Addr addr) const
     {
-        const Page *p = pageIfPresent(addr);
-        if (!p)
-            return false;
-        return p->fbits[(addr % pageBytes) >> wordShift];
+        const Granule g = granuleIfPresent(addr);
+        return g.data && (*g.fbits >> wordIndex(addr) & 1) != 0;
     }
 
     /** Set or clear the forwarding bit of the word containing @p addr. */
@@ -152,17 +155,19 @@ class TaggedMemory
     /**
      * Clear data and forwarding bits over [addr, addr+bytes) — the OS
      * initialization sweep (Section 3.3).  Both ends must be
-     * word-aligned.
+     * word-aligned.  Granules never materialized are skipped; the
+     * listener hears (word, true) once per cleared forwarding bit, in
+     * ascending word order.
      */
     void initializeRegion(Addr addr, Addr bytes);
 
     /** Number of forwarding bits currently set across all of memory. */
     std::uint64_t fbitCount() const;
 
-    /** True if the page containing @p addr has been materialized. */
+    /** True if the granule containing @p addr has been materialized. */
     bool isMapped(Addr addr) const;
 
-    /** Base addresses of every materialized page, ascending. */
+    /** Base addresses of every materialized granule, ascending. */
     std::vector<Addr> mappedPageBases() const;
 
     /**
@@ -197,59 +202,96 @@ class TaggedMemory
     MetadataPlane *metadataPlane() { return meta_plane_.get(); }
     const MetadataPlane *metadataPlane() const { return meta_plane_.get(); }
 
-    /** Number of pages currently materialized (for space accounting). */
-    std::size_t pagesAllocated() const { return page_arena_.size(); }
+    /** Number of granules currently materialized (space accounting). */
+    std::size_t pagesAllocated() const { return fbits_.size(); }
 
     /** Bytes of simulated memory currently materialized. */
     std::uint64_t bytesAllocated() const
     {
-        return static_cast<std::uint64_t>(page_arena_.size()) * pageBytes;
+        return static_cast<std::uint64_t>(fbits_.size()) * pageBytes;
     }
 
   private:
-    struct Page
+    /** Forwarding bits of one granule; bit i tags word i. */
+    using FbitMask = std::uint32_t;
+    static_assert(pageWords == 32, "one FbitMask per granule");
+
+    /** Granules per slab: one 64 KiB allocation. */
+    static constexpr unsigned slabGranules = 256;
+
+    struct alignas(64) Slab
     {
-        std::array<Word, pageWords> data{};
-        std::bitset<pageWords> fbits{};
+        Word words[slabGranules * pageWords];
     };
 
-    /** Materialize (or find) the page holding @p addr; updates cache. */
-    Page &
-    page(Addr addr)
+    /** One granule's storage; data is nullptr if never materialized. */
+    struct Granule
     {
-        if (addr / pageBytes == last_key_ && last_page_)
-            return *last_page_;
-        return pageSlow(addr);
+        Word *data;
+        FbitMask *fbits;
+    };
+
+    static Addr granuleKey(Addr addr) { return addr / pageBytes; }
+
+    static unsigned
+    wordIndex(Addr addr)
+    {
+        return static_cast<unsigned>(addr % pageBytes) >> wordShift;
     }
 
-    Page &pageSlow(Addr addr);
+    Word *
+    granuleData(FlatPageIndex::Value id) const
+    {
+        return slabs_[id / slabGranules]->words +
+               std::size_t(id % slabGranules) * pageWords;
+    }
+
+    /** The granule holding @p addr, materialized on first touch. */
+    Granule
+    granule(Addr addr)
+    {
+        const Granule g = granuleIfPresent(addr);
+        return g.data ? g : materialize(addr);
+    }
+
+    /** Materialize the absent granule holding @p addr; updates cache. */
+    Granule materialize(Addr addr);
 
     /**
-     * Page holding @p addr, nullptr if never materialized.  Both
-     * outcomes are cached in the one-entry last-page cache; page()
-     * refreshes it when it materializes, so a cached miss can never go
-     * stale.
+     * Granule holding @p addr, data nullptr if never materialized.
+     * Both outcomes are cached in the one-entry last-granule cache;
+     * materialize() refreshes it, so a cached miss can never go stale.
      */
-    const Page *
-    pageIfPresent(Addr addr) const
+    Granule
+    granuleIfPresent(Addr addr) const
     {
-        const Addr key = addr / pageBytes;
-        if (key == last_key_)
-            return last_page_;
-        const FlatPageIndex::Value v = index_.find(key);
-        Page *p = v == FlatPageIndex::no_value
-                      ? nullptr
-                      : const_cast<Page *>(&page_arena_[v]);
-        last_key_ = key;
-        last_page_ = p;
-        return p;
+        const Addr key = granuleKey(addr);
+        if (key != last_key_) {
+            const FlatPageIndex::Value id = index_.find(key);
+            const bool present = id != FlatPageIndex::no_value;
+            last_key_ = key;
+            last_id_ = present ? id : 0; // fbits unused when absent
+            last_data_ = present ? granuleData(id) : nullptr;
+        }
+        return {last_data_,
+                const_cast<FbitMask *>(fbits_.data()) + last_id_};
     }
 
-    /** Pages in materialization order; std::deque keeps them stable. */
-    std::deque<Page> page_arena_;
+    /** (key, id) of each materialized granule in [first, last], by key. */
+    std::vector<std::pair<Addr, FlatPageIndex::Value>>
+    granulesIn(Addr first, Addr last) const;
+
+    /** initializeRegion's data and forwarding-bit sweep, addr < end. */
+    void sweepRegion(Addr addr, Addr end);
+
+    /** Granule data, in materialization order; slabs never move. */
+    std::vector<std::unique_ptr<Slab>> slabs_;
+    /** Forwarding bits, indexed by granule id. */
+    std::vector<FbitMask> fbits_;
     FlatPageIndex index_;
     mutable Addr last_key_ = FlatPageIndex::empty_key;
-    mutable Page *last_page_ = nullptr;
+    mutable FlatPageIndex::Value last_id_ = 0;
+    mutable Word *last_data_ = nullptr;
     FwdStateListener *listener_ = nullptr;
     std::unique_ptr<MetadataPlane> meta_plane_;
 };

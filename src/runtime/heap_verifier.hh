@@ -54,8 +54,8 @@ struct AuditChain
 /** Everything one audit learned. */
 struct AuditReport
 {
-    std::uint64_t pages_scanned = 0;
-    std::uint64_t words_scanned = 0; ///< words in materialized pages
+    std::uint64_t pages_scanned = 0; ///< materialized 256-byte granules
+    std::uint64_t words_scanned = 0; ///< words in those granules
     std::uint64_t fbits_set = 0;
 
     std::vector<AuditChain> chains;      ///< one entry per chain head
@@ -65,7 +65,7 @@ struct AuditReport
     std::vector<Addr> quarantined_chains; ///< heads ending in quarantine
     std::vector<Addr> cyclic_chains;      ///< heads of cyclic chains
     std::vector<Addr> orphan_cycle_words; ///< forwarded words off any head
-    std::vector<Addr> dangling_targets;   ///< fwd words -> unmapped pages
+    std::vector<Addr> dangling_targets;   ///< fwd words -> unmapped granules
     std::vector<Addr> misaligned_targets; ///< fbit set, payload unaligned
     std::vector<Addr> null_targets;       ///< fbit set, payload == 0
 

@@ -17,7 +17,8 @@ namespace
 /** Approximate instruction cost of one malloc/free call. */
 constexpr std::uint64_t alloc_compute_cost = 40;
 
-constexpr Addr pageBytes = TaggedMemory::pageBytes;
+/** Arena page of the block bitmap: PageBits holds 512 words. */
+constexpr Addr pageBytes = 4096;
 constexpr Addr chunkBytes = 64 * wordBytes; ///< one bitmap word's worth
 
 constexpr Addr

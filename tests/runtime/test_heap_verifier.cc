@@ -101,6 +101,20 @@ TEST(HeapVerifier, DetectsDanglingTarget)
     EXPECT_EQ(r.dangling_targets[0], 0x1000u);
 }
 
+TEST(HeapVerifier, DetectsDanglingTargetNextToWrittenGranule)
+{
+    TaggedMemory mem;
+    // The target's neighbouring 256-byte granule is written, its own
+    // never is; both share one 4 KiB page, so only granule-grained
+    // mapping tells them apart.
+    mem.rawWriteWord(0x2000, 7);
+    mem.unforwardedWrite(0x1000, 0x2100, true);
+    const AuditReport r = HeapVerifier(mem).audit();
+    EXPECT_FALSE(r.clean());
+    ASSERT_EQ(r.dangling_targets.size(), 1u);
+    EXPECT_EQ(r.dangling_targets[0], 0x1000u);
+}
+
 TEST(HeapVerifier, DetectsMisalignedAndNullTargets)
 {
     TaggedMemory mem;
