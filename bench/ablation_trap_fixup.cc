@@ -13,6 +13,8 @@
  */
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hh"
 
@@ -35,21 +37,19 @@ struct SmvRun
     std::uint64_t traps;
     std::uint64_t fixed;
     std::uint64_t checksum;
+    std::vector<std::pair<SiteId, std::uint64_t>> hottest_sites;
 };
 
 SmvRun
-runSmv(const std::string &label, bool fixup,
-       ForwardingProfiler **out_prof = nullptr)
+runSmv(const std::string &label, bool fixup)
 {
     setVerbose(false);
     MachineConfig mc = machineAt(32);
     Machine machine(mc);
 
-    static ForwardingProfiler *prof = nullptr;
-    delete prof;
-    prof = new ForwardingProfiler(machine.forwarding().traps());
-    if (out_prof)
-        *out_prof = prof;
+    // Declared after the machine so it unregisters before the machine's
+    // trap registry is destroyed.
+    ForwardingProfiler prof(machine.forwarding().traps());
 
     if (fixup)
         installSmvPointerFixup(machine);
@@ -72,7 +72,7 @@ runSmv(const std::string &label, bool fixup,
     return {machine.cycles(), machine.loadsForwarded(),
             machine.forwarding().traps().delivered(),
             machine.forwarding().traps().pointersFixed(),
-            w->checksum()};
+            w->checksum(), prof.hottest()};
 }
 
 } // namespace
@@ -112,11 +112,10 @@ main()
                                    double(plain.forwarded_loads)));
 
     // Profiling-tool view (the paper's first trap use case).
-    ForwardingProfiler *prof = nullptr;
-    runSmv("", false, &prof);
+    const SmvRun profiled = runSmv("", false);
     std::printf("\nprofiling tool: forwarded references per static "
                 "site\n");
-    for (const auto &[site, count] : prof->hottest()) {
+    for (const auto &[site, count] : profiled.hottest_sites) {
         const char *names[] = {"(none)", "hash-chain walk",
                                "tree low-child deref",
                                "tree high-child deref"};

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "core/cycle_check.hh"
+#include "core/chain_walk.hh"
 
 namespace memfwd
 {
@@ -19,29 +19,25 @@ MpSystem::MpSystem(const MpConfig &cfg)
 }
 
 Addr
+MpSystem::chase(unsigned cpu, Addr word)
+{
+    // Each hop reads the forwarding word through this processor's cache
+    // (a coherent read: the word may be written by a relocating peer).
+    return chainTail(mem_, word, ChainLimits{cfg_.fwd_hop_limit},
+                     [this, cpu](Addr hop) {
+                         clocks_[cpu] = caches_[cpu]->load(hop, clocks_[cpu]);
+                     });
+}
+
+Addr
 MpSystem::resolve(unsigned cpu, Addr addr)
 {
-    Addr word = wordAlign(addr);
-    const unsigned offset = wordOffset(addr);
+    const Addr word = wordAlign(addr);
     if (!mem_.fbit(word))
         return addr;
-
-    unsigned hops = 0;
-    while (mem_.fbit(word)) {
-        // Each hop reads the forwarding word through this processor's
-        // cache (a coherent read: the word may be written by the
-        // relocating processor).
-        clocks_[cpu] = caches_[cpu]->load(word, clocks_[cpu]);
-        word = wordAlign(mem_.rawReadWord(word));
-        if (++hops > cfg_.fwd_hop_limit) {
-            const CycleCheckResult r = accurateCycleCheck(mem_, addr);
-            if (r.is_cycle)
-                throw ForwardingCycleError(wordAlign(addr), r.length);
-            hops = 0;
-        }
-    }
+    const Addr tail = chase(cpu, word);
     ++forwarded_refs_;
-    return word + offset;
+    return tail + wordOffset(addr);
 }
 
 std::uint64_t
@@ -76,16 +72,10 @@ MpSystem::relocate(unsigned cpu, Addr src, Addr tgt, unsigned n_words)
     memfwd_assert(isWordAligned(src) && isWordAligned(tgt),
                   "relocate endpoints must be word-aligned");
     for (unsigned i = 0; i < n_words; ++i) {
-        Addr s = src + Addr(i) * wordBytes;
-        const Addr t = tgt + Addr(i) * wordBytes;
         // Chase to the chain tail (Read_FBit + Unforwarded_Read are
         // coherent reads).
-        unsigned guard = 0;
-        while (mem_.fbit(s)) {
-            clocks_[cpu] = caches_[cpu]->load(s, clocks_[cpu]);
-            s = wordAlign(mem_.rawReadWord(s));
-            memfwd_assert(++guard < 1u << 20, "relocate: runaway chain");
-        }
+        const Addr s = chase(cpu, src + Addr(i) * wordBytes);
+        const Addr t = tgt + Addr(i) * wordBytes;
         // Copy the payload, then install the forwarding address — a
         // coherent write, so every peer's stale copy is invalidated
         // and later reads see the tag.

@@ -45,7 +45,12 @@ class MpSystem
     MpSystem(const MpSystem &) = delete;
     MpSystem &operator=(const MpSystem &) = delete;
 
-    /** Timed, forwarding-aware load by processor @p cpu. */
+    /**
+     * Timed, forwarding-aware load by processor @p cpu.  Loads, stores
+     * and relocations follow chains under the abort policy: they throw
+     * ForwardingCycleError on a cycle and ForwardingIntegrityError on a
+     * misaligned forwarding payload.
+     */
     std::uint64_t load(unsigned cpu, Addr addr, unsigned size);
 
     /** Timed, forwarding-aware store by processor @p cpu. */
@@ -104,6 +109,9 @@ class MpSystem
   private:
     /** Follow the forwarding chain for cpu at its local time. */
     Addr resolve(unsigned cpu, Addr addr);
+
+    /** Tail word of the chain at @p word, each hop a coherent load. */
+    Addr chase(unsigned cpu, Addr word);
 
     MpConfig cfg_;
     TaggedMemory mem_;

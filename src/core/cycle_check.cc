@@ -19,6 +19,16 @@ ForwardingCycleError::ForwardingCycleError(Addr start, unsigned length,
 {
 }
 
+ForwardingIntegrityError::ForwardingIntegrityError(Addr word, Word payload,
+                                                   SiteId site)
+    : std::runtime_error(strfmt(
+          "corrupt forwarding word: addr=%#llx payload=%#llx site=%u",
+          static_cast<unsigned long long>(word),
+          static_cast<unsigned long long>(payload), site)),
+      word_(word), payload_(payload), site_(site)
+{
+}
+
 CycleCheckResult
 accurateCycleCheck(const TaggedMemory &mem, Addr addr)
 {

@@ -29,11 +29,10 @@ namespace memfwd
 class TaggedMemory;
 
 /**
- * Thrown when software erroneously created a forwarding cycle (or a
- * chain the bounded-retry handler gave up on) and the active policy is
- * to abort.  Carries the decision context the handler had: chain start,
- * length walked, the static reference site, and the policy that chose
- * to throw.
+ * Thrown when software erroneously created a forwarding cycle and the
+ * active policy is to abort.  Carries the decision context the handler
+ * had: chain start, length walked, the static reference site, and the
+ * policy that chose to throw.
  */
 class ForwardingCycleError : public std::runtime_error
 {
@@ -52,6 +51,25 @@ class ForwardingCycleError : public std::runtime_error
     unsigned length_;
     SiteId site_;
     std::string policy_;
+};
+
+/**
+ * Thrown when a forwarding word's payload proves it was corrupted (a
+ * misaligned target) and the active policy is to abort.
+ */
+class ForwardingIntegrityError : public std::runtime_error
+{
+  public:
+    ForwardingIntegrityError(Addr word, Word payload, SiteId site);
+
+    Addr word() const { return word_; }
+    Word payload() const { return payload_; }
+    SiteId site() const { return site_; }
+
+  private:
+    Addr word_;
+    Word payload_;
+    SiteId site_;
 };
 
 /** Outcome of the accurate check. */

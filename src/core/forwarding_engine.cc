@@ -4,7 +4,6 @@
 
 #include "cache/hierarchy.hh"
 #include "common/logging.hh"
-#include "core/cycle_check.hh"
 #include "core/fault_injector.hh"
 #include "mem/tagged_memory.hh"
 
@@ -23,16 +22,6 @@ cyclePolicyName(CyclePolicy policy)
         return "quarantine";
     }
     return "?";
-}
-
-ForwardingIntegrityError::ForwardingIntegrityError(Addr word, Word payload,
-                                                   SiteId site)
-    : std::runtime_error(strfmt(
-          "corrupt forwarding word: addr=%#llx payload=%#llx site=%u",
-          static_cast<unsigned long long>(word),
-          static_cast<unsigned long long>(payload), site)),
-      word_(word), payload_(payload), site_(site)
-{
 }
 
 // ----- TranslationCache ----------------------------------------------
@@ -171,7 +160,11 @@ TranslationCache::entryCount() const
 ForwardingEngine::ForwardingEngine(TaggedMemory &mem,
                                    MemoryHierarchy &hierarchy,
                                    const ForwardingConfig &cfg)
-    : mem_(mem), hierarchy_(hierarchy), cfg_(cfg)
+    : mem_(mem), hierarchy_(hierarchy), cfg_(cfg),
+      limits_{cfg.hop_limit, cfg.validate_targets,
+              cfg.mode == ForwardingConfig::Mode::exception
+                  ? cfg.max_handler_retries
+                  : ~0u}
 {
     memfwd_assert(cfg_.hop_limit >= 1, "hop limit must be at least 1");
     if (cfg_.ftc_enabled) {
@@ -246,57 +239,109 @@ ForwardingEngine::temporalCheck(Addr addr, Addr final_addr, unsigned hops,
 }
 
 Addr
-ForwardingEngine::condemnChain(Addr word, unsigned length, Addr pin,
-                               SiteId site)
+ForwardingEngine::condemn(Addr word, const ChainWalk &w, SiteId site)
 {
-    switch (cfg_.cycle_policy) {
-      case CyclePolicy::abort:
-        throw ForwardingCycleError(word, length, site, "abort");
-      case CyclePolicy::trap:
-        if (!traps_.armed())
-            throw ForwardingCycleError(word, length, site, "trap");
-        // The handler learns the cycle's context through the ordinary
-        // trap channel: initial address, the pin it will resolve to,
-        // and the chain length walked.
-        traps_.deliver({site, word, pin, length, 0});
-        [[fallthrough]];
-      case CyclePolicy::quarantine:
-        ++stats_.cycles_quarantined;
-        quarantined_[word] = pin;
-        return pin;
+    // A cycle pins at the pre-cycle address; corruption at the corrupt
+    // word itself, the last address still trustworthy as a location.
+    const bool cycle = w.end == ChainEnd::cycle;
+    const Addr pin = cycle ? w.check.pre_cycle : w.word;
+    ++(cycle ? stats_.cycles_detected : stats_.corrupt_forwards);
+    const CyclePolicy policy = cfg_.cycle_policy;
+    if (policy == CyclePolicy::abort
+        || (policy == CyclePolicy::trap && !traps_.armed())) {
+        if (cycle)
+            throw ForwardingCycleError(word, w.check.length, site,
+                                       cyclePolicyName(policy));
+        throw ForwardingIntegrityError(w.word, w.payload, site);
     }
-    throw ForwardingCycleError(word, length, site, "abort");
+    // The trap handler learns the context through the ordinary trap
+    // channel: initial address, the pin it will resolve to, and the
+    // chain length walked.
+    if (policy == CyclePolicy::trap)
+        traps_.deliver({site, word, pin, cycle ? w.check.length : 0, 0});
+    stats_.cycles_quarantined += cycle ? 1 : 0;
+    quarantined_[word] = pin;
+    return pin;
 }
 
-Addr
-ForwardingEngine::condemnCorrupt(Addr word, Addr cur, Word payload,
-                                 SiteId site)
+namespace
 {
-    ++stats_.corrupt_forwards;
-    switch (cfg_.cycle_policy) {
-      case CyclePolicy::abort:
-        throw ForwardingIntegrityError(cur, payload, site);
-      case CyclePolicy::trap:
-        if (!traps_.armed())
-            throw ForwardingIntegrityError(cur, payload, site);
-        traps_.deliver({site, word, cur, 0, 0});
-        [[fallthrough]];
-      case CyclePolicy::quarantine:
-        // Pin at the corrupt word itself: the last address whose
-        // contents are still trustworthy as a location.
-        quarantined_[word] = cur;
-        return cur;
+
+/** resolve(): each hop is a load through the hierarchy; all costs count. */
+struct TimedHops
+{
+    static constexpr bool timed = true;
+
+    MemoryHierarchy &hierarchy;
+    const ForwardingConfig &cfg;
+    ForwardingStats &stats;
+    Cycles t;
+    bool missed = false; ///< any hop access missed in L1
+
+    void
+    operator()(Addr word)
+    {
+        // The hop reads the forwarding word through the cache — the
+        // pollution effect Section 5.4 measures.
+        const HierarchyResult r = hierarchy.access(word, AccessType::load, t);
+        missed |= r.l1 != MissKind::hit;
+        t = r.ready + cfg.hop_cost;
     }
-    throw ForwardingIntegrityError(cur, payload, site);
+
+    void overflow() { t += cfg.cycle_check_cost; }
+
+    void
+    falseAlarm(unsigned retries)
+    {
+        // The exception handler re-walks with exponential backoff.
+        if (cfg.mode != ForwardingConfig::Mode::exception)
+            return;
+        const Cycles backoff =
+            cfg.retry_backoff_base << std::min(retries - 1, 16u);
+        t += backoff;
+        stats.backoff_cycles += backoff;
+    }
+};
+
+/** resolveFunctional() and perfect mode: no cache access, no cycles. */
+struct UntimedHops
+{
+    static constexpr bool timed = false;
+
+    Cycles t = 0;
+    bool missed = false;
+
+    void operator()(Addr) {}
+};
+
+} // namespace
+
+const TranslationCache::Entry *
+ForwardingEngine::ftcHit(Addr word)
+{
+    if (const TranslationCache::Entry *e = ftc_.lookup(word)) {
+        // Invalidation keeps entries whose final word regrew a chain out
+        // of the cache; re-check defensively and re-walk rather than
+        // serve a non-terminal address.
+        if (!mem_.fbit(e->final_word)) {
+            ++stats_.ftc_hits;
+            return e;
+        }
+        stats_.ftc_invalidations += ftc_.invalidateStart(word);
+    }
+    ++stats_.ftc_misses;
+    return nullptr;
 }
 
+template <class Timing>
 WalkResult
-ForwardingEngine::resolve(Addr addr, AccessType type, Cycles start,
-                          SiteId site, Addr pointer_slot,
-                          std::uint32_t object_id)
+ForwardingEngine::walk(Addr addr, AccessType type, Timing &timing,
+                       SiteId site, Addr pointer_slot,
+                       std::uint32_t object_id)
 {
-    Addr word = wordAlign(addr);
+    const Addr word = wordAlign(addr);
     const unsigned offset = wordOffset(addr);
+    const Cycles start = timing.t;
 
     if (!mem_.fbit(word)) {
         // Common case: not forwarded.  The forwarding bit travels with
@@ -318,188 +363,102 @@ ForwardingEngine::resolve(Addr addr, AccessType type, Cycles start,
     if (faults_)
         faults_->corruptChain(mem_, word, FaultSite::resolve);
 
-    if (cfg_.mode == ForwardingConfig::Mode::perfect) {
-        // Idealized bound: resolve functionally with no time or cache
-        // effects, as if every pointer had been updated in advance.
-        // Reported hops are zero — under perfect forwarding no
-        // reference is ever "forwarded" (Figure 10's Perf case).
-        Addr cur = word;
-        unsigned hops = 0;
-        while (mem_.fbit(cur)) {
-            const Word payload = mem_.rawReadWord(cur);
-            if (cfg_.validate_targets && !isWordAligned(payload)) {
-                const Addr pin = condemnCorrupt(word, cur, payload, site);
-                return {pin + offset, 0, start, 0, false, false};
-            }
-            cur = wordAlign(payload);
-            ++hops;
-            if (hops > cfg_.hop_limit) {
-                const CycleCheckResult r = accurateCycleCheck(mem_, word);
-                if (r.is_cycle) {
-                    ++stats_.cycles_detected;
-                    const Addr pin = condemnChain(word, r.length,
-                                                  r.pre_cycle, site);
-                    return {pin + offset, 0, start, 0, false, false};
-                }
-            }
-        }
-        stats_.recordHops(0);
-        if (plane_)
-            temporalCheck(addr, cur + offset, hops, type, start, site,
-                          pointer_slot, object_id);
-        return {cur + offset, 0, start, 0, false, false};
-    }
+    // Perfect forwarding is the idealized bound (Figure 10's Perf): the
+    // chain resolves with no time or cache effects and no reference is
+    // ever "forwarded", as if every pointer had been updated in advance.
+    const bool perfect = cfg_.mode == ForwardingConfig::Mode::perfect;
 
-    // Translation-cache shortcut: a hit hands back the final address
-    // for ftc_hit_cost cycles — no hop accesses (hence no pollution)
-    // and, in exception mode, no exception, the "hardware remembers
-    // resolved addresses" idea the paper floats.  Checked after the
-    // fault hook so an injected corruption invalidates the cache
-    // (through the mutation listener) before it could be served stale.
-    if (cfg_.ftc_enabled) {
-        if (const TranslationCache::Entry *e = ftc_.lookup(word)) {
-            // Invalidation keeps entries whose final word regrew a
-            // chain out of the cache; re-check defensively and re-walk
-            // rather than serve a non-terminal address.
-            if (!mem_.fbit(e->final_word)) {
-                ++stats_.ftc_hits;
-                const Cycles t = start + cfg_.ftc_hit_cost;
-                stats_.recordHops(0);
-                const Addr final_addr = e->final_word + offset;
-                const unsigned cached_hops = e->hops;
-                if (tracer_ && tracer_->active()) {
-                    tracer_->emit({obs::EventKind::ftc, type, t, addr,
-                                   final_addr, cached_hops, 0});
-                }
-                if (traps_.armed() && type != AccessType::prefetch) {
-                    // The user-level trap still fires — stale-pointer
-                    // tracking must see the same events with and
-                    // without the cache.  It reports the chain length
-                    // the fill-time walk measured.
-                    traps_.deliver({site, addr, final_addr, cached_hops,
-                                    pointer_slot});
-                    if (tracer_ && tracer_->active()) {
-                        tracer_->emit({obs::EventKind::trap, type, t,
-                                       addr, final_addr, cached_hops, 0});
-                    }
-                }
-                if (plane_) {
-                    temporalCheck(addr, final_addr, cached_hops, type, t,
-                                  site, pointer_slot, object_id);
-                }
-                return {final_addr, 0, t, t - start, false, true};
-            }
-            stats_.ftc_invalidations += ftc_.invalidateStart(word);
-        }
-        ++stats_.ftc_misses;
-    }
+    // Translation-cache shortcut: a hit serves the final address for
+    // ftc_hit_cost cycles with no hop accesses (hence no pollution) and,
+    // in exception mode, no exception.  Looked up after the fault hook
+    // so an injected corruption invalidates the cache (through the
+    // mutation listener) before it could be served stale.
+    const TranslationCache::Entry *hit = nullptr;
+    if (Timing::timed && !perfect && cfg_.ftc_enabled)
+        hit = ftcHit(word);
 
-    // Real forwarding: the reference pays for each hop.
+    Addr final_word = word;
+    unsigned hops = 0;      // hops walked (0 on an FTC hit)
+    unsigned trap_hops = 0; // chain length the trap reports
     Cycles t = start;
-    if (cfg_.mode == ForwardingConfig::Mode::exception)
-        t += cfg_.exception_cost;
-
-    Addr cur = word;
-    unsigned hops = 0;
-    unsigned hop_counter = 0;
-    unsigned check_attempts = 0;
-    bool hop_missed = false;
-
-    while (mem_.fbit(cur)) {
-        // The hop reads the forwarding word through the cache — this is
-        // the pollution effect Section 5.4 measures: old locations stay
-        // live in the cache.
-        const HierarchyResult r =
-            hierarchy_.access(cur, AccessType::load, t);
-        if (r.l1 != MissKind::hit)
-            hop_missed = true;
-        t = r.ready + cfg_.hop_cost;
-
-        const Word payload = mem_.rawReadWord(cur);
-        if (cfg_.validate_targets && !isWordAligned(payload)) {
-            // A legitimate forwarding word always holds a word-aligned
-            // target (relocation endpoints are asserted aligned), so a
-            // misaligned payload proves the word was corrupted.
-            const Addr pin = condemnCorrupt(word, cur, payload, site);
-            return {pin + offset, hops, t, t - start, hop_missed, true};
-        }
-        cur = wordAlign(payload);
-        ++hops;
-        ++hop_counter;
-
-        if (hop_counter > cfg_.hop_limit) {
-            // Fast counter overflowed: run the accurate software check.
-            t += cfg_.cycle_check_cost;
-            const CycleCheckResult chk = accurateCycleCheck(mem_, word);
-            if (chk.is_cycle) {
-                ++stats_.cycles_detected;
-                const Addr pin = condemnChain(word, chk.length,
-                                              chk.pre_cycle, site);
-                return {pin + offset, hops, t, t - start, hop_missed, true};
-            }
-            ++stats_.false_alarms;
-            ++check_attempts;
-            if (cfg_.mode == ForwardingConfig::Mode::exception) {
-                // The software handler re-walks the chain; bound the
-                // retries and charge exponential backoff so a pathological
-                // (but acyclic) chain cannot wedge the handler.
-                ++stats_.handler_retries;
-                const Cycles backoff =
-                    cfg_.retry_backoff_base
-                    << std::min(check_attempts - 1, 16u);
-                t += backoff;
-                stats_.backoff_cycles += backoff;
-                if (check_attempts > cfg_.max_handler_retries) {
-                    const Addr pin = condemnChain(word, chk.length, cur,
-                                                  site);
-                    return {pin + offset, hops, t, t - start, hop_missed,
-                            true};
-                }
-            }
-            hop_counter = 0; // false alarm: reset and resume
-        }
-    }
-
-    ++stats_.walks;
-    stats_.hops += hops;
-    stats_.hop_l1_misses += hop_missed ? 1 : 0;
-    stats_.recordHops(hops);
-
-    // Lazy chain collapsing: a long-enough walk earns a rewrite of the
-    // chain head straight at the final word, so later references pay at
-    // most one hop.  The rewrite is one store to the head word (which
-    // the walk's first hop just pulled into the cache), and preserves
-    // the resolution of every pointer into the chain.
-    if (cfg_.collapse_enabled && collapse_suspend_ == 0
-        && hops >= cfg_.collapse_threshold && cur != word) {
-        self_write_ = true;
-        mem_.unforwardedWrite(word, cur, true);
-        self_write_ = false;
-        const HierarchyResult wr =
-            hierarchy_.access(word, AccessType::store, t);
-        t = wr.ready;
-        ++stats_.chains_collapsed;
-    }
-
-    // The freshly-walked translation is the best possible fill.
-    if (cfg_.ftc_enabled)
-        ftc_.insert(word, cur, hops);
-
-    const Addr final_addr = cur + offset;
-
-    if (traps_.armed() && type != AccessType::prefetch) {
-        traps_.deliver({site, addr, final_addr, hops, pointer_slot});
+    if (hit) {
+        final_word = hit->final_word;
+        trap_hops = hit->hops; // measured by the fill-time walk
+        t = start + cfg_.ftc_hit_cost;
         if (tracer_ && tracer_->active()) {
-            tracer_->emit({obs::EventKind::trap, type, t, addr,
-                           final_addr, hops, 0});
+            tracer_->emit({obs::EventKind::ftc, type, t, addr,
+                           final_word + offset, trap_hops, 0});
+        }
+    } else {
+        if (Timing::timed && cfg_.mode == ForwardingConfig::Mode::exception)
+            timing.t += cfg_.exception_cost;
+        UntimedHops uncharged;
+        const ChainWalk w = perfect ? walkChain(mem_, word, limits_, uncharged)
+                                    : walkChain(mem_, word, limits_, timing);
+        stats_.false_alarms += w.false_alarms;
+        if (cfg_.mode == ForwardingConfig::Mode::exception)
+            stats_.handler_retries += w.false_alarms;
+        t = timing.t;
+        if (w.end != ChainEnd::tail) {
+            const Addr pin = condemn(word, w, site);
+            return {pin + offset, perfect ? 0 : w.hops, t, t - start,
+                    timing.missed, !perfect};
+        }
+        final_word = w.word;
+        trap_hops = w.hops;
+        if (!perfect) {
+            hops = w.hops;
+            ++stats_.walks;
+            stats_.hops += hops;
+            stats_.hop_l1_misses += timing.missed ? 1 : 0;
+        }
+
+        if (Timing::timed && !perfect) {
+            // Lazy chain collapsing: a long-enough walk earns a rewrite
+            // of the chain head straight at the final word, so later
+            // references pay at most one hop.  The rewrite is one store
+            // to the head word (which the walk's first hop just pulled
+            // into the cache) and preserves the resolution of every
+            // pointer into the chain.
+            if (cfg_.collapse_enabled && collapse_suspend_ == 0
+                && hops >= cfg_.collapse_threshold && final_word != word) {
+                self_write_ = true;
+                mem_.unforwardedWrite(word, final_word, true);
+                self_write_ = false;
+                t = hierarchy_.access(word, AccessType::store, t).ready;
+                ++stats_.chains_collapsed;
+            }
+            // The freshly-walked translation is the best possible fill.
+            if (cfg_.ftc_enabled)
+                ftc_.insert(word, final_word, hops);
         }
     }
 
+    stats_.recordHops(hops);
+    const Addr final_addr = final_word + offset;
+    // The user-level trap fires on FTC hits too: stale-pointer tracking
+    // must see the same events with and without the cache.  Under
+    // perfect forwarding no reference is forwarded, so none traps.
+    if (!perfect && traps_.armed() && type != AccessType::prefetch) {
+        traps_.deliver({site, addr, final_addr, trap_hops, pointer_slot});
+        if (Timing::timed && tracer_ && tracer_->active()) {
+            tracer_->emit({obs::EventKind::trap, type, t, addr,
+                           final_addr, trap_hops, 0});
+        }
+    }
     if (plane_)
-        temporalCheck(addr, final_addr, hops, type, t, site, pointer_slot,
-                      object_id);
+        temporalCheck(addr, final_addr, trap_hops, type, t, site,
+                      pointer_slot, object_id);
+    return {final_addr, hops, t, t - start, timing.missed, !perfect};
+}
 
-    return {final_addr, hops, t, t - start, hop_missed, true};
+WalkResult
+ForwardingEngine::resolve(Addr addr, AccessType type, Cycles start,
+                          SiteId site, Addr pointer_slot,
+                          std::uint32_t object_id)
+{
+    TimedHops timing{hierarchy_, cfg_, stats_, start};
+    return walk(addr, type, timing, site, pointer_slot, object_id);
 }
 
 WalkResult
@@ -507,81 +466,8 @@ ForwardingEngine::resolveFunctional(Addr addr, AccessType type,
                                     SiteId site, Addr pointer_slot,
                                     std::uint32_t object_id)
 {
-    Addr word = wordAlign(addr);
-    const unsigned offset = wordOffset(addr);
-
-    if (!mem_.fbit(word)) {
-        stats_.recordHops(0);
-        return {addr, 0, 0, 0, false, false};
-    }
-
-    if (auto it = quarantined_.find(word); it != quarantined_.end()) {
-        ++stats_.quarantine_hits;
-        stats_.recordHops(0);
-        return {it->second + offset, 0, 0, 0, false, true};
-    }
-
-    if (faults_)
-        faults_->corruptChain(mem_, word, FaultSite::resolve);
-
-    // Walk functionally: everything architectural (validation, cycle
-    // policy, quarantine, traps) behaves exactly as in the timed walk;
-    // only the cache accesses and cycle charges are absent.  The FTC is
-    // neither consulted nor filled and chains are never collapsed, so
-    // the heap stays bit-identical to an acceleration-free timed run.
-    Addr cur = word;
-    unsigned hops = 0;
-    unsigned hop_counter = 0;
-
-    while (mem_.fbit(cur)) {
-        const Word payload = mem_.rawReadWord(cur);
-        if (cfg_.validate_targets && !isWordAligned(payload)) {
-            const Addr pin = condemnCorrupt(word, cur, payload, site);
-            const bool fwd = cfg_.mode != ForwardingConfig::Mode::perfect;
-            return {pin + offset, fwd ? hops : 0, 0, 0, false, fwd};
-        }
-        cur = wordAlign(payload);
-        ++hops;
-        ++hop_counter;
-
-        if (hop_counter > cfg_.hop_limit) {
-            const CycleCheckResult chk = accurateCycleCheck(mem_, word);
-            if (chk.is_cycle) {
-                ++stats_.cycles_detected;
-                const Addr pin = condemnChain(word, chk.length,
-                                              chk.pre_cycle, site);
-                const bool fwd =
-                    cfg_.mode != ForwardingConfig::Mode::perfect;
-                return {pin + offset, fwd ? hops : 0, 0, 0, false, fwd};
-            }
-            ++stats_.false_alarms;
-            hop_counter = 0;
-        }
-    }
-
-    if (cfg_.mode == ForwardingConfig::Mode::perfect) {
-        // The Perf bound models pre-updated pointers: no reference is
-        // ever "forwarded", no trap fires (matching the timed path).
-        stats_.recordHops(0);
-        if (plane_)
-            temporalCheck(addr, cur + offset, hops, type, 0, site,
-                          pointer_slot, object_id);
-        return {cur + offset, 0, 0, 0, false, false};
-    }
-
-    ++stats_.walks;
-    stats_.hops += hops;
-    stats_.recordHops(hops);
-
-    const Addr final_addr = cur + offset;
-    if (traps_.armed() && type != AccessType::prefetch)
-        traps_.deliver({site, addr, final_addr, hops, pointer_slot});
-
-    if (plane_)
-        temporalCheck(addr, final_addr, hops, type, 0, site, pointer_slot,
-                      object_id);
-
-    return {final_addr, hops, 0, 0, false, true};
+    UntimedHops timing;
+    return walk(addr, type, timing, site, pointer_slot, object_id);
 }
 
 void

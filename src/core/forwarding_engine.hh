@@ -20,14 +20,24 @@
  *                  handler chases the chain with Unforwarded_Reads; the
  *                  timing adds a fixed exception-dispatch cost per
  *                  forwarded reference on top of the per-hop accesses.
- *                  The handler retries a bounded number of times when
- *                  the hop limit keeps firing, with exponential backoff
- *                  charged to the reference and accounted in the stats.
+ *                  Each false alarm re-runs the handler with exponential
+ *                  backoff charged to the reference and accounted in the
+ *                  stats; past `max_handler_retries` the handler stops
+ *                  charging and the reference resolves to the chain's
+ *                  real tail (the check just proved it acyclic).
  *  - `perfect`   — the idealized bound of Figure 10 ("Perf"): every
  *                  reference magically uses its final address with no
  *                  hop accesses and no pollution.  Not implementable;
  *                  used to bound how much of a slowdown is forwarding
  *                  overhead versus layout fundamentals.
+ *
+ * There is one walk: walkChain() (core/chain_walk.hh) under a private
+ * template over a timing policy, which adds everything else a reference
+ * meets (pins, fault hook, perfect mode, cycle policy, stats, traps,
+ * temporal check).  resolve() is timed: hops load through the cache
+ * hierarchy and the FTC and collapsing apply.  resolveFunctional()
+ * skips every cache access and cycle, the FTC, collapsing and trap
+ * trace events.  Perfect mode walks uncharged under either.
  *
  * Cycle handling follows the paper: a cheap hop counter with limit
  * `hop_limit`; on overflow, a software exception performs the accurate
@@ -89,12 +99,12 @@
 #define MEMFWD_CORE_FORWARDING_ENGINE_HH
 
 #include <cstdint>
-#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/cache_config.hh"
 #include "common/types.hh"
+#include "core/chain_walk.hh"
 #include "core/traps.hh"
 #include "mem/tagged_memory.hh"
 #include "obs/metrics.hh"
@@ -115,22 +125,6 @@ enum class CyclePolicy
 };
 
 const char *cyclePolicyName(CyclePolicy policy);
-
-/** Thrown when a forwarding word's payload proves it was corrupted. */
-class ForwardingIntegrityError : public std::runtime_error
-{
-  public:
-    ForwardingIntegrityError(Addr word, Word payload, SiteId site);
-
-    Addr word() const { return word_; }
-    Word payload() const { return payload_; }
-    SiteId site() const { return site_; }
-
-  private:
-    Addr word_;
-    Word payload_;
-    SiteId site_;
-};
 
 /** Forwarding implementation style and costs. */
 struct ForwardingConfig
@@ -163,9 +157,10 @@ struct ForwardingConfig
     bool validate_targets = true;
 
     /**
-     * Exception-mode handler: accurate-check invocations tolerated for
-     * one reference before the handler gives up and applies the cycle
-     * policy.
+     * Exception-mode handler: false alarms tolerated for one reference
+     * before the handler gives up charging.  The chain was just proven
+     * acyclic, so the reference then resolves to its real tail with no
+     * further hop accesses or backoff.
      */
     unsigned max_handler_retries = 8;
 
@@ -324,14 +319,9 @@ class ForwardingEngine : public FwdStateListener
                        std::uint32_t object_id = 0);
 
     /**
-     * As resolve(), but functional: the chain is walked with full
-     * architectural semantics — quarantine pins, corruption validation,
-     * cycle detection and policy, user-level traps, walk statistics —
-     * but no cache accesses, no timing, and no accelerations (FTC fill
-     * and chain collapsing are skipped, so their counters do not
-     * advance).  The fast-forward execution mode resolves every
-     * reference through this path; `ready`/`forward_cycles` come back
-     * zero and `hop_missed_l1` false.
+     * As resolve(), but functional (fast-forward): full architectural
+     * semantics, no cache access, no timing, no FTC or collapsing, so
+     * `ready`/`forward_cycles` come back zero and `hop_missed_l1` false.
      */
     WalkResult resolveFunctional(Addr addr, AccessType type,
                                  SiteId site = no_site,
@@ -373,6 +363,9 @@ class ForwardingEngine : public FwdStateListener
 
     /** Pin of the quarantined chain at @p word (0 = not quarantined). */
     Addr quarantinePin(Addr word) const;
+
+    /** The walk bounds this engine's configuration implies. */
+    const ChainLimits &limits() const { return limits_; }
 
     /**
      * FwdStateListener: a chain mutated under the translation cache.
@@ -418,15 +411,20 @@ class ForwardingEngine : public FwdStateListener
     void clearStats() { stats_ = ForwardingStats(); }
 
   private:
-    /**
-     * Apply the cycle policy to an unresolvable chain: quarantine it
-     * (returning the pin) or throw.  @p length and @p pin come from the
-     * accurate check; @p why names the caller for the error message.
-     */
-    Addr condemnChain(Addr word, unsigned length, Addr pin, SiteId site);
+    /** resolve() and resolveFunctional(), over their timing policy. */
+    template <class Timing>
+    WalkResult walk(Addr addr, AccessType type, Timing &timing, SiteId site,
+                    Addr pointer_slot, std::uint32_t object_id);
 
-    /** Apply the policy to a corrupt forwarding word found at @p cur. */
-    Addr condemnCorrupt(Addr word, Addr cur, Word payload, SiteId site);
+    /**
+     * Apply the cycle policy to a walk from @p word that ended in a
+     * cycle or a corrupt word: quarantine it (returning the pin) or
+     * throw.
+     */
+    Addr condemn(Addr word, const ChainWalk &w, SiteId site);
+
+    /** The FTC entry for chain-start @p word, if it is still a tail. */
+    const TranslationCache::Entry *ftcHit(Addr word);
 
     /**
      * Temporal-safety check at chain termination: trap if the final
@@ -439,6 +437,7 @@ class ForwardingEngine : public FwdStateListener
     TaggedMemory &mem_;
     MemoryHierarchy &hierarchy_;
     ForwardingConfig cfg_;
+    ChainLimits limits_;
     ForwardingStats stats_;
     TrapRegistry traps_;
     FaultInjector *faults_ = nullptr;

@@ -121,207 +121,132 @@ Machine::translate(Addr addr, Cycles now)
     return tlb_->access(addr, now);
 }
 
-template <bool Traced>
+template <Machine::Exec E>
+Cycles
+Machine::rawAccess(const Access &a, bool is_load, std::uint64_t &alu_acc)
+{
+    if constexpr (E == Exec::functional) {
+        ++alu_acc;
+        return cpu_->cycles();
+    } else {
+        // The ISA extensions never follow forwarding; the forwarding bit
+        // cannot be tested until the word is in the primary cache
+        // (Section 3.2), so each is a timed access of the word itself.
+        const Addr word = wordAlign(a.addr);
+        const MemIssue mi = cpu_->issueMem(a.addr_ready, is_load);
+        const HierarchyResult r = hierarchy_->access(
+            word, is_load ? AccessType::load : AccessType::store, mi.issue);
+        const bool missed = r.l1 != MissKind::hit;
+        return is_load
+                   ? cpu_->finishLoad(mi, r.ready, 0, missed, word, word, 1)
+                   : cpu_->finishStore(mi, r.ready, 0, missed, word, word, 1);
+    }
+}
+
+template <Machine::Exec E>
 AccessResult
-Machine::accessImpl(const Access &a)
+Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
 {
     ++refs_;
     switch (a.kind) {
-      case RefKind::load: {
+      case RefKind::load:
+      case RefKind::store: {
+        const bool is_load = a.kind == RefKind::load;
+        const AccessType type = is_load ? AccessType::load : AccessType::store;
         const std::uint64_t traps_before = fwd_->traps().delivered();
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-        const WalkResult w = fwd_->resolve(a.addr, AccessType::load,
-                                           mi.issue, a.site,
-                                           a.pointer_slot, a.object_id);
-        const Cycles translated = translate(w.final_addr, w.ready);
-        const HierarchyResult r =
-            hierarchy_->access(w.final_addr, AccessType::load, translated);
-        const std::uint64_t value = mem_.readBytes(w.final_addr, a.size);
-
-        ++loads_;
-        if (w.forwarded)
-            ++loads_forwarded_;
-
-        const bool missed = (r.l1 != MissKind::hit) || w.hop_missed_l1;
-        if constexpr (Traced) {
-            tracer_.emit({obs::EventKind::reference, AccessType::load,
-                          mi.issue, a.addr, w.final_addr, w.hops, a.size});
-            if (w.hops > 0)
-                tracer_.emit({obs::EventKind::chain_walk, AccessType::load,
-                              mi.issue, a.addr, w.final_addr, w.hops,
-                              a.size});
-            if (r.l1 != MissKind::hit)
-                tracer_.emit({obs::EventKind::cache_miss, AccessType::load,
-                              mi.issue, a.addr, w.final_addr, 0, a.size});
+        [[maybe_unused]] MemIssue mi{};
+        WalkResult w{};
+        if constexpr (E == Exec::functional) {
+            w = fwd_->resolveFunctional(a.addr, type, a.site,
+                                        a.pointer_slot, a.object_id);
+        } else {
+            mi = cpu_->issueMem(a.addr_ready, is_load);
+            w = fwd_->resolve(a.addr, type, mi.issue, a.site,
+                              a.pointer_slot, a.object_id);
         }
-        const Cycles done =
-            cpu_->finishLoad(mi, r.ready, w.forward_cycles, missed,
-                             wordAlign(a.addr), wordAlign(w.final_addr), 1);
+
+        std::uint64_t value = a.value;
+        if (is_load) {
+            value = mem_.readBytes(w.final_addr, a.size);
+            ++loads_;
+            loads_forwarded_ += w.forwarded ? 1 : 0;
+        } else {
+            mem_.writeBytes(w.final_addr, a.size, a.value);
+            ++stores_;
+            stores_forwarded_ += w.forwarded ? 1 : 0;
+        }
+
+        Cycles done = cpu_->cycles();
+        if constexpr (E == Exec::functional) {
+            ++alu_acc;
+        } else {
+            const HierarchyResult r = hierarchy_->access(
+                w.final_addr, type, translate(w.final_addr, w.ready));
+            if constexpr (E == Exec::traced) {
+                tracer_.emit({obs::EventKind::reference, type, mi.issue,
+                              a.addr, w.final_addr, w.hops, a.size});
+                if (w.hops > 0)
+                    tracer_.emit({obs::EventKind::chain_walk, type,
+                                  mi.issue, a.addr, w.final_addr, w.hops,
+                                  a.size});
+                if (r.l1 != MissKind::hit)
+                    tracer_.emit({obs::EventKind::cache_miss, type,
+                                  mi.issue, a.addr, w.final_addr, 0,
+                                  a.size});
+            }
+            const bool missed = (r.l1 != MissKind::hit) || w.hop_missed_l1;
+            const Addr w0 = wordAlign(a.addr);
+            const Addr w1 = wordAlign(w.final_addr);
+            done = is_load ? cpu_->finishLoad(mi, r.ready, w.forward_cycles,
+                                              missed, w0, w1, 1)
+                           : cpu_->finishStore(mi, r.ready,
+                                               w.forward_cycles, missed, w0,
+                                               w1, 1);
+        }
         return {value, done, w.hops, w.final_addr,
                 fwd_->traps().delivered() != traps_before};
       }
 
-      case RefKind::store: {
-        const std::uint64_t traps_before = fwd_->traps().delivered();
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, false);
-        const WalkResult w = fwd_->resolve(a.addr, AccessType::store,
-                                           mi.issue, a.site,
-                                           a.pointer_slot, a.object_id);
-        const Cycles translated = translate(w.final_addr, w.ready);
-        const HierarchyResult r =
-            hierarchy_->access(w.final_addr, AccessType::store, translated);
-        mem_.writeBytes(w.final_addr, a.size, a.value);
-
-        ++stores_;
-        if (w.forwarded)
-            ++stores_forwarded_;
-        if constexpr (Traced) {
-            tracer_.emit({obs::EventKind::reference, AccessType::store,
-                          mi.issue, a.addr, w.final_addr, w.hops, a.size});
-            if (w.hops > 0)
-                tracer_.emit({obs::EventKind::chain_walk,
-                              AccessType::store, mi.issue, a.addr,
-                              w.final_addr, w.hops, a.size});
-            if (r.l1 != MissKind::hit)
-                tracer_.emit({obs::EventKind::cache_miss,
-                              AccessType::store, mi.issue, a.addr,
-                              w.final_addr, 0, a.size});
-        }
-
-        const bool missed = (r.l1 != MissKind::hit) || w.hop_missed_l1;
-        const Cycles done =
-            cpu_->finishStore(mi, r.ready, w.forward_cycles, missed,
-                              wordAlign(a.addr), wordAlign(w.final_addr),
-                              1);
-        return {a.value, done, w.hops, w.final_addr,
-                fwd_->traps().delivered() != traps_before};
-      }
-
       case RefKind::read_fbit: {
-        // The forwarding bit cannot be tested until the word is in the
-        // primary cache (Section 3.2), so Read_FBit is a timed
-        // load-class access — just one that does not follow forwarding.
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-        const HierarchyResult r =
-            hierarchy_->access(wordAlign(a.addr), AccessType::load,
-                               mi.issue);
-        const bool bit = mem_.fbit(a.addr);
-        const Cycles done =
-            cpu_->finishLoad(mi, r.ready, 0, r.l1 != MissKind::hit,
-                             wordAlign(a.addr), wordAlign(a.addr), 1);
-        return {bit ? 1u : 0u, done, 0, a.addr, false};
+        const Cycles done = rawAccess<E>(a, true, alu_acc);
+        return {mem_.fbit(a.addr) ? 1u : 0u, done, 0, a.addr, false};
       }
 
       case RefKind::unforwarded_read: {
         if (gate_ && gate_->enforcing())
             gate_->checkUnforwardedRead(a.addr, mem_);
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-        const HierarchyResult r =
-            hierarchy_->access(wordAlign(a.addr), AccessType::load,
-                               mi.issue);
-        const std::uint64_t value = mem_.rawReadWord(a.addr);
-        const Cycles done =
-            cpu_->finishLoad(mi, r.ready, 0, r.l1 != MissKind::hit,
-                             wordAlign(a.addr), wordAlign(a.addr), 1);
-        return {value, done, 0, a.addr, false};
+        const Cycles done = rawAccess<E>(a, true, alu_acc);
+        return {mem_.rawReadWord(a.addr), done, 0, a.addr, false};
       }
 
       case RefKind::unforwarded_write: {
         if (gate_ && gate_->enforcing())
             gate_->checkUnforwardedWrite(a.addr, a.value, a.fbit, mem_);
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, false);
-        const HierarchyResult r =
-            hierarchy_->access(wordAlign(a.addr), AccessType::store,
-                               mi.issue);
+        const Cycles done = rawAccess<E>(a, false, alu_acc);
         mem_.unforwardedWrite(a.addr, a.value, a.fbit);
-        const Cycles done =
-            cpu_->finishStore(mi, r.ready, 0, r.l1 != MissKind::hit,
-                              wordAlign(a.addr), wordAlign(a.addr), 1);
         return {a.value, done, 0, a.addr, false};
       }
 
-      case RefKind::prefetch: {
-        const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-        // Prefetches are non-binding: they do not follow forwarding (a
-        // prefetch of a forwarded word harmlessly pulls in the
-        // forwarding word itself) and never block graduation.
-        prefetcher_->issue(a.addr, static_cast<unsigned>(a.value),
-                           mi.issue);
-        cpu_->finishNonBlocking(mi);
-        return {0, 0, 0, a.addr, false};
-      }
-
-      case RefKind::compute:
-        cpu_->alu(a.value);
-        return {0, 0, 0, 0, false};
-    }
-    memfwd_panic("bad RefKind %u", static_cast<unsigned>(a.kind));
-}
-
-AccessResult
-Machine::accessFunctional(const Access &a, std::uint64_t &alu_acc)
-{
-    // Functional fast-forward: forwarding semantics (chain resolution,
-    // traps, quarantine, cycle policy) stay exact; cache and CPU timing
-    // are skipped and every reference retires as one ALU instruction so
-    // instruction counts stay meaningful.
-    ++refs_;
-    switch (a.kind) {
-      case RefKind::load: {
-        const std::uint64_t traps_before = fwd_->traps().delivered();
-        const WalkResult w = fwd_->resolveFunctional(
-            a.addr, AccessType::load, a.site, a.pointer_slot, a.object_id);
-        const std::uint64_t value = mem_.readBytes(w.final_addr, a.size);
-        ++loads_;
-        if (w.forwarded)
-            ++loads_forwarded_;
-        ++alu_acc;
-        return {value, cpu_->cycles(), w.hops, w.final_addr,
-                fwd_->traps().delivered() != traps_before};
-      }
-
-      case RefKind::store: {
-        const std::uint64_t traps_before = fwd_->traps().delivered();
-        const WalkResult w = fwd_->resolveFunctional(
-            a.addr, AccessType::store, a.site, a.pointer_slot, a.object_id);
-        mem_.writeBytes(w.final_addr, a.size, a.value);
-        ++stores_;
-        if (w.forwarded)
-            ++stores_forwarded_;
-        ++alu_acc;
-        return {a.value, cpu_->cycles(), w.hops, w.final_addr,
-                fwd_->traps().delivered() != traps_before};
-      }
-
-      case RefKind::read_fbit: {
-        const bool bit = mem_.fbit(a.addr);
-        ++alu_acc;
-        return {bit ? 1u : 0u, cpu_->cycles(), 0, a.addr, false};
-      }
-
-      case RefKind::unforwarded_read: {
-        if (gate_ && gate_->enforcing())
-            gate_->checkUnforwardedRead(a.addr, mem_);
-        const std::uint64_t value = mem_.rawReadWord(a.addr);
-        ++alu_acc;
-        return {value, cpu_->cycles(), 0, a.addr, false};
-      }
-
-      case RefKind::unforwarded_write: {
-        if (gate_ && gate_->enforcing())
-            gate_->checkUnforwardedWrite(a.addr, a.value, a.fbit, mem_);
-        mem_.unforwardedWrite(a.addr, a.value, a.fbit);
-        ++alu_acc;
-        return {a.value, cpu_->cycles(), 0, a.addr, false};
-      }
-
       case RefKind::prefetch:
-        // Non-binding and timing-only: a no-op when timing is skipped.
-        ++alu_acc;
+        // Prefetches are non-binding: they do not follow forwarding (a
+        // prefetch of a forwarded word harmlessly pulls in the forwarding
+        // word itself), never block graduation, and are timing-only — a
+        // no-op when timing is skipped.
+        if constexpr (E == Exec::functional) {
+            ++alu_acc;
+        } else {
+            const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
+            prefetcher_->issue(a.addr, static_cast<unsigned>(a.value),
+                               mi.issue);
+            cpu_->finishNonBlocking(mi);
+        }
         return {0, 0, 0, a.addr, false};
 
       case RefKind::compute:
-        alu_acc += a.value;
+        if constexpr (E == Exec::functional)
+            alu_acc += a.value;
+        else
+            cpu_->alu(a.value);
         return {0, 0, 0, 0, false};
     }
     memfwd_panic("bad RefKind %u", static_cast<unsigned>(a.kind));
@@ -331,7 +256,7 @@ AccessResult
 Machine::accessFast(const Access &a)
 {
     std::uint64_t alu_acc = 0;
-    AccessResult r = accessFunctional(a, alu_acc);
+    AccessResult r = exec<Exec::functional>(a, alu_acc);
     cpu_->alu(alu_acc);
     if (a.kind != RefKind::prefetch && a.kind != RefKind::compute)
         r.ready = cpu_->cycles();
@@ -343,37 +268,33 @@ Machine::access(const Access &a)
 {
     if (ff_active_)
         return accessFast(a);
-    return tracer_.active() ? accessImpl<true>(a) : accessImpl<false>(a);
+    std::uint64_t unused = 0;
+    return tracer_.active() ? exec<Exec::traced>(a, unused)
+                            : exec<Exec::timed>(a, unused);
 }
 
-template <bool Traced>
+template <Machine::Exec E>
 void
 Machine::runRefs(MemRef *refs, std::size_t n)
 {
+    // Fast-forward retires the whole batch's ALU count in one Rob pass
+    // (ALU retirement is order-independent); per-reference `ready`
+    // cycles are not meaningful while timing is skipped (docs/API.md).
+    std::uint64_t alu_acc = 0;
     for (std::size_t i = 0; i < n; ++i) {
         MemRef &r = refs[i];
-        if (r.dep >= 0) {
+        if (E != Exec::functional && r.dep >= 0) {
             Access a = r.acc;
             a.addr_ready = std::max(
                 a.addr_ready,
                 refs[static_cast<std::size_t>(r.dep)].res.ready);
-            r.res = accessImpl<Traced>(a);
+            r.res = exec<E>(a, alu_acc);
         } else {
-            r.res = accessImpl<Traced>(r.acc);
+            r.res = exec<E>(r.acc, alu_acc);
         }
     }
-}
-
-void
-Machine::runRefsFast(MemRef *refs, std::size_t n)
-{
-    // ALU retirement is order-independent, so the whole batch's count
-    // retires in one Rob pass; per-reference `ready` cycles are not
-    // meaningful while timing is skipped (docs/API.md).
-    std::uint64_t alu_acc = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        refs[i].res = accessFunctional(refs[i].acc, alu_acc);
-    cpu_->alu(alu_acc);
+    if constexpr (E == Exec::functional)
+        cpu_->alu(alu_acc);
 }
 
 void
@@ -384,11 +305,11 @@ Machine::run(AccessBatch &batch)
     MemRef *refs = batch.data();
     const std::size_t n = batch.size();
     if (ff_active_)
-        runRefsFast(refs, n);
+        runRefs<Exec::functional>(refs, n);
     else if (tracer_.active())
-        runRefs<true>(refs, n);
+        runRefs<Exec::traced>(refs, n);
     else
-        runRefs<false>(refs, n);
+        runRefs<Exec::timed>(refs, n);
 }
 
 void
@@ -403,30 +324,30 @@ Machine::run(RefStream &stream)
     }
 }
 
+Addr
+Machine::untimedFinal(Addr addr) const
+{
+    // The walk access() would take, minus timing and statistics: a
+    // pinned chain serves its pin, and an unresolvable one throws.
+    const Addr word = wordAlign(addr);
+    if (!mem_.fbit(word))
+        return addr;
+    Addr tail = fwd_->quarantinePin(word);
+    if (tail == 0)
+        tail = chainTail(mem_, word, fwd_->limits(), [](Addr) {});
+    return tail + wordOffset(addr);
+}
+
 std::uint64_t
 Machine::peek(Addr addr, unsigned size) const
 {
-    Addr word = wordAlign(addr);
-    const unsigned offset = wordOffset(addr);
-    unsigned guard = 0;
-    while (mem_.fbit(word)) {
-        word = wordAlign(mem_.rawReadWord(word));
-        memfwd_assert(++guard < 1u << 20, "peek: runaway forwarding chain");
-    }
-    return mem_.readBytes(word + offset, size);
+    return mem_.readBytes(untimedFinal(addr), size);
 }
 
 void
 Machine::poke(Addr addr, unsigned size, std::uint64_t value)
 {
-    Addr word = wordAlign(addr);
-    const unsigned offset = wordOffset(addr);
-    unsigned guard = 0;
-    while (mem_.fbit(word)) {
-        word = wordAlign(mem_.rawReadWord(word));
-        memfwd_assert(++guard < 1u << 20, "poke: runaway forwarding chain");
-    }
-    mem_.writeBytes(word + offset, size, value);
+    mem_.writeBytes(untimedFinal(addr), size, value);
 }
 
 obs::MetricsNode

@@ -494,18 +494,18 @@ class Machine
     /** True while references are being fast-forwarded. */
     bool fastForwardActive() const { return ff_active_; }
 
-    // The seven legacy per-kind entry points (load/store/readFBit/
-    // unforwardedRead/unforwardedWrite/prefetch/compute) were removed
-    // after their deprecation release; access() with the Access named
-    // constructors is the one entry point.  Out-of-tree callers migrate
-    // mechanically with scripts/migrate_access_api.py (docs/API.md).
-
     // ----- untimed (debug/test) access ---------------------------------
 
-    /** Functional read following forwarding, no timing, no stats. */
+    /**
+     * Functional read following forwarding, no timing, no stats.  It
+     * resolves as access() would: a quarantined chain serves its pin.
+     *
+     * @throws ForwardingCycleError on an unpinned cyclic chain.
+     * @throws ForwardingIntegrityError on an unpinned corrupt chain.
+     */
     std::uint64_t peek(Addr addr, unsigned size) const;
 
-    /** Functional write following forwarding, no timing, no stats. */
+    /** As peek(), but writes @p value at the resolved address. */
     void poke(Addr addr, unsigned size, std::uint64_t value);
 
     // ----- component access --------------------------------------------
@@ -623,23 +623,38 @@ class Machine
     /** TLB lookup applied to a reference's final address. */
     Cycles translate(Addr addr, Cycles now);
 
-    /** Timed execution of one reference; Traced hoists the tracer test. */
-    template <bool Traced> AccessResult accessImpl(const Access &a);
+    /** How exec() runs a reference. */
+    enum class Exec
+    {
+        functional, ///< fast-forward: forwarding exact, no cache/CPU time
+        timed,      ///< full timing
+        traced      ///< full timing plus tracer events
+    };
 
     /**
-     * Functional (fast-forward) execution of one reference.  ALU
-     * retirement is accumulated into @p alu_acc instead of hitting the
-     * Rob per reference — pure-ALU retirement is order-independent, so
-     * a batch may retire its whole count in one aluBurst() with
-     * bit-identical cycle results.
+     * Execute one reference of any kind.  Functional execution retires
+     * each reference as ALU work accumulated into @p alu_acc instead of
+     * hitting the Rob per reference — pure-ALU retirement is
+     * order-independent, so a batch may retire its whole count in one
+     * aluBurst() with bit-identical cycle results.  Timed execution
+     * leaves @p alu_acc alone.
      */
-    AccessResult accessFunctional(const Access &a, std::uint64_t &alu_acc);
+    template <Exec E> AccessResult exec(const Access &a, std::uint64_t &alu_acc);
 
-    /** accessFunctional() + immediate ALU retirement (per-call path). */
+    /** Timing of an ISA extension (no forwarding); returns its ready cycle. */
+    template <Exec E>
+    Cycles rawAccess(const Access &a, bool is_load, std::uint64_t &alu_acc);
+
+    /**
+     * exec<Exec::functional>() plus immediate ALU retirement (the
+     * per-call path; kept out of line so access() stays small).
+     */
     AccessResult accessFast(const Access &a);
 
-    template <bool Traced> void runRefs(MemRef *refs, std::size_t n);
-    void runRefsFast(MemRef *refs, std::size_t n);
+    template <Exec E> void runRefs(MemRef *refs, std::size_t n);
+
+    /** Final address of @p addr for peek/poke (see peek()). */
+    Addr untimedFinal(Addr addr) const;
 
     bool
     regionFastForwarded(std::string_view name) const

@@ -5,7 +5,7 @@
 
 #include "analysis/gate.hh"
 #include "common/logging.hh"
-#include "core/cycle_check.hh"
+#include "core/chain_walk.hh"
 #include "core/fault_injector.hh"
 #include "runtime/machine.hh"
 #include "runtime/sim_allocator.hh"
@@ -127,13 +127,9 @@ relocate(Machine &machine, Addr src, Addr tgt, unsigned n_words)
             // (a fresh target is its own tail); journal that word, not
             // the nominal target, so rollback restores the bytes the
             // store actually changed.
-            Addr dest = t;
-            unsigned guard = 0;
-            while (machine.mem().fbit(dest)) {
-                dest = wordAlign(machine.mem().rawReadWord(dest));
-                memfwd_assert(++guard < chase_soft_limit,
-                              "relocate: target chain runaway");
-            }
+            const Addr dest = chainTail(machine.mem(), t,
+                                        machine.forwarding().limits(),
+                                        [](Addr) {});
 
             journal.push_back({tail, machine.mem().rawReadWord(tail),
                                machine.mem().fbit(tail), dest,

@@ -4,6 +4,7 @@
 
 #include "coherence/mp_system.hh"
 #include "core/cycle_check.hh"
+#include "core/forwarding_engine.hh"
 
 namespace memfwd
 {
@@ -116,6 +117,32 @@ TEST(MpSystem, FalseSharingRepairCutsInvalidations)
         return sys.bus().stats().invalidations;
     };
     EXPECT_LT(hammer(true), hammer(false) / 4);
+}
+
+TEST(MpSystem, MisalignedPayloadThrowsIntegrityError)
+{
+    MpSystem sys;
+    sys.store(0, 0x1000, 8, 7);
+    sys.relocate(0, 0x1000, 0x5000, 1);
+    // Corrupt the forwarding word: no relocation writes a misaligned
+    // target, so following it would read the wrong word's data.
+    sys.mem().unforwardedWrite(0x1000, 0x5003, true);
+    EXPECT_THROW(sys.load(1, 0x1000, 8), ForwardingIntegrityError);
+    EXPECT_THROW(sys.store(1, 0x1000, 8, 9), ForwardingIntegrityError);
+    EXPECT_THROW(sys.relocate(1, 0x1000, 0x6000, 1),
+                 ForwardingIntegrityError);
+    EXPECT_EQ(sys.mem().rawReadWord(0x5000), 7u);
+}
+
+TEST(MpSystem, RelocateCyclicSourceThrows)
+{
+    MpSystem sys;
+    sys.mem().unforwardedWrite(0x1000, 0x2000, true);
+    sys.mem().unforwardedWrite(0x2000, 0x1000, true);
+    EXPECT_THROW(sys.relocate(0, 0x1000, 0x5000, 1), ForwardingCycleError);
+    // Nothing was copied or forwarded.
+    EXPECT_FALSE(sys.mem().fbit(0x5000));
+    EXPECT_EQ(sys.mem().rawReadWord(0x2000), 0x1000u);
 }
 
 TEST(MpSystemDeathTest, BadCpuRejected)

@@ -430,13 +430,32 @@ TEST(ForwardingEngine, ExceptionModeGivesUpAfterMaxRetries)
         rig.engine.forwardWord(0x10000 + Addr(i) * 0x100,
                                0x10000 + Addr(i + 1) * 0x100);
     }
+    rig.mem.rawWriteWord(0x10000 + 12 * 0x100, 0x1234);
     // The third check (after hop 9) exceeds max_handler_retries: the
-    // handler gives up and the policy pins the reference mid-chain.
+    // handler gives up charging, but the chain was just proven acyclic,
+    // so the reference still resolves to the real tail.
     const WalkResult w = rig.engine.resolve(0x10000, AccessType::load, 0);
-    EXPECT_LT(w.hops, 12u);
+    EXPECT_EQ(w.final_addr, 0x10000u + 12 * 0x100);
+    EXPECT_EQ(rig.mem.rawReadWord(w.final_addr), 0x1234u);
+    EXPECT_EQ(w.hops, 12u);
+    EXPECT_TRUE(w.forwarded);
     EXPECT_EQ(rig.engine.stats().handler_retries, 3u);
-    EXPECT_EQ(rig.engine.stats().cycles_quarantined, 1u);
-    EXPECT_NE(rig.engine.quarantinePin(0x10000), 0u);
+    EXPECT_EQ(rig.engine.stats().cycles_quarantined, 0u);
+    EXPECT_EQ(rig.engine.quarantinePin(0x10000), 0u);
+
+    // No hop past the give-up point is charged: the same walk with an
+    // unbounded handler takes three more hop accesses and one more check.
+    cfg.max_handler_retries = 100;
+    Rig unbounded(cfg);
+    for (unsigned i = 0; i < 12; ++i) {
+        unbounded.engine.forwardWord(0x10000 + Addr(i) * 0x100,
+                                     0x10000 + Addr(i + 1) * 0x100);
+    }
+    const WalkResult full =
+        unbounded.engine.resolve(0x10000, AccessType::load, 0);
+    EXPECT_EQ(full.final_addr, w.final_addr);
+    EXPECT_EQ(full.hops, 12u);
+    EXPECT_GT(full.ready, w.ready);
 }
 
 TEST(ForwardingEngineDeathTest, MisalignedRelocationRejected)

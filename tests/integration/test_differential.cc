@@ -21,18 +21,27 @@
  * over a pool of relocated objects (100+ seeds across the feature
  * matrix), and chains deliberately poisoned with cycles/corruption
  * under the quarantine policy.
+ *
+ * A fourth harness holds the execution modes to one walk: for every
+ * chain shape around the hop limit, each forwarding mode, cycle policy
+ * and retry budget, timed access(), fast-forward access() and peek()
+ * must agree on the error thrown, the value, the final address and the
+ * trap sequence, and leave the same canonical heap.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "core/chain_walk.hh"
 #include "core/cycle_check.hh"
+#include "core/forwarding_engine.hh"
 #include "mem/tagged_memory.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
@@ -43,17 +52,15 @@ namespace memfwd
 namespace
 {
 
-/** Functional chain resolution on raw state (no timing, no stats). */
+/**
+ * Functional chain resolution on raw state (no timing, no stats): the
+ * tail word, or 0 for a cyclic or corrupt chain.
+ */
 Addr
 resolveFinalWord(const TaggedMemory &mem, Addr word)
 {
-    unsigned hops = 0;
-    while (mem.fbit(word)) {
-        word = wordAlign(mem.rawReadWord(word));
-        if (++hops > 1u << 20)
-            return 0; // cyclic: callers only canonicalize acyclic words
-    }
-    return word;
+    const ChainWalk w = walkChain(mem, word, ChainLimits{}, [](Addr) {});
+    return w.end == ChainEnd::tail ? w.word : 0;
 }
 
 /**
@@ -467,6 +474,233 @@ TEST_P(FaultyOpsDifferential, QuarantineBehaviorMatches)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultyOpsDifferential,
                          ::testing::Range(0, 10));
+
+// ---------------------------------------------------------------------
+// One walk: timed, fast-forward and peek agree on every chain shape.
+// ---------------------------------------------------------------------
+
+constexpr Addr chain_base = 0x10000000;
+constexpr Addr chain_stride = 0x40;
+constexpr Word chain_value = 0x1234;
+constexpr unsigned chain_hop_limit = 2;
+
+enum class Shape
+{
+    acyclic, ///< the last word holds data
+    cyclic,  ///< the last word forwards back into the chain
+    corrupt  ///< the last word forwards to a misaligned payload
+};
+
+Addr
+chainWord(unsigned i)
+{
+    return chain_base + Addr(i) * chain_stride;
+}
+
+/** Words 0..hops-1 forward to their successor; word `hops` ends it. */
+void
+buildChain(TaggedMemory &mem, unsigned hops, Shape shape)
+{
+    for (unsigned i = 0; i < hops; ++i)
+        mem.unforwardedWrite(chainWord(i), chainWord(i + 1), true);
+    switch (shape) {
+      case Shape::acyclic:
+        // The loads read the word's upper half.
+        mem.unforwardedWrite(chainWord(hops), chain_value << 32, false);
+        break;
+      case Shape::cyclic:
+        mem.unforwardedWrite(chainWord(hops), chainWord(hops / 2), true);
+        break;
+      case Shape::corrupt:
+        mem.unforwardedWrite(chainWord(hops), chain_base + 3, true);
+        break;
+    }
+}
+
+/** What one reference observably did. */
+struct Observed
+{
+    std::string error; ///< "", "cycle" or "integrity"
+    std::uint64_t value = 0;
+    Addr final_addr = 0;
+    unsigned hops = 0;
+
+    bool operator==(const Observed &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Observed &o)
+{
+    return os << "{error=" << o.error << " value=" << std::hex << o.value
+              << " final=" << o.final_addr << std::dec
+              << " hops=" << o.hops << "}";
+}
+
+template <class F>
+Observed
+observe(F &&f)
+{
+    try {
+        return f();
+    } catch (const ForwardingCycleError &) {
+        return {"cycle"};
+    } catch (const ForwardingIntegrityError &) {
+        return {"integrity"};
+    }
+}
+
+/** Two loads through the chain head, each followed by a peek. */
+struct ChainRun
+{
+    std::vector<Observed> loads;
+    std::vector<Observed> peeks; ///< error and value only
+    std::vector<TrapRecord> traps;
+    std::vector<unsigned> trap_hops; ///< first load's traps only
+    std::unique_ptr<Machine> machine;
+};
+
+ChainRun
+runChain(const MachineConfig &cfg, unsigned hops, Shape shape)
+{
+    ChainRun run;
+    run.machine = std::make_unique<Machine>(cfg);
+    Machine &m = *run.machine;
+    buildChain(m.mem(), hops, shape);
+    bool first = true;
+    m.forwarding().traps().install([&](const TrapInfo &t) {
+        run.traps.push_back({t.site, t.initial_addr, t.final_addr});
+        if (first)
+            run.trap_hops.push_back(t.hops);
+        return TrapAction::resume;
+    });
+
+    // The second load rides whatever the first left behind: an FTC
+    // entry, a collapsed head or a quarantine pin.  Only the first
+    // load's hop count is shape-independent.
+    const Addr addr = chainWord(0) + 4;
+    for (unsigned pass = 0; pass < 2; ++pass) {
+        first = pass == 0;
+        const Observed load = observe([&] {
+            const AccessResult r =
+                m.access(Access::load(addr, 4, 0, SiteId(pass + 1)));
+            return Observed{"", r.value, r.final_addr, first ? r.hops : 0};
+        });
+        run.loads.push_back(load);
+        run.peeks.push_back(
+            observe([&] { return Observed{"", m.peek(addr, 4)}; }));
+    }
+    return run;
+}
+
+/** Require @p ff and the peeks to match the timed run @p timed. */
+void
+expectSameWalk(const ChainRun &timed, const ChainRun &ff)
+{
+    EXPECT_EQ(timed.loads, ff.loads);
+    EXPECT_EQ(timed.traps, ff.traps);
+    EXPECT_EQ(timed.trap_hops, ff.trap_hops);
+    for (const ChainRun *run : {&timed, &ff}) {
+        for (std::size_t i = 0; i < run->loads.size(); ++i) {
+            EXPECT_EQ(run->peeks[i].error, run->loads[i].error)
+                << "peek after load " << i;
+            EXPECT_EQ(run->peeks[i].value, run->loads[i].value)
+                << "peek after load " << i;
+        }
+    }
+    expectCanonicalHeapsEqual(timed.machine->mem(), ff.machine->mem());
+}
+
+TEST(ChainWalkDivergence, ExceptionRetryExhaustionReturnsRealValue)
+{
+    // Exception mode, hop limit 2, one handler retry, quarantine policy,
+    // a 20-hop acyclic chain: the handler runs out of retries at hop 6.
+    MachineConfig cfg = MachineConfig{}
+                            .forwardingMode(MachineConfig::Mode::exception)
+                            .hopLimit(chain_hop_limit)
+                            .cyclePolicy(CyclePolicy::quarantine);
+    cfg.forwarding.max_handler_retries = 1;
+    MachineConfig ff_cfg = cfg;
+    ff_cfg.fastForward();
+
+    const ChainRun timed = runChain(cfg, 20, Shape::acyclic);
+    const ChainRun ff = runChain(ff_cfg, 20, Shape::acyclic);
+
+    const Observed want{"", chain_value, chainWord(20) + 4, 20};
+    EXPECT_EQ(timed.loads.front(), want);
+    EXPECT_EQ(ff.loads.front(), want);
+    EXPECT_EQ(timed.peeks.front().value, chain_value);
+    EXPECT_EQ(timed.trap_hops, std::vector<unsigned>{20});
+    expectSameWalk(timed, ff);
+
+    // No forwarding word was returned as data, and nothing was pinned.
+    const ForwardingStats &fs = timed.machine->forwarding().stats();
+    EXPECT_EQ(fs.cycles_quarantined, 0u);
+    // Two retries per load: after hop 3, and after hop 6, where the
+    // handler gives up.
+    EXPECT_EQ(fs.handler_retries, 4u);
+    EXPECT_EQ(timed.machine->forwarding().quarantinePin(chainWord(0)), 0u);
+}
+
+class ChainShapeSweep
+    : public ::testing::TestWithParam<
+          std::tuple<MachineConfig::Mode, CyclePolicy, bool>>
+{
+};
+
+TEST_P(ChainShapeSweep, TimedFastForwardAndPeekAgree)
+{
+    setVerbose(false);
+    const auto &[mode, policy, accelerated] = GetParam();
+    constexpr unsigned l = chain_hop_limit;
+    for (const unsigned hops : {1u, l, l + 1, 3 * l + 2, 20u}) {
+        for (const unsigned retries : {0u, 1u, 8u}) {
+            for (const Shape shape :
+                 {Shape::acyclic, Shape::cyclic, Shape::corrupt}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "hops=" << hops << " retries=" << retries
+                             << " shape=" << int(shape));
+                MachineConfig cfg = MachineConfig{}
+                                        .forwardingMode(mode)
+                                        .hopLimit(l)
+                                        .cyclePolicy(policy);
+                cfg.forwarding.max_handler_retries = retries;
+                if (accelerated)
+                    cfg.ftc().collapse();
+                MachineConfig ff_cfg = cfg;
+                ff_cfg.fastForward();
+
+                const ChainRun timed = runChain(cfg, hops, shape);
+                const ChainRun ff = runChain(ff_cfg, hops, shape);
+                expectSameWalk(timed, ff);
+                if (shape == Shape::acyclic) {
+                    EXPECT_EQ(timed.loads.front().value, chain_value);
+                    EXPECT_EQ(timed.loads.back().value, chain_value);
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesPoliciesAccelerations, ChainShapeSweep,
+    ::testing::Combine(
+        ::testing::Values(MachineConfig::Mode::hardware,
+                          MachineConfig::Mode::exception,
+                          MachineConfig::Mode::perfect),
+        ::testing::Values(CyclePolicy::abort, CyclePolicy::trap,
+                          CyclePolicy::quarantine),
+        ::testing::Bool()),
+    [](const auto &info) {
+        const MachineConfig::Mode mode = std::get<0>(info.param);
+        const char *name = mode == MachineConfig::Mode::hardware
+                               ? "hw"
+                               : (mode == MachineConfig::Mode::exception
+                                      ? "exc"
+                                      : "perfect");
+        return std::string(name) + "_"
+               + cyclePolicyName(std::get<1>(info.param))
+               + (std::get<2>(info.param) ? "_accel" : "_plain");
+    });
 
 } // namespace
 } // namespace memfwd

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/stats_registry.hh"
+#include "core/cycle_check.hh"
 #include "runtime/machine.hh"
 
 namespace memfwd
@@ -99,6 +100,40 @@ TEST(Machine, PeekPokeFollowForwardingWithoutTiming)
     EXPECT_EQ(m.cycles(), before);
     EXPECT_EQ(m.loads(), loads_before);
     EXPECT_EQ(m.mem().rawReadWord(0x2000), 1234u);
+}
+
+TEST(Machine, PeekOnCycleThrowsCycleError)
+{
+    Machine m(MachineConfig{}.hopLimit(4));
+    m.mem().unforwardedWrite(0x1000, 0x2000, true);
+    m.mem().unforwardedWrite(0x2000, 0x3000, true);
+    m.mem().unforwardedWrite(0x3000, 0x2000, true);
+    EXPECT_THROW(m.peek(0x1000, 8), ForwardingCycleError);
+    EXPECT_THROW(m.poke(0x1004, 4, 1), ForwardingCycleError);
+    EXPECT_THROW(m.access(Access::load(0x1000, 8)), ForwardingCycleError);
+
+    // A corrupt forwarding word is an integrity error, as in access().
+    m.mem().unforwardedWrite(0x3000, 0x4003, true);
+    EXPECT_THROW(m.peek(0x1000, 8), ForwardingIntegrityError);
+    EXPECT_THROW(m.poke(0x1000, 8, 1), ForwardingIntegrityError);
+}
+
+TEST(Machine, PeekFollowsQuarantinePin)
+{
+    Machine m(MachineConfig{}.hopLimit(4).cyclePolicy(
+        CyclePolicy::quarantine));
+    m.mem().unforwardedWrite(0x1000, 0x2000, true);
+    m.mem().unforwardedWrite(0x2000, 0x3000, true);
+    m.mem().unforwardedWrite(0x3000, 0x2000, true);
+    // Before the timed walk pins the chain, peek has no policy to apply.
+    EXPECT_THROW(m.peek(0x1000, 8), ForwardingCycleError);
+
+    const AccessResult r = m.access(Access::load(0x1000, 8));
+    const Addr pin = m.forwarding().quarantinePin(0x1000);
+    ASSERT_NE(pin, 0u);
+    EXPECT_EQ(r.final_addr, pin);
+    EXPECT_EQ(m.peek(0x1000, 8), r.value);
+    EXPECT_EQ(m.peek(0x1004, 4), m.access(Access::load(0x1004, 4)).value);
 }
 
 TEST(Machine, PrefetchWarmsCache)

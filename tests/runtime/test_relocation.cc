@@ -207,6 +207,23 @@ TEST(Relocate, CyclicSourceChainRollsBack)
     EXPECT_EQ(heapImage(m.mem()), before);
 }
 
+TEST(Relocate, CyclicTargetChainRollsBack)
+{
+    // The copy lands where the target word's own chain ends; a cyclic
+    // target chain has no end, so the relocation throws and undoes the
+    // two words it already forwarded.
+    Machine m;
+    m.access(Access::store(0x1000, 8, 1));
+    m.access(Access::store(0x1008, 8, 2));
+    m.access(Access::store(0x1010, 8, 3));
+    m.mem().unforwardedWrite(0x9010, 0x7000, true);
+    m.mem().unforwardedWrite(0x7000, 0x9010, true);
+    const auto before = heapImage(m.mem());
+
+    EXPECT_THROW(relocate(m, 0x1000, 0x9000, 3), ForwardingCycleError);
+    EXPECT_EQ(heapImage(m.mem()), before);
+}
+
 TEST(RelocateDeathTest, MisalignedEndpoints)
 {
     Machine m;
