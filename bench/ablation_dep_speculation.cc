@@ -43,12 +43,15 @@ main()
         cfg.machine.cpu.dep_speculation = false;
         const RunResult cons = runCase(name + "/conservative", cfg);
 
-        std::printf("%-10s %14s %14s %8.2fx %14s %12s\n", name.c_str(),
-                    withCommas(spec.cycles).c_str(),
-                    withCommas(cons.cycles).c_str(),
-                    double(cons.cycles) / double(spec.cycles),
-                    withCommas(spec.lsq_speculations).c_str(),
-                    withCommas(spec.lsq_violations).c_str());
+        const std::uint64_t spec_cycles = spec.metrics.counterAt("cycles");
+        const std::uint64_t cons_cycles = cons.metrics.counterAt("cycles");
+        std::printf(
+            "%-10s %14s %14s %8.2fx %14s %12s\n", name.c_str(),
+            withCommas(spec_cycles).c_str(),
+            withCommas(cons_cycles).c_str(),
+            double(cons_cycles) / double(spec_cycles),
+            withCommas(spec.metrics.counterAt("lsq.speculations")).c_str(),
+            withCommas(spec.metrics.counterAt("lsq.violations")).c_str());
         if (spec.checksum != cons.checksum) {
             std::printf("CHECKSUM MISMATCH for %s\n", name.c_str());
             return 1;

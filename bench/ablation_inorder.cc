@@ -65,15 +65,16 @@ main()
             std::printf("CHECKSUM MISMATCH\n");
             return 1;
         }
+        const auto cycles = [](const RunResult &r) {
+            return double(r.metrics.counterAt("cycles"));
+        };
         char ooo[32], ino[32];
         std::snprintf(ooo, sizeof(ooo), "%.1fM -> %.2fx",
-                      double(on.cycles) / 1e6,
-                      double(on.cycles) / double(ol.cycles));
+                      cycles(on) / 1e6, cycles(on) / cycles(ol));
         std::snprintf(ino, sizeof(ino), "%.1fM -> %.2fx",
-                      double(in.cycles) / 1e6,
-                      double(in.cycles) / double(il.cycles));
+                      cycles(in) / 1e6, cycles(in) / cycles(il));
         std::printf("%-10s %22s %22s %11.2fx\n", wl.c_str(), ooo, ino,
-                    double(in.cycles) / double(on.cycles));
+                    cycles(in) / cycles(on));
     }
 
     std::printf("\ntakeaway: the optimizations win on both machines, "

@@ -25,10 +25,11 @@ main()
            "linearizations");
 
     const RunResult n = run("vis", 64, false);
+    const std::uint64_t n_cycles = n.metrics.counterAt("cycles");
     std::printf("%-12s %14s %9s %16s\n", "threshold", "cycles",
                 "speedup", "space overhead");
     std::printf("%-12s %14s %8.2fx %16s\n", "(none: N)",
-                withCommas(n.cycles).c_str(), 1.0, "0");
+                withCommas(n_cycles).c_str(), 1.0, "0");
 
     for (unsigned threshold : {5u, 15u, 30u, 50u, 100u, 200u, 400u}) {
         setVisLinearizeThreshold(threshold);
@@ -39,9 +40,10 @@ main()
         cfg.variant.layout_opt = true;
         const RunResult l = runCase(
             "vis/64B/L/thresh" + std::to_string(threshold), cfg);
+        const std::uint64_t l_cycles = l.metrics.counterAt("cycles");
         std::printf("%-12u %14s %8.2fx %13.1fMB\n", threshold,
-                    withCommas(l.cycles).c_str(),
-                    double(n.cycles) / double(l.cycles),
+                    withCommas(l_cycles).c_str(),
+                    double(n_cycles) / double(l_cycles),
                     double(l.space_overhead_bytes) / double(1 << 20));
         if (l.checksum != n.checksum) {
             std::printf("CHECKSUM MISMATCH at threshold %u\n", threshold);

@@ -81,10 +81,11 @@ main()
                 std::printf("CHECKSUM MISMATCH\n");
                 return 1;
             }
+            const double n_cycles = double(n.metrics.counterAt("cycles"));
+            const double l_cycles = double(l.metrics.counterAt("cycles"));
             char buf[32];
             std::snprintf(buf, sizeof(buf), "%.1fM -> %.2fx",
-                          double(n.cycles) / 1e6,
-                          double(n.cycles) / double(l.cycles));
+                          n_cycles / 1e6, n_cycles / l_cycles);
             std::printf("  %-22s", buf);
         }
         std::printf("\n");

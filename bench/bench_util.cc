@@ -1,6 +1,7 @@
 #include "bench_util.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -52,15 +53,44 @@ hostJson(std::uint64_t refs, double wall_ms)
     return h;
 }
 
+/** The keys every recorded case carries (Report::add and addCase). */
+obs::Json
+caseJson(const std::string &label, const std::string &workload,
+         const std::string &variant, std::uint64_t cycles,
+         std::uint64_t instructions, std::uint64_t checksum,
+         const obs::MetricsNode &metrics, double wall_ms, unsigned reps,
+         std::uint64_t refs)
+{
+    obs::Json c = obs::Json::object();
+    c["label"] = obs::Json::string(label);
+    c["workload"] = obs::Json::string(workload);
+    c["variant"] = obs::Json::string(variant);
+    c["cycles"] = obs::Json::number(cycles);
+    c["instructions"] = obs::Json::number(instructions);
+    c["checksum"] = obs::Json::number(checksum);
+    c["wall_ms"] = obs::Json::real(wall_ms);
+    c["reps"] = obs::Json::number(reps);
+    c["host"] = hostJson(refs, wall_ms);
+    c["metrics"] = metrics.toJson();
+    return c;
+}
+
 } // namespace
 
 double
 benchScale()
 {
-    // MEMFWD_BENCH_SCALE lets CI run the full harness quickly.
-    if (const char *env = std::getenv("MEMFWD_BENCH_SCALE"))
-        return std::atof(env);
-    return 1.0;
+    // MEMFWD_BENCH_SCALE lets CI run the full harness quickly.  Empty
+    // counts as unset, as for the other MEMFWD_BENCH_* variables.
+    const char *env = std::getenv("MEMFWD_BENCH_SCALE");
+    if (!env || !*env)
+        return 1.0;
+    char *end = nullptr;
+    const double scale = std::strtod(env, &end);
+    if (*end != '\0' || !std::isfinite(scale) || scale <= 0.0)
+        memfwd_fatal("MEMFWD_BENCH_SCALE='%s' is not a positive number",
+                     env);
+    return scale;
 }
 
 unsigned
@@ -109,18 +139,11 @@ void
 Report::add(const std::string &label, const RunResult &r, double wall_ms,
             unsigned reps)
 {
-    obs::Json c = obs::Json::object();
-    c["label"] = obs::Json::string(label);
-    c["workload"] = obs::Json::string(r.workload);
-    c["variant"] = obs::Json::string(variantLabel(r.variant));
-    c["cycles"] = obs::Json::number(r.cycles);
-    c["instructions"] = obs::Json::number(r.instructions);
-    c["checksum"] = obs::Json::number(r.checksum);
-    c["wall_ms"] = obs::Json::real(wall_ms);
-    c["reps"] = obs::Json::number(reps);
-    c["host"] = hostJson(r.refs, wall_ms);
-    c["metrics"] = r.metrics.toJson();
-    cases_.push_back(std::move(c));
+    cases_.push_back(caseJson(label, r.workload, variantLabel(r.variant),
+                              r.metrics.counterAt("cycles"),
+                              r.metrics.counterAt("instructions"),
+                              r.checksum, r.metrics, wall_ms, reps,
+                              r.refs));
 }
 
 void
@@ -131,17 +154,9 @@ Report::addCase(const std::string &label, std::uint64_t cycles,
                 const std::vector<std::pair<std::string, double>>
                     &extra_fields)
 {
-    obs::Json c = obs::Json::object();
-    c["label"] = obs::Json::string(label);
-    c["workload"] = obs::Json::string(std::string());
-    c["variant"] = obs::Json::string(std::string());
-    c["cycles"] = obs::Json::number(cycles);
-    c["instructions"] = obs::Json::number(instructions);
-    c["checksum"] = obs::Json::number(checksum);
-    c["wall_ms"] = obs::Json::real(wall_ms);
-    c["reps"] = obs::Json::number(reps);
-    c["host"] = hostJson(refs, wall_ms);
-    c["metrics"] = metrics.toJson();
+    obs::Json c = caseJson(label, std::string(), std::string(), cycles,
+                           instructions, checksum, metrics, wall_ms, reps,
+                           refs);
     for (const auto &[key, val] : extra_fields)
         c[key] = obs::Json::real(val);
     cases_.push_back(std::move(c));
@@ -248,15 +263,16 @@ printBar(const std::string &label, const RunResult &r, double norm_cycles)
     const double scale = 100.0 / norm_cycles;
     const std::uint64_t width = 4; // graduation width of the model
     const double slot_to_cycle = 1.0 / double(width);
-    const double busy = r.stalls.busy * slot_to_cycle * scale;
-    const double load = r.stalls.load_stall * slot_to_cycle * scale;
-    const double store = r.stalls.store_stall * slot_to_cycle * scale;
-    const double inst = r.stalls.inst_stall * slot_to_cycle * scale;
+    const auto slots = [&](const char *path) {
+        return r.metrics.counterAt(path) * slot_to_cycle * scale;
+    };
+    const std::uint64_t cycles = r.metrics.counterAt("cycles");
     std::printf(
         "  %-8s total %6.1f | busy %5.1f  load %5.1f  store %5.1f  "
         "inst %5.1f | %s cycles\n",
-        label.c_str(), r.cycles * scale, busy, load, store, inst,
-        withCommas(r.cycles).c_str());
+        label.c_str(), cycles * scale, slots("slots.busy"),
+        slots("slots.load_stall"), slots("slots.store_stall"),
+        slots("slots.inst_stall"), withCommas(cycles).c_str());
 }
 
 std::string

@@ -34,7 +34,11 @@
 namespace memfwd::bench
 {
 
-/** Benchmark scale: 1.0 = the sizes in DESIGN.md (MEMFWD_BENCH_SCALE). */
+/**
+ * Benchmark scale: 1.0 = the sizes in DESIGN.md (MEMFWD_BENCH_SCALE;
+ * empty means unset, and a value that is not a positive number is
+ * fatal).
+ */
 double benchScale();
 
 /** Timed repetitions per case (MEMFWD_BENCH_REPS, default 1). */

@@ -162,14 +162,12 @@ runCorpus(unsigned n_pairs)
     return res;
 }
 
+/** Temporal violations classified in a metadata-plane run. */
 std::uint64_t
 violationCount(const RunResult &r)
 {
-    const obs::MetricsNode *q = r.metrics.findChild("quarantine");
-    if (!q)
-        return 0;
-    return q->counterValue("violations_uaf") +
-           q->counterValue("violations_oob");
+    return r.metrics.counterAt("quarantine.violations_uaf") +
+           r.metrics.counterAt("quarantine.violations_oob");
 }
 
 } // namespace
@@ -254,24 +252,27 @@ main()
                 .count();
 
         const std::uint64_t violations = violationCount(on);
+        const std::uint64_t off_cycles = off.metrics.counterAt("cycles");
+        const std::uint64_t on_cycles = on.metrics.counterAt("cycles");
         const double overhead_pct =
-            off.cycles ? 100.0 * (double(on.cycles) - double(off.cycles)) /
-                             double(off.cycles)
+            off_cycles ? 100.0 * (double(on_cycles) - double(off_cycles)) /
+                             double(off_cycles)
                        : 0.0;
         const bool clean = violations == 0 &&
                            on.checksum == off.checksum &&
-                           on.cycles == off.cycles;
+                           on_cycles == off_cycles;
         ok = ok && clean;
 
         std::printf("%-12s %14s %14s %8.2f%% %6llu %llu%s\n", name.c_str(),
-                    withCommas(off.cycles).c_str(),
-                    withCommas(on.cycles).c_str(), overhead_pct,
+                    withCommas(off_cycles).c_str(),
+                    withCommas(on_cycles).c_str(), overhead_pct,
                     static_cast<unsigned long long>(violations),
                     static_cast<unsigned long long>(on.checksum),
                     clean ? "" : "  MISMATCH");
 
-        report.addCase("clean_" + name, on.cycles, on.instructions,
-                       on.checksum, obs::MetricsNode{}, wl_ms, 1, on.refs,
+        report.addCase("clean_" + name, on_cycles,
+                       on.metrics.counterAt("instructions"), on.checksum,
+                       obs::MetricsNode{}, wl_ms, 1, on.refs,
                        {{"detection_rate", 1.0},
                         {"false_positives", double(violations)},
                         {"cycle_overhead_pct", overhead_pct}});

@@ -93,7 +93,7 @@ main()
     }
 
     std::printf("\n(a) execution time (normalized to N = 100)\n");
-    const double norm = double(n.cycles);
+    const double norm = double(n.metrics.counterAt("cycles"));
     printBar("N", n, norm);
     printBar("L", l, norm);
     printBar("L+FTC", lftc, norm);
@@ -101,8 +101,11 @@ main()
 
     std::printf("\n(b) D-cache misses (loads+stores, normalized to N)\n");
     const auto misses = [](const RunResult &r) {
-        return r.load_partial_misses + r.load_full_misses +
-               r.store_misses;
+        const obs::MetricsNode &m = r.metrics;
+        return m.counterAt("l1d.load_partial_misses") +
+               m.counterAt("l1d.load_full_misses") +
+               m.counterAt("l1d.store_partial_misses") +
+               m.counterAt("l1d.store_full_misses");
     };
     const double mnorm = 100.0 / double(misses(n));
     std::printf("  N    %6.1f   (%s)\n", misses(n) * mnorm,
@@ -116,25 +119,34 @@ main()
 
     std::printf("\n(c) references requiring forwarding under L "
                 "(paper: 7.7%% loads, 1.7%% stores)\n");
+    const obs::MetricsNode &lm = l.metrics;
     std::printf("  loads : %.1f%% forwarded (%s of %s)\n",
-                100.0 * l.loadForwardedFraction(),
-                withCommas(l.loads_forwarded).c_str(),
-                withCommas(l.loads).c_str());
+                100.0 * lm.gaugeAt("refs.load_forwarded_fraction"),
+                withCommas(lm.counterAt("refs.loads_forwarded")).c_str(),
+                withCommas(lm.counterAt("refs.loads")).c_str());
     std::printf("  stores: %.1f%% forwarded (%s of %s)\n",
-                100.0 * l.storeForwardedFraction(),
-                withCommas(l.stores_forwarded).c_str(),
-                withCommas(l.stores).c_str());
+                100.0 * lm.gaugeAt("refs.store_forwarded_fraction"),
+                withCommas(lm.counterAt("refs.stores_forwarded")).c_str(),
+                withCommas(lm.counterAt("refs.stores")).c_str());
 
     std::printf("\n(d) average cycles per reference "
                 "(ordinary + forwarding)\n");
     const auto row = [](const char *tag, const RunResult &r) {
+        const obs::MetricsNode &m = r.metrics;
+        const auto per = [&](const char *cycles, const char *refs) {
+            const std::uint64_t n = m.counterAt(refs);
+            return n ? double(m.counterAt(cycles)) / double(n) : 0.0;
+        };
+        const double load = m.gaugeAt("latency.avg_load_cycles");
+        const double store = m.gaugeAt("latency.avg_store_cycles");
+        const double load_fwd =
+            per("latency.load_forward_cycles", "latency.loads");
+        const double store_fwd =
+            per("latency.store_forward_cycles", "latency.stores");
         std::printf("  %-5s load %6.2f (ordinary %6.2f + fwd %5.2f)   "
                     "store %6.2f (ordinary %6.2f + fwd %5.2f)\n",
-                    tag, r.avg_load_cycles,
-                    r.avg_load_cycles - r.avg_load_forward_cycles,
-                    r.avg_load_forward_cycles, r.avg_store_cycles,
-                    r.avg_store_cycles - r.avg_store_forward_cycles,
-                    r.avg_store_forward_cycles);
+                    tag, load, load - load_fwd, load_fwd, store,
+                    store - store_fwd, store_fwd);
     };
     row("N", n);
     row("L", l);

@@ -36,8 +36,10 @@ main()
         for (unsigned line : lines) {
             const RunResult n = run(name, line, false);
             const RunResult l = run(name, line, true);
+            const double n_cycles = double(n.metrics.counterAt("cycles"));
+            const double l_cycles = double(l.metrics.counterAt("cycles"));
             if (norm == 0)
-                norm = double(n.cycles);
+                norm = n_cycles;
             if (n.checksum != l.checksum) {
                 std::printf("  CHECKSUM MISMATCH at %uB!\n", line);
                 return 1;
@@ -46,8 +48,8 @@ main()
             printBar("L@" + std::to_string(line) + "B", l, norm);
             std::printf("  %-8s speedup %+.0f%%  (%.2fx)\n",
                         std::to_string(line).append("B").c_str(),
-                        100.0 * (double(n.cycles) / double(l.cycles) - 1),
-                        double(n.cycles) / double(l.cycles));
+                        100.0 * (n_cycles / l_cycles - 1),
+                        n_cycles / l_cycles);
         }
     }
 

@@ -39,24 +39,26 @@ main()
         double norm = 0;
         for (unsigned line : {32u, 64u, 128u}) {
             const auto &[n, l] = results[{name, line}];
-            const auto misses = [](const RunResult &r) {
-                return r.load_partial_misses + r.load_full_misses;
+            const auto partial = [](const RunResult &r) {
+                return r.metrics.counterAt("l1d.load_partial_misses");
+            };
+            const auto full = [](const RunResult &r) {
+                return r.metrics.counterAt("l1d.load_full_misses");
+            };
+            const auto misses = [&](const RunResult &r) {
+                return partial(r) + full(r);
             };
             if (norm == 0)
                 norm = double(misses(n));
             const double scale = 100.0 / norm;
             std::printf("  N@%-4u total %6.1f (partial %5.1f full %6.1f)"
                         "   [%s misses]\n",
-                        line, misses(n) * scale,
-                        n.load_partial_misses * scale,
-                        n.load_full_misses * scale,
-                        withCommas(misses(n)).c_str());
+                        line, misses(n) * scale, partial(n) * scale,
+                        full(n) * scale, withCommas(misses(n)).c_str());
             std::printf("  L@%-4u total %6.1f (partial %5.1f full %6.1f)"
                         "   [%s misses]\n",
-                        line, misses(l) * scale,
-                        l.load_partial_misses * scale,
-                        l.load_full_misses * scale,
-                        withCommas(misses(l)).c_str());
+                        line, misses(l) * scale, partial(l) * scale,
+                        full(l) * scale, withCommas(misses(l)).c_str());
             ++cases;
             if (misses(l) <
                 static_cast<std::uint64_t>(0.65 * double(misses(n))))
@@ -76,17 +78,23 @@ main()
         double norm = 0;
         for (unsigned line : {32u, 64u, 128u}) {
             const auto &[n, l] = results[{name, line}];
+            const auto l1_l2 = [](const RunResult &r) {
+                return r.metrics.counterAt("traffic.l1_l2_bytes");
+            };
+            const auto l2_mem = [](const RunResult &r) {
+                return r.metrics.counterAt("traffic.l2_mem_bytes");
+            };
             if (norm == 0)
-                norm = double(n.l1_l2_bytes + n.l2_mem_bytes);
+                norm = double(l1_l2(n) + l2_mem(n));
             const double scale = 100.0 / norm;
             std::printf(
                 "  N@%-4u total %6.1f (l1<->l2 %6.1f  l2<->mem %6.1f)\n",
-                line, (n.l1_l2_bytes + n.l2_mem_bytes) * scale,
-                n.l1_l2_bytes * scale, n.l2_mem_bytes * scale);
+                line, (l1_l2(n) + l2_mem(n)) * scale, l1_l2(n) * scale,
+                l2_mem(n) * scale);
             std::printf(
                 "  L@%-4u total %6.1f (l1<->l2 %6.1f  l2<->mem %6.1f)\n",
-                line, (l.l1_l2_bytes + l.l2_mem_bytes) * scale,
-                l.l1_l2_bytes * scale, l.l2_mem_bytes * scale);
+                line, (l1_l2(l) + l2_mem(l)) * scale, l1_l2(l) * scale,
+                l2_mem(l) * scale);
         }
     }
 

@@ -40,7 +40,10 @@ main()
         report.add(name + "/32B/NP_best", np);
         report.add(name + "/32B/LP_best", lp);
 
-        const double norm = double(n.cycles);
+        const auto cycles = [](const RunResult &r) {
+            return r.metrics.counterAt("cycles");
+        };
+        const double norm = double(cycles(n));
         std::printf("\n%s\n", name.c_str());
         printBar("N", n, norm);
         printBar("NP", np, norm);
@@ -49,8 +52,8 @@ main()
         std::printf("  best prefetch block: NP=%u lines, LP=%u lines; "
                     "LP vs NP %+.0f%%\n",
                     np.variant.prefetch_block, lp.variant.prefetch_block,
-                    100.0 * (double(np.cycles) / double(lp.cycles) - 1));
-        if (lp.cycles < np.cycles && lp.cycles < l.cycles)
+                    100.0 * (double(cycles(np)) / double(cycles(lp)) - 1));
+        if (cycles(lp) < cycles(np) && cycles(lp) < cycles(l))
             ++lp_beats_both;
     }
 

@@ -34,7 +34,8 @@ speedup(const std::string &wl, MachineConfig mc, const std::string &tag)
     const RunResult l = runCase(wl + "/" + tag + "/L", cfg);
     if (n.checksum != l.checksum)
         memfwd_fatal("checksum mismatch in sweep (%s)", wl.c_str());
-    return double(n.cycles) / double(l.cycles);
+    return double(n.metrics.counterAt("cycles")) /
+           double(l.metrics.counterAt("cycles"));
 }
 
 } // namespace

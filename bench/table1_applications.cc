@@ -30,7 +30,7 @@ main()
         const RunResult l = run(name, 32, /*layout_opt=*/true);
         std::printf("%-10s %5.1fMB %-11s %s\n", name.c_str(),
                     double(l.space_overhead_bytes) / double(1 << 20),
-                    withCommas(l.instructions).c_str(),
+                    withCommas(l.metrics.counterAt("instructions")).c_str(),
                     makeWorkload(name)->optimization().c_str());
     }
 

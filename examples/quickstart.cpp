@@ -80,12 +80,15 @@ main()
     cfg.variant.layout_opt = true;
     const RunResult l = runWorkload(cfg);
 
+    // Simulated results are read from the run's metrics tree by path.
+    const std::uint64_t n_cycles = n.metrics.counterAt("cycles");
+    const std::uint64_t l_cycles = l.metrics.counterAt("cycles");
     std::printf("vis (scale 0.1, 64B lines)\n");
     std::printf("  unoptimized : %llu cycles\n",
-                static_cast<unsigned long long>(n.cycles));
+                static_cast<unsigned long long>(n_cycles));
     std::printf("  linearized  : %llu cycles  (speedup %.2fx)\n",
-                static_cast<unsigned long long>(l.cycles),
-                double(n.cycles) / double(l.cycles));
+                static_cast<unsigned long long>(l_cycles),
+                double(n_cycles) / double(l_cycles));
     std::printf("  checksums   : %llu vs %llu (%s)\n",
                 static_cast<unsigned long long>(n.checksum),
                 static_cast<unsigned long long>(l.checksum),

@@ -1,6 +1,6 @@
 #include "obs/metrics.hh"
 
-#include "common/stats_registry.hh"
+#include <stdexcept>
 
 namespace memfwd::obs
 {
@@ -81,6 +81,45 @@ MetricsNode::findChild(const std::string &name) const
     return it == children_.end() ? nullptr : &it->second;
 }
 
+const MetricsNode *
+MetricsNode::parentOf(std::string_view dotted, std::string &leaf) const
+{
+    const MetricsNode *node = this;
+    std::size_t dot;
+    while (node && (dot = dotted.find('.')) != std::string_view::npos) {
+        node = node->findChild(std::string(dotted.substr(0, dot)));
+        dotted.remove_prefix(dot + 1);
+    }
+    leaf = dotted;
+    return node;
+}
+
+std::uint64_t
+MetricsNode::counterAt(std::string_view dotted) const
+{
+    std::string leaf;
+    if (const MetricsNode *node = parentOf(dotted, leaf)) {
+        auto it = node->counters_.find(leaf);
+        if (it != node->counters_.end())
+            return it->second;
+    }
+    throw std::out_of_range("no counter at metrics path '" +
+                            std::string(dotted) + "'");
+}
+
+double
+MetricsNode::gaugeAt(std::string_view dotted) const
+{
+    std::string leaf;
+    if (const MetricsNode *node = parentOf(dotted, leaf)) {
+        auto it = node->gauges_.find(leaf);
+        if (it != node->gauges_.end())
+            return it->second;
+    }
+    throw std::out_of_range("no gauge at metrics path '" +
+                            std::string(dotted) + "'");
+}
+
 bool
 MetricsNode::empty() const
 {
@@ -95,21 +134,6 @@ MetricsNode::clear()
     gauges_.clear();
     dists_.clear();
     children_.clear();
-}
-
-void
-MetricsNode::flatten(StatsRegistry &reg, const std::string &prefix) const
-{
-    for (const auto &[name, value] : counters_)
-        reg.set(prefix + name, value);
-    for (const auto &[name, d] : dists_) {
-        reg.set(prefix + name + ".count", d.count);
-        reg.set(prefix + name + ".sum", d.sum);
-        reg.set(prefix + name + ".min", d.min);
-        reg.set(prefix + name + ".max", d.max);
-    }
-    for (const auto &[name, node] : children_)
-        node.flatten(reg, prefix + name + ".");
 }
 
 Json

@@ -1,15 +1,14 @@
 /**
  * @file
- * Hierarchical metrics: the successor to the flat StatsRegistry.
+ * Hierarchical metrics: the one record of a run's simulated results.
  *
  * Every observable component exposes `metrics()` returning a
  * MetricsNode — a tree of named counters (64-bit, monotonic within a
  * run), gauges (derived ratios/averages) and distributions (hop
  * counts, chain lengths, trap latencies).  The Machine composes its
- * components' trees into one machine tree whose *flattened* dotted
- * names are exactly the names the pre-observability flat registry
- * used ("l1d.load_hits", "fwd.walks", ...) — flatten() is the
- * supported path to a StatsRegistry.
+ * components' trees into one machine tree; a value's dotted path
+ * ("l1d.load_hits", "fwd.walks", ...) is its stable name, and
+ * counterAt()/gaugeAt() read it back.
  *
  * The JSON export is versioned; docs/METRICS.md documents the schema
  * and the name-stability policy.
@@ -21,14 +20,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hh"
-
-namespace memfwd
-{
-class StatsRegistry;
-}
 
 namespace memfwd::obs
 {
@@ -93,6 +88,16 @@ class MetricsNode
     /** Child lookup without creation; nullptr if absent. */
     const MetricsNode *findChild(const std::string &name) const;
 
+    /**
+     * Counter at dotted path @p dotted ("l1d.load_full_misses"): every
+     * segment but the last names a child, the last names a counter.
+     * Throws std::out_of_range naming the path if there is none.
+     */
+    std::uint64_t counterAt(std::string_view dotted) const;
+
+    /** Gauge at dotted path @p dotted; throws like counterAt(). */
+    double gaugeAt(std::string_view dotted) const;
+
     const std::map<std::string, std::uint64_t> &counters() const
     {
         return counters_;
@@ -113,20 +118,19 @@ class MetricsNode
 
     // ----- export ------------------------------------------------------
 
-    /**
-     * Flatten into the legacy flat registry: counters keep their name,
-     * children prepend "<child>.", distributions contribute
-     * ".count/.sum/.min/.max".  Gauges are not representable in the
-     * integer registry and are skipped.
-     */
-    void flatten(StatsRegistry &reg, const std::string &prefix = "") const;
-
     /** This node (and subtree) as a JSON object. */
     Json toJson() const;
 
     bool operator==(const MetricsNode &) const = default;
 
   private:
+    /**
+     * The node named by all but the last segment of @p dotted (nullptr
+     * if a child is missing); @p leaf receives the last segment.
+     */
+    const MetricsNode *parentOf(std::string_view dotted,
+                                std::string &leaf) const;
+
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, Distribution> dists_;

@@ -22,7 +22,7 @@
  * The audit is purely functional — no timing, no cache effects — and
  * is meant to run between phases or after a workload, the way a fsck
  * runs on an unmounted filesystem.  Counters export through metrics()
- * (flatten it for a legacy-style registry of "audit.*" names).
+ * (memfwd_sim --audit --json writes them under "audit").
  */
 
 #ifndef MEMFWD_RUNTIME_HEAP_VERIFIER_HH

@@ -356,8 +356,8 @@ Machine::metrics() const
     obs::MetricsNode root;
 
     // The CPU and hierarchy fill the machine root directly so the
-    // legacy flat names ("cycles", "slots.busy", "l1d.load_hits", ...)
-    // fall out of flatten() unchanged.
+    // legacy dotted names ("cycles", "slots.busy", "l1d.load_hits", ...)
+    // stay the paths counterAt() reads.
     cpu_->fillMetrics(root);
     hierarchy_->fillMetrics(root);
     fwd_->fillMetrics(root.child("fwd"));

@@ -614,8 +614,7 @@ class Machine
     /**
      * The machine's full hierarchical metrics tree: every component's
      * counters, gauges and distributions under stable dotted names
-     * (docs/METRICS.md).  `metrics().flatten(reg, prefix)` reproduces
-     * the legacy flat-registry names.
+     * (docs/METRICS.md), read back with counterAt()/gaugeAt().
      */
     obs::MetricsNode metrics() const;
 

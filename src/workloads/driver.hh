@@ -11,7 +11,6 @@
 #include <string>
 
 #include "common/types.hh"
-#include "cpu/stall_stats.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "runtime/machine.hh"
@@ -35,66 +34,25 @@ struct RunConfig
     obs::TraceSink *trace_sink = nullptr;
 };
 
-/** All metrics from one run. */
+/**
+ * One run's result.  Simulated metrics live only in @ref metrics, read
+ * by dotted path (`r.metrics.counterAt("l1d.load_full_misses")`);
+ * the other fields are what the machine's tree cannot hold.
+ */
 struct RunResult
 {
     std::string workload;
     WorkloadVariant variant;
 
-    Cycles cycles = 0;
-    std::uint64_t instructions = 0;
-    StallStats stalls;
-
-    // Figure 6(a)
-    std::uint64_t load_partial_misses = 0;
-    std::uint64_t load_full_misses = 0;
-    std::uint64_t store_misses = 0;
-
-    // Figure 6(b)
-    std::uint64_t l1_l2_bytes = 0;
-    std::uint64_t l2_mem_bytes = 0;
-
-    // Figure 10(c)
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t loads_forwarded = 0;
-    std::uint64_t stores_forwarded = 0;
-
-    // Figure 10(d)
-    double avg_load_cycles = 0.0;
-    double avg_store_cycles = 0.0;
-    double avg_load_forward_cycles = 0.0;
-    double avg_store_forward_cycles = 0.0;
-
-    // Dependence speculation
-    std::uint64_t lsq_speculations = 0;
-    std::uint64_t lsq_violations = 0;
-
-    // Table 1 / correctness
+    /** The workload's self-check value (equal across variants). */
     std::uint64_t checksum = 0;
+    /** Virtual memory consumed by relocation targets (Table 1). */
     Addr space_overhead_bytes = 0;
-
-    // Host-speed accounting (docs/METRICS.md "host" family): total
-    // simulated references executed, for refs-per-wall-second gauges.
+    /** Simulated references executed, for host-speed gauges. */
     std::uint64_t refs = 0;
-
-    // Prefetching
-    std::uint64_t prefetches_issued = 0;
-    std::uint64_t useful_prefetches = 0;
 
     /** The machine's full hierarchical metrics tree at run end. */
     obs::MetricsNode metrics;
-
-    double
-    loadForwardedFraction() const
-    {
-        return loads ? double(loads_forwarded) / double(loads) : 0.0;
-    }
-    double
-    storeForwardedFraction() const
-    {
-        return stores ? double(stores_forwarded) / double(stores) : 0.0;
-    }
 };
 
 /** Run one configuration to completion. */

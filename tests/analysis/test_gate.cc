@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/gate.hh"
-#include "common/stats_registry.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
 
@@ -211,10 +210,9 @@ TEST(Enforcement, MetricsExposeTheGateCounters)
     m.access(Access::store(0x1000, 8, 1));
     relocate(m, 0x1000, 0x9000, 1);
 
-    StatsRegistry reg;
-    m.metrics().flatten(reg, "");
-    EXPECT_EQ(reg.get("analysis.plans_verified"), 1u);
-    EXPECT_EQ(reg.get("analysis.diagnostics.error"), 0u);
+    const obs::MetricsNode metrics = m.metrics();
+    EXPECT_EQ(metrics.counterAt("analysis.plans_verified"), 1u);
+    EXPECT_EQ(metrics.counterAt("analysis.diagnostics.error"), 0u);
 }
 
 TEST(Enforcement, PlanTraceEventIsEmitted)

@@ -29,6 +29,12 @@ smallConfig(const std::string &wl, unsigned line)
     return cfg;
 }
 
+std::uint64_t
+cycles(const RunResult &r)
+{
+    return r.metrics.counterAt("cycles");
+}
+
 // Figure 5's central claim: list linearization speeds up the list
 // workloads, and the gain grows with line size.
 TEST(EndToEnd, LinearizationSpeedsUpVisAt128B)
@@ -38,10 +44,13 @@ TEST(EndToEnd, LinearizationSpeedsUpVisAt128B)
     const RunResult n = runWorkload(cfg);
     cfg.variant.layout_opt = true;
     const RunResult l = runWorkload(cfg);
-    EXPECT_LT(l.cycles, n.cycles);
+    EXPECT_LT(cycles(l), cycles(n));
     EXPECT_EQ(l.checksum, n.checksum);
-    EXPECT_LT(l.load_partial_misses + l.load_full_misses,
-              n.load_partial_misses + n.load_full_misses);
+    const auto misses = [](const RunResult &r) {
+        return r.metrics.counterAt("l1d.load_partial_misses") +
+               r.metrics.counterAt("l1d.load_full_misses");
+    };
+    EXPECT_LT(misses(l), misses(n));
 }
 
 TEST(EndToEnd, SpeedupGrowsWithLineSize)
@@ -53,7 +62,7 @@ TEST(EndToEnd, SpeedupGrowsWithLineSize)
         const RunResult n = runWorkload(cfg);
         cfg.variant.layout_opt = true;
         const RunResult l = runWorkload(cfg);
-        const double speedup = double(n.cycles) / double(l.cycles);
+        const double speedup = double(cycles(n)) / double(cycles(l));
         EXPECT_GT(speedup, prev);
         prev = speedup;
     }
@@ -70,8 +79,11 @@ TEST(EndToEnd, LinearizationSavesBandwidth)
     // Total bytes moved in the hierarchy: at reduced scale the
     // L2<->memory link alone can be noisy (the relocation pool's
     // one-time footprint), but the overall traffic must drop.
-    EXPECT_LT(l.l1_l2_bytes + l.l2_mem_bytes,
-              n.l1_l2_bytes + n.l2_mem_bytes);
+    const auto traffic = [](const RunResult &r) {
+        return r.metrics.counterAt("traffic.l1_l2_bytes") +
+               r.metrics.counterAt("traffic.l2_mem_bytes");
+    };
+    EXPECT_LT(traffic(l), traffic(n));
 }
 
 // Section 5.4: in SMV, forwarding fires and costs performance relative
@@ -84,13 +96,13 @@ TEST(EndToEnd, SmvForwardingOverheadVisible)
     const RunResult l = runWorkload(cfg);
     cfg.machine.forwarding.mode = ForwardingConfig::Mode::perfect;
     const RunResult perf = runWorkload(cfg);
-    EXPECT_GT(l.cycles, perf.cycles);
+    EXPECT_GT(cycles(l), cycles(perf));
     EXPECT_EQ(l.checksum, perf.checksum);
-    EXPECT_GT(l.loads_forwarded, 0u);
-    EXPECT_EQ(perf.loads_forwarded, 0u);
+    EXPECT_GT(l.metrics.counterAt("refs.loads_forwarded"), 0u);
+    EXPECT_EQ(perf.metrics.counterAt("refs.loads_forwarded"), 0u);
     // Figure 10(d): forwarding time is part of L's average load cost.
-    EXPECT_GT(l.avg_load_forward_cycles, 0.0);
-    EXPECT_EQ(perf.avg_load_forward_cycles, 0.0);
+    EXPECT_GT(l.metrics.counterAt("latency.load_forward_cycles"), 0u);
+    EXPECT_EQ(perf.metrics.counterAt("latency.load_forward_cycles"), 0u);
 }
 
 // Data dependence speculation (Section 3.2): violations are "almost
@@ -100,8 +112,9 @@ TEST(EndToEnd, DependenceViolationsAreRare)
     setVerbose(false);
     RunConfig cfg = smallConfig("smv", 32);
     cfg.variant.layout_opt = true;
-    const RunResult r = runWorkload(cfg);
-    EXPECT_LT(r.lsq_violations, r.loads / 1000 + 10);
+    const obs::MetricsNode m = runWorkload(cfg).metrics;
+    EXPECT_LT(m.counterAt("lsq.violations"),
+              m.counterAt("refs.loads") / 1000 + 10);
 }
 
 // Conservative mode (no speculation) must be slower on miss-heavy code.
@@ -112,7 +125,7 @@ TEST(EndToEnd, SpeculationBeatsConservative)
     const RunResult spec = runWorkload(cfg);
     cfg.machine.cpu.dep_speculation = false;
     const RunResult cons = runWorkload(cfg);
-    EXPECT_LT(spec.cycles, cons.cycles);
+    EXPECT_LT(cycles(spec), cycles(cons));
     EXPECT_EQ(spec.checksum, cons.checksum);
 }
 
@@ -126,7 +139,7 @@ TEST(EndToEnd, ExceptionModeCostlierThanHardware)
     const RunResult hw = runWorkload(cfg);
     cfg.machine.forwarding.mode = ForwardingConfig::Mode::exception;
     const RunResult ex = runWorkload(cfg);
-    EXPECT_GT(ex.cycles, hw.cycles);
+    EXPECT_GT(cycles(ex), cycles(hw));
     EXPECT_EQ(ex.checksum, hw.checksum);
 }
 

@@ -177,13 +177,17 @@ TEST_P(SlotIdentitySweep, SlotsAddUp)
     cfg.params.scale = 0.05;
     cfg.machine.hierarchy.setLineBytes(line);
     cfg.variant.layout_opt = true;
-    const RunResult r = runWorkload(cfg);
+    const obs::MetricsNode m = runWorkload(cfg).metrics;
 
-    EXPECT_EQ(r.stalls.busy, r.instructions);
+    const std::uint64_t instructions = m.counterAt("instructions");
+    const std::uint64_t total_slots =
+        m.counterAt("slots.busy") + m.counterAt("slots.load_stall") +
+        m.counterAt("slots.store_stall") + m.counterAt("slots.inst_stall");
+    EXPECT_EQ(m.counterAt("slots.busy"), instructions);
     const std::uint64_t width = cfg.machine.cpu.width;
-    EXPECT_LE(r.stalls.totalSlots(), (r.cycles + 1) * width);
+    EXPECT_LE(total_slots, (m.counterAt("cycles") + 1) * width);
     // The machine was actually exercised.
-    EXPECT_GT(r.stalls.totalSlots(), r.instructions);
+    EXPECT_GT(total_slots, instructions);
 }
 
 INSTANTIATE_TEST_SUITE_P(

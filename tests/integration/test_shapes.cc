@@ -29,6 +29,19 @@ shapeRun(const std::string &wl, unsigned line, bool opt,
     return runWorkload(cfg);
 }
 
+double
+cycles(const RunResult &r)
+{
+    return double(r.metrics.counterAt("cycles"));
+}
+
+std::uint64_t
+loadMisses(const RunResult &r)
+{
+    return r.metrics.counterAt("l1d.load_partial_misses") +
+           r.metrics.counterAt("l1d.load_full_misses");
+}
+
 // Paper, Figure 5: "performance generally degrades when line size
 // increases ... for the unoptimized cases" (no spatial locality).
 TEST(Shapes, UnoptimizedDegradesWithLineSize)
@@ -36,7 +49,7 @@ TEST(Shapes, UnoptimizedDegradesWithLineSize)
     for (const std::string wl : {"vis", "mst"}) {
         const RunResult n32 = shapeRun(wl, 32, false);
         const RunResult n128 = shapeRun(wl, 128, false);
-        EXPECT_GT(n128.cycles, n32.cycles) << wl;
+        EXPECT_GT(cycles(n128), cycles(n32)) << wl;
     }
 }
 
@@ -51,7 +64,7 @@ TEST_P(OptimizedWinsAt128, SpeedupAbove1_2)
     const RunResult n = shapeRun(GetParam(), 128, false);
     const RunResult l = shapeRun(GetParam(), 128, true);
     EXPECT_EQ(n.checksum, l.checksum);
-    EXPECT_GT(double(n.cycles) / double(l.cycles), 1.2) << GetParam();
+    EXPECT_GT(cycles(n) / cycles(l), 1.2) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(ListApps, OptimizedWinsAt128,
@@ -62,12 +75,10 @@ INSTANTIATE_TEST_SUITE_P(ListApps, OptimizedWinsAt128,
 TEST(Shapes, SpeedupGrowsWithLineSize)
 {
     for (const std::string wl : {"vis", "health"}) {
-        const double s32 =
-            double(shapeRun(wl, 32, false).cycles) /
-            double(shapeRun(wl, 32, true).cycles);
-        const double s128 =
-            double(shapeRun(wl, 128, false).cycles) /
-            double(shapeRun(wl, 128, true).cycles);
+        const double s32 = cycles(shapeRun(wl, 32, false)) /
+                           cycles(shapeRun(wl, 32, true));
+        const double s128 = cycles(shapeRun(wl, 128, false)) /
+                            cycles(shapeRun(wl, 128, true));
         EXPECT_GT(s128, s32) << wl;
     }
 }
@@ -76,12 +87,10 @@ TEST(Shapes, SpeedupGrowsWithLineSize)
 // relatively WORSE at short lines than at long ones.
 TEST(Shapes, CompressCrossoverDirection)
 {
-    const double ratio32 =
-        double(shapeRun("compress", 32, true).cycles) /
-        double(shapeRun("compress", 32, false).cycles);
-    const double ratio128 =
-        double(shapeRun("compress", 128, true).cycles) /
-        double(shapeRun("compress", 128, false).cycles);
+    const double ratio32 = cycles(shapeRun("compress", 32, true)) /
+                           cycles(shapeRun("compress", 32, false));
+    const double ratio128 = cycles(shapeRun("compress", 128, true)) /
+                            cycles(shapeRun("compress", 128, false));
     EXPECT_GT(ratio32, ratio128);
     EXPECT_GT(ratio32, 1.0); // actually loses at 32B
 }
@@ -90,10 +99,10 @@ TEST(Shapes, CompressCrossoverDirection)
 // at 256B lines.
 TEST(Shapes, BhNeedsLongLines)
 {
-    const double s64 = double(shapeRun("bh", 64, false).cycles) /
-                       double(shapeRun("bh", 64, true).cycles);
-    const double s256 = double(shapeRun("bh", 256, false).cycles) /
-                        double(shapeRun("bh", 256, true).cycles);
+    const double s64 = cycles(shapeRun("bh", 64, false)) /
+                       cycles(shapeRun("bh", 64, true));
+    const double s256 = cycles(shapeRun("bh", 256, false)) /
+                        cycles(shapeRun("bh", 256, true));
     EXPECT_GT(s256, s64);
     EXPECT_GT(s256, 1.1);
 }
@@ -111,12 +120,12 @@ TEST(Shapes, SmvForwardingStory)
     EXPECT_EQ(l.checksum, perf.checksum);
 
     // Forwarding actually occurs, at a plausible rate.
-    EXPECT_GT(l.loadForwardedFraction(), 0.01);
-    EXPECT_LT(l.loadForwardedFraction(), 0.40);
+    EXPECT_GT(l.metrics.gaugeAt("refs.load_forwarded_fraction"), 0.01);
+    EXPECT_LT(l.metrics.gaugeAt("refs.load_forwarded_fraction"), 0.40);
     // One hop each (the optimization linearizes once).
-    EXPECT_EQ(perf.loads_forwarded, 0u);
+    EXPECT_EQ(perf.metrics.counterAt("refs.loads_forwarded"), 0u);
     // The overhead ordering of Figure 10(a).
-    EXPECT_GT(l.cycles, perf.cycles);
+    EXPECT_GT(cycles(l), cycles(perf));
 }
 
 // Paper, Figure 6(a): misses drop for the list apps at long lines.
@@ -125,9 +134,7 @@ TEST(Shapes, MissReductionAt128)
     for (const std::string wl : {"vis", "health", "mst"}) {
         const RunResult n = shapeRun(wl, 128, false);
         const RunResult l = shapeRun(wl, 128, true);
-        EXPECT_LT(l.load_partial_misses + l.load_full_misses,
-                  n.load_partial_misses + n.load_full_misses)
-            << wl;
+        EXPECT_LT(loadMisses(l), loadMisses(n)) << wl;
     }
 }
 
@@ -135,9 +142,10 @@ TEST(Shapes, MissReductionAt128)
 // happen, even where forwarding is frequent.
 TEST(Shapes, SpeculationViolationsNegligible)
 {
-    const RunResult l = shapeRun("smv", 32, true);
-    EXPECT_GT(l.lsq_speculations, 0u);
-    EXPECT_LE(l.lsq_violations, l.lsq_speculations / 100);
+    const obs::MetricsNode m = shapeRun("smv", 32, true).metrics;
+    EXPECT_GT(m.counterAt("lsq.speculations"), 0u);
+    EXPECT_LE(m.counterAt("lsq.violations"),
+              m.counterAt("lsq.speculations") / 100);
 }
 
 // Paper, Table 1: relocation's space overhead is bounded and modest.

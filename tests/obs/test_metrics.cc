@@ -1,7 +1,8 @@
 /**
  * @file
- * Hierarchical metrics: tree construction, distributions, the versioned
- * JSON export (golden-file checked), and the flattened legacy names.
+ * Hierarchical metrics: tree construction, distributions, dotted-path
+ * lookup, the versioned JSON export (golden-file checked), and the
+ * stable legacy names.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +10,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
-#include "common/stats_registry.hh"
 #include "obs/metrics.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
@@ -59,25 +60,56 @@ TEST(MetricsNode, TreeConstruction)
     EXPECT_EQ(root.findChild("nope"), nullptr);
 }
 
-TEST(MetricsNode, FlattenReproducesDottedNames)
+TEST(MetricsNode, DottedPathsReachNestedValues)
 {
     MetricsNode root;
     root.counter("cycles", 100);
-    root.gauge("ipc", 2.0); // gauges are not representable: skipped
+    root.gauge("ipc", 2.0);
     root.child("l1d").counter("load_hits", 5);
+    root.child("l1d").gauge("miss_rate", 0.25);
+    root.child("analysis").child("diagnostics").counter("error", 3);
     root.child("fwd").distribution("hop_hist").record(2, 3);
 
-    StatsRegistry reg;
-    root.flatten(reg);
-    EXPECT_EQ(reg.get("cycles"), 100u);
-    EXPECT_EQ(reg.get("l1d.load_hits"), 5u);
-    EXPECT_EQ(reg.get("fwd.hop_hist.count"), 3u);
-    EXPECT_EQ(reg.get("fwd.hop_hist.sum"), 6u);
-    EXPECT_FALSE(reg.has("ipc"));
+    EXPECT_EQ(root.counterAt("cycles"), 100u);
+    EXPECT_EQ(root.counterAt("l1d.load_hits"), 5u);
+    EXPECT_EQ(root.counterAt("analysis.diagnostics.error"), 3u);
+    EXPECT_DOUBLE_EQ(root.gaugeAt("ipc"), 2.0);
+    EXPECT_DOUBLE_EQ(root.gaugeAt("l1d.miss_rate"), 0.25);
 
-    StatsRegistry prefixed;
-    root.flatten(prefixed, "m0.");
-    EXPECT_EQ(prefixed.get("m0.l1d.load_hits"), 5u);
+    const Distribution &hops =
+        root.findChild("fwd")->distributions().at("hop_hist");
+    EXPECT_EQ(hops.count, 3u);
+    EXPECT_EQ(hops.sum, 6u);
+}
+
+TEST(MetricsNode, DottedPathLookupThrowsOnMissingOrWrongKind)
+{
+    MetricsNode root;
+    root.counter("cycles", 100);
+    root.child("l1d").counter("load_hits", 5);
+    root.child("l1d").gauge("miss_rate", 0.25);
+    root.child("fwd").distribution("hop_hist").record(2);
+
+    // A typo names nothing: it throws instead of reading as zero.
+    EXPECT_THROW(root.counterAt("l1d.load_hit"), std::out_of_range);
+    EXPECT_THROW(root.counterAt("l2.load_hits"), std::out_of_range);
+    EXPECT_THROW(root.counterAt("cycles.busy"), std::out_of_range);
+    EXPECT_THROW(root.counterAt(""), std::out_of_range);
+    EXPECT_THROW(root.gaugeAt("l1d.miss_rat"), std::out_of_range);
+    // The right name read as the wrong kind throws too.
+    EXPECT_THROW(root.counterAt("l1d.miss_rate"), std::out_of_range);
+    EXPECT_THROW(root.gaugeAt("l1d.load_hits"), std::out_of_range);
+    EXPECT_THROW(root.counterAt("l1d"), std::out_of_range);
+    EXPECT_THROW(root.counterAt("fwd.hop_hist"), std::out_of_range);
+
+    // The message names the path.
+    std::string what;
+    try {
+        root.counterAt("audit.inconsitencies");
+    } catch (const std::out_of_range &e) {
+        what = e.what();
+    }
+    EXPECT_NE(what.find("'audit.inconsitencies'"), std::string::npos);
 }
 
 TEST(MetricsDocument, VersionedEnvelope)
@@ -139,18 +171,17 @@ TEST(MetricsDocument, MachineExportMatchesGolden)
            "with MEMFWD_UPDATE_GOLDEN=1";
 }
 
-TEST(FlattenedMetrics, KeepsLegacyNames)
+TEST(MetricsNames, KeepsLegacyDottedNames)
 {
     // The dotted names the pre-observability registry exposed must
-    // keep falling out of metrics().flatten() — downstream scripts key
-    // on them (docs/METRICS.md name-stability policy).
+    // keep resolving in the machine tree — downstream scripts key on
+    // them (docs/METRICS.md name-stability policy).
     Machine m;
     m.access(Access::store(0x3000, 8, 1));
     relocate(m, 0x3000, 0xa000, 1);
     m.access(Access::load(0x3000, 8));
 
-    StatsRegistry reg;
-    m.metrics().flatten(reg, "");
+    const MetricsNode metrics = m.metrics();
     for (const char *name :
          {"cycles", "instructions", "slots.busy", "slots.load_stall",
           "slots.store_stall", "slots.inst_stall", "l1d.load_hits",
@@ -162,11 +193,12 @@ TEST(FlattenedMetrics, KeepsLegacyNames)
           "fwd.chains_collapsed", "refs.loads", "refs.stores",
           "refs.loads_forwarded", "lsq.speculations",
           "lsq.violations"}) {
-        EXPECT_TRUE(reg.has(name)) << "legacy stat lost: " << name;
+        EXPECT_NO_THROW(metrics.counterAt(name))
+            << "legacy stat lost: " << name;
     }
-    EXPECT_EQ(reg.get("refs.loads"), 1u);
-    EXPECT_EQ(reg.get("fwd.walks"), 1u);
-    EXPECT_EQ(reg.get("fwd.hops"), 1u);
+    EXPECT_EQ(metrics.counterAt("refs.loads"), 1u);
+    EXPECT_EQ(metrics.counterAt("fwd.walks"), 1u);
+    EXPECT_EQ(metrics.counterAt("fwd.hops"), 1u);
 }
 
 TEST(FtcMetrics, CountersExportAndRoundTrip)

@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "common/stats_registry.hh"
 #include "core/fault_injector.hh"
 #include "runtime/compacting_heap.hh"
 #include "runtime/heap_verifier.hh"
@@ -227,11 +226,10 @@ TEST(AuditReport, StatsAndDump)
     mem.unforwardedWrite(0x3000, 0x3000, true); // self-loop
 
     const AuditReport r = HeapVerifier(mem).audit();
-    StatsRegistry reg;
-    r.metrics().flatten(reg, "audit.");
-    EXPECT_EQ(reg.get("audit.chains"), 1u);
-    EXPECT_EQ(reg.get("audit.orphan_cycle_words"), 1u);
-    EXPECT_EQ(reg.get("audit.inconsistencies"), 1u);
+    const obs::MetricsNode audit = r.metrics();
+    EXPECT_EQ(audit.counterAt("chains"), 1u);
+    EXPECT_EQ(audit.counterAt("orphan_cycle_words"), 1u);
+    EXPECT_EQ(audit.counterAt("inconsistencies"), 1u);
 
     std::ostringstream os;
     r.dump(os);
@@ -270,10 +268,9 @@ TEST(HeapVerifier, QuarantinedChainsAreExpectedStateNotCorruption)
     }
     EXPECT_EQ(flagged, obj_words);
 
-    StatsRegistry reg;
-    r.metrics().flatten(reg, "audit.");
-    EXPECT_EQ(reg.get("audit.quarantined_chains"), obj_words);
-    EXPECT_EQ(reg.get("audit.inconsistencies"), 0u);
+    const obs::MetricsNode audit = r.metrics();
+    EXPECT_EQ(audit.counterAt("quarantined_chains"), obj_words);
+    EXPECT_EQ(audit.counterAt("inconsistencies"), 0u);
 
     std::ostringstream os;
     r.dump(os);

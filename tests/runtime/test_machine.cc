@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats_registry.hh"
 #include "core/cycle_check.hh"
 #include "runtime/machine.hh"
 
@@ -167,13 +166,12 @@ TEST(Machine, FlattenedMetricsExportCounters)
     Machine m;
     m.access(Access::store(0x1000, 8, 5));
     m.access(Access::load(0x1000, 8));
-    StatsRegistry reg;
-    m.metrics().flatten(reg, "m.");
-    EXPECT_EQ(reg.get("m.refs.loads"), 1u);
-    EXPECT_EQ(reg.get("m.refs.stores"), 1u);
-    EXPECT_GT(reg.get("m.cycles"), 0u);
-    EXPECT_TRUE(reg.has("m.slots.busy"));
-    EXPECT_TRUE(reg.has("m.traffic.l2_mem_bytes"));
+    const obs::MetricsNode metrics = m.metrics();
+    EXPECT_EQ(metrics.counterAt("refs.loads"), 1u);
+    EXPECT_EQ(metrics.counterAt("refs.stores"), 1u);
+    EXPECT_GT(metrics.counterAt("cycles"), 0u);
+    EXPECT_NO_THROW(metrics.counterAt("slots.busy"));
+    EXPECT_NO_THROW(metrics.counterAt("traffic.l2_mem_bytes"));
 }
 
 TEST(Machine, DependentAccessesRespectAddrReady)

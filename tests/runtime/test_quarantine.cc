@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "analysis/gate.hh"
-#include "common/stats_registry.hh"
 #include "core/traps.hh"
 #include "mem/metadata_plane.hh"
 #include "mem/tagged_memory.hh"
@@ -328,14 +327,13 @@ TEST(QuarantineAllocator, MetricsExported)
     r.machine.access(Access::load(b, wordBytes).objectId(b_id)); // uaf
     r.machine.access(Access::load(b, wordBytes));                // oob
 
-    StatsRegistry reg;
-    r.machine.metrics().flatten(reg);
-    EXPECT_EQ(reg.get("quarantine.violations_uaf"), 1u);
-    EXPECT_EQ(reg.get("quarantine.violations_oob"), 1u);
-    EXPECT_EQ(reg.get("quarantine.live_bytes"), obj_bytes);
-    EXPECT_EQ(reg.get("quarantine.quarantined_frees"), 1u);
-    EXPECT_EQ(reg.get("quarantine.reclaims"), 0u);
-    EXPECT_EQ(reg.get("quarantine.degraded_frees"), 0u);
+    const obs::MetricsNode m = r.machine.metrics();
+    EXPECT_EQ(m.counterAt("quarantine.violations_uaf"), 1u);
+    EXPECT_EQ(m.counterAt("quarantine.violations_oob"), 1u);
+    EXPECT_EQ(m.counterAt("quarantine.live_bytes"), obj_bytes);
+    EXPECT_EQ(m.counterAt("quarantine.quarantined_frees"), 1u);
+    EXPECT_EQ(m.counterAt("quarantine.reclaims"), 0u);
+    EXPECT_EQ(m.counterAt("quarantine.degraded_frees"), 0u);
 }
 
 TEST(QuarantineAllocator, TemporalViolationTraceEventEmitted)

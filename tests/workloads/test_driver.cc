@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "workloads/driver.hh"
 
@@ -23,40 +25,49 @@ TEST(Driver, CollectsConsistentMetrics)
 {
     setVerbose(false);
     const RunResult r = runWorkload(tinyConfig("vis"));
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_GT(r.instructions, 0u);
-    EXPECT_GT(r.loads, 0u);
-    EXPECT_GT(r.stores, 0u);
+    const obs::MetricsNode &m = r.metrics;
+    const std::uint64_t instructions = m.counterAt("instructions");
+    EXPECT_GT(m.counterAt("cycles"), 0u);
+    EXPECT_GT(instructions, 0u);
+    EXPECT_GT(m.counterAt("refs.loads"), 0u);
+    EXPECT_GT(m.counterAt("refs.stores"), 0u);
     EXPECT_EQ(r.workload, "vis");
     // Slot accounting covers the run.
-    EXPECT_GE(r.stalls.totalSlots(), r.instructions);
+    EXPECT_GE(m.counterAt("slots.busy") + m.counterAt("slots.load_stall") +
+                  m.counterAt("slots.store_stall") +
+                  m.counterAt("slots.inst_stall"),
+              instructions);
     // Busy slots == instructions graduated.
-    EXPECT_EQ(r.stalls.busy, r.instructions);
+    EXPECT_EQ(m.counterAt("slots.busy"), instructions);
 }
 
 TEST(Driver, MissCountsBoundedByLoads)
 {
     setVerbose(false);
-    const RunResult r = runWorkload(tinyConfig("mst"));
-    EXPECT_LE(r.load_partial_misses + r.load_full_misses, r.loads);
-    EXPECT_LE(r.store_misses, r.stores);
+    const obs::MetricsNode m = runWorkload(tinyConfig("mst")).metrics;
+    EXPECT_LE(m.counterAt("l1d.load_partial_misses") +
+                  m.counterAt("l1d.load_full_misses"),
+              m.counterAt("refs.loads"));
+    EXPECT_LE(m.counterAt("l1d.store_partial_misses") +
+                  m.counterAt("l1d.store_full_misses"),
+              m.counterAt("refs.stores"));
 }
 
 TEST(Driver, TrafficFlowsDownhill)
 {
     setVerbose(false);
-    const RunResult r = runWorkload(tinyConfig("health"));
-    EXPECT_GT(r.l1_l2_bytes, 0u);
-    EXPECT_GT(r.l2_mem_bytes, 0u);
+    const obs::MetricsNode m = runWorkload(tinyConfig("health")).metrics;
+    EXPECT_GT(m.counterAt("traffic.l1_l2_bytes"), 0u);
+    EXPECT_GT(m.counterAt("traffic.l2_mem_bytes"), 0u);
 }
 
 TEST(Driver, ForwardedFractionsZeroWithoutOptimization)
 {
     setVerbose(false);
-    const RunResult r = runWorkload(tinyConfig("smv"));
-    EXPECT_EQ(r.loads_forwarded, 0u);
-    EXPECT_EQ(r.stores_forwarded, 0u);
-    EXPECT_EQ(r.loadForwardedFraction(), 0.0);
+    const obs::MetricsNode m = runWorkload(tinyConfig("smv")).metrics;
+    EXPECT_EQ(m.counterAt("refs.loads_forwarded"), 0u);
+    EXPECT_EQ(m.counterAt("refs.stores_forwarded"), 0u);
+    EXPECT_EQ(m.gaugeAt("refs.load_forwarded_fraction"), 0.0);
 }
 
 TEST(Driver, SmvForwardsUnderLayoutOpt)
@@ -64,11 +75,11 @@ TEST(Driver, SmvForwardsUnderLayoutOpt)
     setVerbose(false);
     RunConfig cfg = tinyConfig("smv");
     cfg.variant.layout_opt = true;
-    const RunResult r = runWorkload(cfg);
-    EXPECT_GT(r.loads_forwarded, 0u);
-    EXPECT_GT(r.stores_forwarded, 0u);
-    EXPECT_GT(r.loadForwardedFraction(), 0.0);
-    EXPECT_LT(r.loadForwardedFraction(), 1.0);
+    const obs::MetricsNode m = runWorkload(cfg).metrics;
+    EXPECT_GT(m.counterAt("refs.loads_forwarded"), 0u);
+    EXPECT_GT(m.counterAt("refs.stores_forwarded"), 0u);
+    EXPECT_GT(m.gaugeAt("refs.load_forwarded_fraction"), 0.0);
+    EXPECT_LT(m.gaugeAt("refs.load_forwarded_fraction"), 1.0);
 }
 
 TEST(Driver, PrefetchRunsIssuePrefetches)
@@ -78,7 +89,7 @@ TEST(Driver, PrefetchRunsIssuePrefetches)
     cfg.variant.prefetch = true;
     cfg.variant.prefetch_block = 2;
     const RunResult r = runWorkload(cfg);
-    EXPECT_GT(r.prefetches_issued, 0u);
+    EXPECT_GT(r.metrics.counterAt("prefetch.issued"), 0u);
 }
 
 TEST(Driver, BestPrefetchPicksFastest)
@@ -87,28 +98,23 @@ TEST(Driver, BestPrefetchPicksFastest)
     RunConfig cfg = tinyConfig("vis");
     cfg.variant.layout_opt = true;
     const RunResult best = runBestPrefetch(cfg, {1, 2, 4});
-    RunResult worst;
-    bool first = true;
+    std::uint64_t worst = 0;
     for (unsigned b : {1u, 2u, 4u}) {
         cfg.variant.prefetch = true;
         cfg.variant.prefetch_block = b;
-        const RunResult r = runWorkload(cfg);
-        if (first || r.cycles > worst.cycles) {
-            worst = r;
-            first = false;
-        }
+        worst = std::max(worst, runWorkload(cfg).metrics.counterAt("cycles"));
     }
-    EXPECT_LE(best.cycles, worst.cycles);
+    EXPECT_LE(best.metrics.counterAt("cycles"), worst);
     EXPECT_TRUE(best.variant.prefetch);
 }
 
 TEST(Driver, AverageLatenciesAreSane)
 {
     setVerbose(false);
-    const RunResult r = runWorkload(tinyConfig("eqntott"));
-    EXPECT_GE(r.avg_load_cycles, 1.0);
-    EXPECT_LT(r.avg_load_cycles, 200.0);
-    EXPECT_GE(r.avg_store_cycles, 1.0);
+    const obs::MetricsNode m = runWorkload(tinyConfig("eqntott")).metrics;
+    EXPECT_GE(m.gaugeAt("latency.avg_load_cycles"), 1.0);
+    EXPECT_LT(m.gaugeAt("latency.avg_load_cycles"), 200.0);
+    EXPECT_GE(m.gaugeAt("latency.avg_store_cycles"), 1.0);
 }
 
 } // namespace

@@ -6,7 +6,7 @@
  * statistic — the binary a downstream user points scripts at.
  *
  *   memfwd_sim --workload vis --line 64 --opt --prefetch --block 4
- *   memfwd_sim --workload=smv --opt=on --forwarding=perfect --stats
+ *   memfwd_sim --workload=smv --opt=on --forwarding=perfect --json -
  *   memfwd_sim --workload mst --fast-forward=build
  *   memfwd_sim --list
  *
@@ -26,7 +26,6 @@
 
 #include "analysis/gate.hh"
 #include "common/logging.hh"
-#include "common/stats_registry.hh"
 #include "core/cycle_check.hh"
 #include "core/fault_injector.hh"
 #include "obs/metrics.hh"
@@ -125,7 +124,6 @@ usage(std::FILE *out, const char *argv0)
         "                     workload and dump its report\n"
         "\n"
         "output:\n"
-        "  --stats[=on|off]   dump the full statistics registry\n"
         "  --json FILE        write the hierarchical metrics tree as a\n"
         "                     versioned JSON document (docs/METRICS.md);\n"
         "                     FILE of '-' writes to stdout\n"
@@ -194,7 +192,6 @@ main(int argc, char **argv)
 
     RunConfig cfg;
     cfg.workload = "";
-    bool dump_stats = false;
     bool run_audit = false;
     AnalyzeMode analyze_mode = AnalyzeMode::off;
     std::string fault_spec;
@@ -313,8 +310,6 @@ main(int argc, char **argv)
             cfg.machine.cpu.dep_speculation = false;
         } else if (name == "--fast-forward") {
             cfg.machine.fastForward(has_inline ? inline_val : "all");
-        } else if (name == "--stats") {
-            dump_stats = onOff();
         } else if (name == "--json") {
             json_path = value();
         } else if (name == "--faults") {
@@ -530,17 +525,6 @@ main(int argc, char **argv)
         report.dump(std::cout);
         if (!report.clean())
             exit_code = exit_code == 0 ? 3 : exit_code;
-    }
-
-    if (dump_stats) {
-        StatsRegistry reg;
-        machine.metrics().flatten(reg, "");
-        if (run_audit) {
-            HeapVerifier verifier(machine.mem());
-            verifier.audit().metrics().flatten(reg, "audit.");
-        }
-        std::printf("\n");
-        reg.dump(std::cout);
     }
 
     if (!json_path.empty()) {
