@@ -32,10 +32,7 @@ main()
                 "violations");
 
     for (const auto &name : workloadNames()) {
-        RunConfig cfg;
-        cfg.workload = name;
-        cfg.params.scale = benchScale();
-        cfg.machine = machineAt(32);
+        RunConfig cfg = benchConfig(name, machineAt(32));
         cfg.variant.layout_opt = true;
 
         cfg.machine.cpu.dep_speculation = true;

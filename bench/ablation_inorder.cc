@@ -20,30 +20,6 @@
 using namespace memfwd;
 using namespace memfwd::bench;
 
-namespace
-{
-
-RunResult
-runOn(const std::string &wl, bool inorder, bool opt)
-{
-    RunConfig cfg;
-    cfg.workload = wl;
-    cfg.params.scale = benchScale() * 0.5; // in-order runs are slow
-    cfg.machine = machineAt(64);
-    if (inorder) {
-        cfg.machine.cpu.width = 1;
-        cfg.machine.cpu.window = 2;
-        cfg.machine.cpu.mem_ports = 1;
-        cfg.machine.cpu.store_buffer = 1;
-    }
-    cfg.variant.layout_opt = opt;
-    return runCase(wl + "/" + (inorder ? "inorder" : "ooo") + "/" +
-                       (opt ? "L" : "N"),
-                   cfg);
-}
-
-} // namespace
-
 int
 main()
 {
@@ -57,24 +33,27 @@ main()
                 "InO/OoO (N)");
 
     for (const std::string wl : {"health", "mst", "vis"}) {
-        const RunResult on = runOn(wl, false, false);
-        const RunResult ol = runOn(wl, false, true);
-        const RunResult in = runOn(wl, true, false);
-        const RunResult il = runOn(wl, true, true);
-        if (on.checksum != il.checksum) {
-            std::printf("CHECKSUM MISMATCH\n");
-            return 1;
-        }
+        // Half scale: in-order runs are slow.
+        RunConfig cfg = benchConfig(wl, machineAt(64), 0.5);
+        const RunPair ooo = runPair(wl + "/ooo", cfg);
+        cfg.machine.cpu.width = 1;
+        cfg.machine.cpu.window = 2;
+        cfg.machine.cpu.mem_ports = 1;
+        cfg.machine.cpu.store_buffer = 1;
+        const RunPair ino = runPair(wl + "/inorder", cfg);
+        if (ooo.n.checksum != ino.n.checksum)
+            memfwd_fatal("checksum mismatch between %s/ooo and %s/inorder",
+                         wl.c_str(), wl.c_str());
         const auto cycles = [](const RunResult &r) {
             return double(r.metrics.counterAt("cycles"));
         };
-        char ooo[32], ino[32];
-        std::snprintf(ooo, sizeof(ooo), "%.1fM -> %.2fx",
-                      cycles(on) / 1e6, cycles(on) / cycles(ol));
-        std::snprintf(ino, sizeof(ino), "%.1fM -> %.2fx",
-                      cycles(in) / 1e6, cycles(in) / cycles(il));
-        std::printf("%-10s %22s %22s %11.2fx\n", wl.c_str(), ooo, ino,
-                    cycles(in) / cycles(on));
+        char ooo_col[32], ino_col[32];
+        std::snprintf(ooo_col, sizeof(ooo_col), "%.1fM -> %.2fx",
+                      cycles(ooo.n) / 1e6, ooo.speedup());
+        std::snprintf(ino_col, sizeof(ino_col), "%.1fM -> %.2fx",
+                      cycles(ino.n) / 1e6, ino.speedup());
+        std::printf("%-10s %22s %22s %11.2fx\n", wl.c_str(), ooo_col,
+                    ino_col, cycles(ino.n) / cycles(ooo.n));
     }
 
     std::printf("\ntakeaway: the optimizations win on both machines, "

@@ -33,10 +33,7 @@ main()
 
     for (unsigned threshold : {5u, 15u, 30u, 50u, 100u, 200u, 400u}) {
         setVisLinearizeThreshold(threshold);
-        RunConfig cfg;
-        cfg.workload = "vis";
-        cfg.params.scale = benchScale();
-        cfg.machine = machineAt(64);
+        RunConfig cfg = benchConfig("vis", machineAt(64));
         cfg.variant.layout_opt = true;
         const RunResult l = runCase(
             "vis/64B/L/thresh" + std::to_string(threshold), cfg);

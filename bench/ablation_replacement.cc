@@ -13,7 +13,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 
 using namespace memfwd;
 using namespace memfwd::bench;
@@ -33,21 +32,6 @@ policyName(ReplacementPolicy p)
         return "random";
     }
     return "?";
-}
-
-RunResult
-runWith(const std::string &wl, ReplacementPolicy policy, bool opt)
-{
-    RunConfig cfg;
-    cfg.workload = wl;
-    cfg.params.scale = benchScale();
-    cfg.machine = machineAt(64);
-    cfg.machine.hierarchy.l1d.replacement = policy;
-    cfg.machine.hierarchy.l2.replacement = policy;
-    cfg.variant.layout_opt = opt;
-    return runCase(wl + "/" + policyName(policy) + "/" +
-                       (opt ? "L" : "N"),
-                   cfg);
 }
 
 } // namespace
@@ -75,17 +59,14 @@ main()
         for (ReplacementPolicy p :
              {ReplacementPolicy::lru, ReplacementPolicy::fifo,
               ReplacementPolicy::random}) {
-            const RunResult n = runWith(wl, p, false);
-            const RunResult l = runWith(wl, p, true);
-            if (n.checksum != l.checksum) {
-                std::printf("CHECKSUM MISMATCH\n");
-                return 1;
-            }
-            const double n_cycles = double(n.metrics.counterAt("cycles"));
-            const double l_cycles = double(l.metrics.counterAt("cycles"));
+            RunConfig cfg = benchConfig(wl, machineAt(64));
+            cfg.machine.hierarchy.l1d.replacement = p;
+            cfg.machine.hierarchy.l2.replacement = p;
+            const RunPair r = runPair(wl + "/" + policyName(p), cfg);
             char buf[32];
             std::snprintf(buf, sizeof(buf), "%.1fM -> %.2fx",
-                          n_cycles / 1e6, n_cycles / l_cycles);
+                          double(r.n.metrics.counterAt("cycles")) / 1e6,
+                          r.speedup());
             std::printf("  %-22s", buf);
         }
         std::printf("\n");

@@ -224,21 +224,46 @@ runCase(const std::string &label, const RunConfig &cfg)
     return r;
 }
 
-RunResult
-run(const std::string &workload, unsigned line_bytes, bool layout_opt,
-    bool prefetch, unsigned prefetch_block)
+RunConfig
+benchConfig(const std::string &workload, const MachineConfig &machine,
+            double scale_factor)
 {
     RunConfig cfg;
     cfg.workload = workload;
-    cfg.params.scale = benchScale();
-    cfg.machine = machineAt(line_bytes);
-    cfg.variant.layout_opt = layout_opt;
-    cfg.variant.prefetch = prefetch;
-    cfg.variant.prefetch_block = prefetch_block;
+    cfg.params.scale = benchScale() * scale_factor;
+    cfg.machine = machine;
+    return cfg;
+}
 
-    std::string label = workload + "/" + std::to_string(line_bytes) + "B/" +
-                        variantLabel(cfg.variant);
-    return runCase(label, cfg);
+double
+RunPair::speedup() const
+{
+    return double(n.metrics.counterAt("cycles")) /
+           double(l.metrics.counterAt("cycles"));
+}
+
+RunPair
+runPair(const std::string &label, RunConfig cfg)
+{
+    RunPair p;
+    cfg.variant.layout_opt = false;
+    p.n = runCase(label + "/N", cfg);
+    cfg.variant.layout_opt = true;
+    p.l = runCase(label + "/L", cfg);
+    if (p.n.checksum != p.l.checksum)
+        memfwd_fatal("checksum mismatch between %s/N and %s/L",
+                     label.c_str(), label.c_str());
+    return p;
+}
+
+RunResult
+run(const std::string &workload, unsigned line_bytes, bool layout_opt)
+{
+    RunConfig cfg = benchConfig(workload, machineAt(line_bytes));
+    cfg.variant.layout_opt = layout_opt;
+    return runCase(workload + "/" + std::to_string(line_bytes) + "B/" +
+                       variantLabel(cfg.variant),
+                   cfg);
 }
 
 const std::vector<unsigned> &

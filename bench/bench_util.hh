@@ -51,6 +51,14 @@ unsigned benchWarmup();
 MachineConfig machineAt(unsigned line_bytes);
 
 /**
+ * The N case of @p workload on @p machine at benchScale() *
+ * @p scale_factor — the RunConfig every grid bench starts from.
+ */
+RunConfig benchConfig(const std::string &workload,
+                      const MachineConfig &machine,
+                      double scale_factor = 1.0);
+
+/**
  * The per-binary JSON result file.  Declare one at the top of main():
  *
  *   bench::Report report("fig5_exec_breakdown");
@@ -116,10 +124,26 @@ class Report
  */
 RunResult runCase(const std::string &label, const RunConfig &cfg);
 
-/** Harnessed run of one standard workload case (legacy signature). */
+/** The unoptimized (N) and layout-optimized (L) runs of one config. */
+struct RunPair
+{
+    RunResult n;
+    RunResult l;
+
+    /** N cycles over L cycles. */
+    double speedup() const;
+};
+
+/**
+ * Run @p cfg as `<label>/N` then `<label>/L` through runCase(); fatal,
+ * naming @p label, if the two checksums differ.
+ */
+RunPair runPair(const std::string &label, RunConfig cfg);
+
+/** runCase() of benchConfig(@p workload, machineAt(@p line_bytes)),
+ *  labelled `<workload>/<line_bytes>B/<N|L>`. */
 RunResult run(const std::string &workload, unsigned line_bytes,
-              bool layout_opt, bool prefetch = false,
-              unsigned prefetch_block = 1);
+              bool layout_opt);
 
 /** The prefetch block sizes swept (in lines), as in Section 5.2. */
 const std::vector<unsigned> &prefetchBlocks();

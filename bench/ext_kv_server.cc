@@ -31,7 +31,6 @@
 
 #include "bench_util.hh"
 #include "common/logging.hh"
-#include "runtime/layout_backend.hh"
 #include "runtime/machine.hh"
 #include "workloads/kv_server.hh"
 
@@ -49,7 +48,7 @@ struct CaseResult
     std::uint64_t checksum = 0;
     std::uint64_t refs = 0;
     KvStats kv;
-    LayoutBackendStats backend;
+    std::uint64_t refusals = 0;
     double hops_or_derefs_per_ref = 0.0;
     double wall_ms = 0.0;
 };
@@ -83,7 +82,8 @@ runKv(const std::string &label, BackendKind kind, bool ftc)
     res.checksum = kv.checksum();
     res.refs = machine.refsExecuted();
     res.kv = kv.kvStats();
-    res.backend = machine.backendStats();
+    const obs::MetricsNode metrics = machine.metrics();
+    res.refusals = metrics.counterAt("backend.refusals");
 
     // The locality tax of each mechanism, per mediated get reference:
     // forwarding pays chain hops on refs made stale by compaction,
@@ -91,7 +91,8 @@ runKv(const std::string &label, BackendKind kind, bool ftc)
     if (kind == BackendKind::handles) {
         res.hops_or_derefs_per_ref =
             res.kv.get_refs
-                ? double(res.backend.handle_derefs) / double(res.kv.get_refs)
+                ? double(metrics.counterAt("backend.handle_derefs")) /
+                      double(res.kv.get_refs)
                 : 0.0;
     } else {
         res.hops_or_derefs_per_ref =
@@ -152,7 +153,7 @@ main()
              {"hit_rate", hit_rate},
              {"evictions", double(r.kv.evictions)},
              {"compacted_objects", double(r.kv.compacted_objects)},
-             {"relocation_refusals", double(r.backend.refusals)}});
+             {"relocation_refusals", double(r.refusals)}});
     }
 
     std::printf("\ntakeaway: the three safety mechanisms answer "

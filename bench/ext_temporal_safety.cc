@@ -83,7 +83,7 @@ runCorpus(unsigned n_pairs)
     CorpusResult res;
 
     MachineConfig mc = machineAt(64);
-    mc.quarantine(1ULL << 20);
+    mc.metadataPlane();
     Machine machine(mc);
     SimAllocator alloc(machine, /*seed=*/7);
     QuarantineAllocator qa(machine, alloc);
@@ -236,11 +236,8 @@ main()
                 "cycles (off)", "cycles (on)", "overhead", "viol",
                 "checksum");
     for (const std::string &name : workloadNames()) {
-        RunConfig cfg;
-        cfg.workload = name;
-        cfg.params.scale = benchScale();
+        RunConfig cfg = benchConfig(name, machineAt(64));
         cfg.variant.layout_opt = true; // forwarded path exercised
-        cfg.machine = machineAt(64);
 
         const auto wl_t0 = std::chrono::steady_clock::now();
         const RunResult off = runWorkload(cfg);

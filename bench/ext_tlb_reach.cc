@@ -32,10 +32,7 @@ TlbRun
 runWithTlb(const std::string &workload, bool layout_opt)
 {
     setVerbose(false);
-    RunConfig cfg;
-    cfg.workload = workload;
-    cfg.params.scale = benchScale();
-    cfg.machine = machineAt(64);
+    RunConfig cfg = benchConfig(workload, machineAt(64));
     cfg.machine.tlb.enabled = true;
     cfg.machine.tlb.entries = 64;
     cfg.machine.tlb.miss_penalty = 30;

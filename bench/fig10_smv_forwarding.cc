@@ -34,10 +34,7 @@ runSmv(const std::string &label, ForwardingConfig::Mode mode,
        bool layout_opt, bool accelerated = false,
        obs::TraceSink *sink = nullptr)
 {
-    RunConfig cfg;
-    cfg.workload = "smv";
-    cfg.params.scale = benchScale();
-    cfg.machine = machineAt(32);
+    RunConfig cfg = benchConfig("smv", machineAt(32));
     cfg.machine.forwarding.mode = mode;
     if (accelerated)
         cfg.machine.ftc().collapse();

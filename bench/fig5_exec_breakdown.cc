@@ -34,22 +34,15 @@ main()
 
         double norm = 0;
         for (unsigned line : lines) {
-            const RunResult n = run(name, line, false);
-            const RunResult l = run(name, line, true);
-            const double n_cycles = double(n.metrics.counterAt("cycles"));
-            const double l_cycles = double(l.metrics.counterAt("cycles"));
+            const std::string at = std::to_string(line) + "B";
+            const RunPair p =
+                runPair(name + "/" + at, benchConfig(name, machineAt(line)));
             if (norm == 0)
-                norm = n_cycles;
-            if (n.checksum != l.checksum) {
-                std::printf("  CHECKSUM MISMATCH at %uB!\n", line);
-                return 1;
-            }
-            printBar("N@" + std::to_string(line) + "B", n, norm);
-            printBar("L@" + std::to_string(line) + "B", l, norm);
-            std::printf("  %-8s speedup %+.0f%%  (%.2fx)\n",
-                        std::to_string(line).append("B").c_str(),
-                        100.0 * (n_cycles / l_cycles - 1),
-                        n_cycles / l_cycles);
+                norm = double(p.n.metrics.counterAt("cycles"));
+            printBar("N@" + at, p.n, norm);
+            printBar("L@" + at, p.l, norm);
+            std::printf("  %-8s speedup %+.0f%%  (%.2fx)\n", at.c_str(),
+                        100.0 * (p.speedup() - 1), p.speedup());
         }
     }
 

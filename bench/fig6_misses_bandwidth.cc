@@ -22,13 +22,12 @@ main()
 
     // One run per configuration, reused by both figure panels (and
     // recorded once in the report).
-    std::map<std::pair<std::string, unsigned>,
-             std::pair<RunResult, RunResult>>
-        results;
+    std::map<std::pair<std::string, unsigned>, RunPair> results;
     for (const auto &name : figure5Workloads())
         for (unsigned line : {32u, 64u, 128u})
-            results[{name, line}] = {run(name, line, false),
-                                     run(name, line, true)};
+            results[{name, line}] =
+                runPair(name + "/" + std::to_string(line) + "B",
+                        benchConfig(name, machineAt(line)));
 
     header("Figure 6(a): load D-cache misses (partial/full)",
            "normalized to N @ 32B = 100");

@@ -26,14 +26,8 @@ main()
 
     unsigned lp_beats_both = 0;
     for (const auto &name : figure5Workloads()) {
-        const RunResult n = run(name, 32, false);
-        const RunResult l = run(name, 32, true);
-
-        RunConfig cfg;
-        cfg.workload = name;
-        cfg.params.scale = benchScale();
-        cfg.machine = machineAt(32);
-        cfg.variant.layout_opt = false;
+        RunConfig cfg = benchConfig(name, machineAt(32));
+        const auto [n, l] = runPair(name + "/32B", cfg);
         const RunResult np = runBestPrefetch(cfg, prefetchBlocks());
         cfg.variant.layout_opt = true;
         const RunResult lp = runBestPrefetch(cfg, prefetchBlocks());

@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 
 using namespace memfwd;
 using namespace memfwd::bench;
@@ -20,22 +19,12 @@ using namespace memfwd::bench;
 namespace
 {
 
+/** N/L speedup of @p wl on @p mc at half scale, labelled wl/tag. */
 double
-speedup(const std::string &wl, MachineConfig mc, const std::string &tag)
+speedup(const std::string &wl, const MachineConfig &mc,
+        const std::string &tag)
 {
-    RunConfig cfg;
-    cfg.workload = wl;
-    cfg.params.scale = benchScale() * 0.5;
-    cfg.machine = mc;
-
-    cfg.variant.layout_opt = false;
-    const RunResult n = runCase(wl + "/" + tag + "/N", cfg);
-    cfg.variant.layout_opt = true;
-    const RunResult l = runCase(wl + "/" + tag + "/L", cfg);
-    if (n.checksum != l.checksum)
-        memfwd_fatal("checksum mismatch in sweep (%s)", wl.c_str());
-    return double(n.metrics.counterAt("cycles")) /
-           double(l.metrics.counterAt("cycles"));
+    return runPair(wl + "/" + tag, benchConfig(wl, mc, 0.5)).speedup();
 }
 
 } // namespace

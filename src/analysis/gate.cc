@@ -73,8 +73,7 @@ EnforcementError::EnforcementError(Addr addr, bool is_write,
           strfmt("illegal unforwarded %s at %#llx: %s",
                  is_write ? "write" : "read",
                  static_cast<unsigned long long>(addr), why.c_str())),
-      addr_(addr),
-      is_write_(is_write)
+      addr_(addr)
 {
 }
 

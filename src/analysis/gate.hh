@@ -99,11 +99,9 @@ class EnforcementError : public std::runtime_error
     EnforcementError(Addr addr, bool is_write, const std::string &why);
 
     Addr addr() const { return addr_; }
-    bool isWrite() const { return is_write_; }
 
   private:
     Addr addr_;
-    bool is_write_;
 };
 
 /** Counters the gate keeps (exported as machine metrics). */
@@ -131,7 +129,6 @@ class AnalysisGate
     }
 
     AnalyzeMode mode() const { return mode_; }
-    void setMode(AnalyzeMode mode) { mode_ = mode; }
 
     bool enforcing() const { return mode_ == AnalyzeMode::enforce; }
 

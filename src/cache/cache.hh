@@ -152,11 +152,6 @@ class Cache : public MemLevel
         std::uint64_t filled = 0; ///< fill-order stamp (FIFO policy)
     };
 
-    struct SetRef
-    {
-        Line *begin;
-    };
-
     unsigned setIndex(Addr line_addr) const;
     Line *findLineSlow(Addr line_addr);
 

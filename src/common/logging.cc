@@ -63,11 +63,4 @@ warnImpl(const std::string &msg)
         std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informImpl(const std::string &msg)
-{
-    if (verbose_flag)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
 } // namespace memfwd

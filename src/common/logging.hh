@@ -7,7 +7,6 @@
  * fatal()  — the simulation cannot continue because of a user error
  *            (bad configuration, invalid workload parameters); exits.
  * warn()   — something is suspicious but the simulation proceeds.
- * inform() — plain status output.
  */
 
 #ifndef MEMFWD_COMMON_LOGGING_HH
@@ -23,12 +22,11 @@ namespace memfwd
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** printf-style formatting into a std::string. */
 std::string strfmt(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Enable/disable warn()/inform() output (tests silence it). */
+/** Enable/disable warn() output (tests silence it). */
 void setVerbose(bool verbose);
 bool verbose();
 
@@ -39,7 +37,6 @@ bool verbose();
 #define memfwd_fatal(...) \
     ::memfwd::fatalImpl(__FILE__, __LINE__, ::memfwd::strfmt(__VA_ARGS__))
 #define memfwd_warn(...) ::memfwd::warnImpl(::memfwd::strfmt(__VA_ARGS__))
-#define memfwd_inform(...) ::memfwd::informImpl(::memfwd::strfmt(__VA_ARGS__))
 
 /** panic() unless the invariant holds. */
 #define memfwd_assert(cond, ...)                                            \

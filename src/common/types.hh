@@ -61,9 +61,9 @@ roundUpToWord(Addr n)
 
 /**
  * Which layout backend mediates allocation and relocation
- * (runtime/layout_backend.hh).  Lives here so MachineConfig can carry
- * the selection without pulling the backend headers into every
- * translation unit.
+ * (runtime/layout_backend.hh).  Lives here, with LayoutBackendStats, so
+ * MachineConfig can carry the selection and Machine the counters
+ * without pulling the backend headers into every translation unit.
  */
 enum class BackendKind : std::uint8_t
 {
@@ -73,6 +73,27 @@ enum class BackendKind : std::uint8_t
     handles,
     /** No relocation permitted: compaction refuses, fragmentation accrues. */
     none,
+};
+
+/**
+ * Mediation counters of the layout backends (metrics "backend.*").  The
+ * Machine holds one record that every backend built on it counts into.
+ */
+struct LayoutBackendStats
+{
+    std::uint64_t allocs = 0;
+    std::uint64_t frees = 0;
+    /** Successful relocations (raw-range or object compactions). */
+    std::uint64_t relocations = 0;
+    /** Relocation/compaction requests the backend refused. */
+    std::uint64_t refusals = 0;
+    std::uint64_t relocated_words = 0;
+    /** resolve() calls (one per mediated pointer dereference). */
+    std::uint64_t resolves = 0;
+    /** Timed handle-table loads (handles backend only). */
+    std::uint64_t handle_derefs = 0;
+    /** compactObject() calls that moved an object. */
+    std::uint64_t compactions = 0;
 };
 
 } // namespace memfwd

@@ -110,8 +110,6 @@ class FaultInjector
     /** Parse @p spec and arm every fault in it. */
     void armSpec(const std::string &spec);
 
-    void disarmAll() { armed_.clear(); }
-
     /** True if any fault is armed at @p site. */
     bool armedAt(FaultSite site) const;
 

@@ -7,18 +7,6 @@
 namespace memfwd
 {
 
-const char *
-trapKindName(TrapKind kind)
-{
-    switch (kind) {
-      case TrapKind::Forwarding:
-        return "forwarding";
-      case TrapKind::TemporalViolation:
-        return "temporal_violation";
-    }
-    return "?";
-}
-
 std::uint64_t
 TrapRegistry::install(TrapHandler handler)
 {

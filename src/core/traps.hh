@@ -46,8 +46,6 @@ enum class TrapKind : std::uint8_t
     TemporalViolation  ///< reference resolved into a quarantined object
 };
 
-const char *trapKindName(TrapKind kind);
-
 /** Everything a trap handler learns about one forwarded reference. */
 struct TrapInfo
 {

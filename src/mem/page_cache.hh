@@ -63,8 +63,6 @@ class PageCache
     /** Distinct pages ever touched (the page working set). */
     std::uint64_t pagesTouched() const { return touched_.size(); }
 
-    unsigned residentPages() const { return resident_pages_; }
-
     void
     clearStats()
     {

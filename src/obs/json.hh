@@ -49,9 +49,7 @@ class Json
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::null; }
-    bool isObject() const { return kind_ == Kind::object; }
     bool isArray() const { return kind_ == Kind::array; }
-    bool isNumber() const { return kind_ == Kind::number; }
 
     /** Scalar accessors; each panics if the kind does not match. */
     bool asBool() const;

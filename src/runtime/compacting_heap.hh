@@ -109,7 +109,6 @@ class CompactingHeap
     /** Bytes allocated in the active semispace since the last flip. */
     Addr used() const { return cursor_ - active_base_; }
 
-    Addr semispaceBytes() const { return semispace_bytes_; }
     const GcStats &stats() const { return gc_stats_; }
 
   private:

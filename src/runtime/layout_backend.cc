@@ -40,23 +40,9 @@ backendKindFromName(std::string_view name, BackendKind &kind)
     return false;
 }
 
-LayoutBackend::~LayoutBackend()
+LayoutBackend::LayoutBackend(Machine &machine, BackendKind kind)
+    : machine_(machine), stats_(machine.backendRecord(kind)), kind_(kind)
 {
-    if (machine_.layoutBackend() == this)
-        machine_.setLayoutBackend(nullptr);
-}
-
-void
-LayoutBackend::fillMetrics(obs::MetricsNode &into) const
-{
-    into.counter("allocs", stats_.allocs);
-    into.counter("frees", stats_.frees);
-    into.counter("relocations", stats_.relocations);
-    into.counter("refusals", stats_.refusals);
-    into.counter("relocated_words", stats_.relocated_words);
-    into.counter("resolves", stats_.resolves);
-    into.counter("handle_derefs", stats_.handle_derefs);
-    into.counter("compactions", stats_.compactions);
 }
 
 // ---------------------------------------------------------------------
@@ -155,7 +141,7 @@ ForwardingBackend::objectBytes(BackendRef ref) const
 
 HandleBackend::HandleBackend(Machine &machine, SimAllocator &alloc,
                              const HandleTableConfig &cfg)
-    : LayoutBackend(machine), alloc_(alloc), cfg_(cfg)
+    : LayoutBackend(machine, BackendKind::handles), alloc_(alloc), cfg_(cfg)
 {
     memfwd_assert(isWordAligned(cfg_.table_base),
                   "handle table base must be word-aligned");
@@ -327,28 +313,18 @@ NullBackend::objectBytes(BackendRef ref) const
 // ---------------------------------------------------------------------
 
 std::unique_ptr<LayoutBackend>
-makeLayoutBackend(BackendKind kind, Machine &machine, SimAllocator &alloc)
-{
-    std::unique_ptr<LayoutBackend> backend;
-    switch (kind) {
-    case BackendKind::forwarding:
-        backend = std::make_unique<ForwardingBackend>(machine, alloc);
-        break;
-    case BackendKind::handles:
-        backend = std::make_unique<HandleBackend>(machine, alloc);
-        break;
-    case BackendKind::none:
-        backend = std::make_unique<NullBackend>(machine, alloc);
-        break;
-    }
-    machine.setLayoutBackend(backend.get());
-    return backend;
-}
-
-std::unique_ptr<LayoutBackend>
 makeLayoutBackend(Machine &machine, SimAllocator &alloc)
 {
-    return makeLayoutBackend(machine.config().backend_kind, machine, alloc);
+    switch (machine.config().backend_kind) {
+    case BackendKind::forwarding:
+        return std::make_unique<ForwardingBackend>(machine, alloc);
+    case BackendKind::handles:
+        return std::make_unique<HandleBackend>(machine, alloc);
+    case BackendKind::none:
+        return std::make_unique<NullBackend>(machine, alloc);
+    }
+    memfwd_panic("bad BackendKind %u",
+                 static_cast<unsigned>(machine.config().backend_kind));
 }
 
 } // namespace memfwd

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "obs/metrics.hh"
 #include "runtime/sim_allocator.hh"
 
 namespace memfwd
@@ -71,37 +70,24 @@ struct ResolvedRef
     Cycles ready = 0;
 };
 
-/** Mediation counters every backend maintains (metrics "backend.*"). */
-struct LayoutBackendStats
-{
-    std::uint64_t allocs = 0;
-    std::uint64_t frees = 0;
-    /** Successful relocations (raw-range or object compactions). */
-    std::uint64_t relocations = 0;
-    /** Relocation/compaction requests the backend refused. */
-    std::uint64_t refusals = 0;
-    std::uint64_t relocated_words = 0;
-    /** resolve() calls (one per mediated pointer dereference). */
-    std::uint64_t resolves = 0;
-    /** Timed handle-table loads (handles backend only). */
-    std::uint64_t handle_derefs = 0;
-    /** compactObject() calls that moved an object. */
-    std::uint64_t compactions = 0;
-};
-
 /** Common interface of the three layout backends. */
 class LayoutBackend
 {
   public:
-    explicit LayoutBackend(Machine &machine) : machine_(machine) {}
+    /**
+     * Bind to @p machine's backend record (Machine::backendRecord):
+     * every backend built on a machine counts into the same
+     * LayoutBackendStats, which outlives it — workloads construct
+     * backends on their own stack.
+     */
+    LayoutBackend(Machine &machine, BackendKind kind);
 
-    /** Unregisters from the machine (snapshotting stats) if attached. */
-    virtual ~LayoutBackend();
+    virtual ~LayoutBackend() = default;
 
     LayoutBackend(const LayoutBackend &) = delete;
     LayoutBackend &operator=(const LayoutBackend &) = delete;
 
-    virtual BackendKind kind() const = 0;
+    BackendKind kind() const { return kind_; }
 
     /** True if relocate()/compactObject() can ever succeed. */
     virtual bool canRelocate() const = 0;
@@ -167,14 +153,15 @@ class LayoutBackend
 
     Machine &machine() { return machine_; }
 
+    /** The machine's backend record this backend counts into. */
     const LayoutBackendStats &stats() const { return stats_; }
-
-    /** Export the mediation counters (nested under "backend"). */
-    void fillMetrics(obs::MetricsNode &into) const;
 
   protected:
     Machine &machine_;
-    LayoutBackendStats stats_{};
+    LayoutBackendStats &stats_;
+
+  private:
+    BackendKind kind_;
 };
 
 /**
@@ -188,16 +175,15 @@ class ForwardingBackend final : public LayoutBackend
   public:
     /** Relocation/resolution only (no allocator — allocate() asserts). */
     explicit ForwardingBackend(Machine &machine)
-        : LayoutBackend(machine), alloc_(nullptr)
+        : LayoutBackend(machine, BackendKind::forwarding), alloc_(nullptr)
     {
     }
 
     ForwardingBackend(Machine &machine, SimAllocator &alloc)
-        : LayoutBackend(machine), alloc_(&alloc)
+        : LayoutBackend(machine, BackendKind::forwarding), alloc_(&alloc)
     {
     }
 
-    BackendKind kind() const override { return BackendKind::forwarding; }
     bool canRelocate() const override { return true; }
     bool stalePointersSafe() const override { return true; }
 
@@ -208,8 +194,6 @@ class ForwardingBackend final : public LayoutBackend
     ResolvedRef resolve(BackendRef ref, Cycles addr_ready) override;
     Addr peekAddr(BackendRef ref) const override { return ref; }
     Addr objectBytes(BackendRef ref) const override;
-
-    SimAllocator *allocator() { return alloc_; }
 
   private:
     SimAllocator *alloc_;
@@ -239,7 +223,6 @@ class HandleBackend final : public LayoutBackend
     HandleBackend(Machine &machine, SimAllocator &alloc,
                   const HandleTableConfig &cfg = {});
 
-    BackendKind kind() const override { return BackendKind::handles; }
     bool canRelocate() const override { return true; }
     bool stalePointersSafe() const override { return false; }
 
@@ -273,11 +256,10 @@ class NullBackend final : public LayoutBackend
 {
   public:
     NullBackend(Machine &machine, SimAllocator &alloc)
-        : LayoutBackend(machine), alloc_(alloc)
+        : LayoutBackend(machine, BackendKind::none), alloc_(alloc)
     {
     }
 
-    BackendKind kind() const override { return BackendKind::none; }
     bool canRelocate() const override { return false; }
     bool stalePointersSafe() const override { return true; }
 
@@ -295,15 +277,9 @@ class NullBackend final : public LayoutBackend
 
 /**
  * Construct the backend selected by @p machine's config
- * (MachineConfig::backend(kind)) over @p alloc, and register it with
- * the machine for metrics export and the memfwd_sim summary line.
+ * (MachineConfig::backend(kind)) over @p alloc.
  */
 std::unique_ptr<LayoutBackend> makeLayoutBackend(Machine &machine,
-                                                 SimAllocator &alloc);
-
-/** As above with an explicit kind, overriding the machine config. */
-std::unique_ptr<LayoutBackend> makeLayoutBackend(BackendKind kind,
-                                                 Machine &machine,
                                                  SimAllocator &alloc);
 
 } // namespace memfwd

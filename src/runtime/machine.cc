@@ -5,24 +5,11 @@
 #include "analysis/gate.hh"
 #include "common/logging.hh"
 #include "core/fault_injector.hh"
-#include "runtime/layout_backend.hh"
 #include "runtime/quarantine_allocator.hh"
 #include "runtime/ref_stream.hh"
 
 namespace memfwd
 {
-
-const char *
-quarantinePolicyName(QuarantinePolicy policy)
-{
-    switch (policy) {
-      case QuarantinePolicy::watermark:
-        return "watermark";
-      case QuarantinePolicy::on_full:
-        return "on_full";
-    }
-    return "?";
-}
 
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg)
@@ -75,42 +62,6 @@ Machine::setAnalysisGate(AnalysisGate *gate)
     gate_ = gate;
     if (gate_)
         gate_->setTrace(&tracer_, [this] { return cycles(); });
-}
-
-void
-Machine::setLayoutBackend(LayoutBackend *backend)
-{
-    if (backend == nullptr && backend_ != nullptr) {
-        // The backend is going away — this call comes from the BASE
-        // class destructor, where the derived object (and its virtual
-        // kind()) no longer exists.  Keep only the non-virtual counters;
-        // the kind was recorded at registration below.
-        backend_snapshot_ =
-            std::make_unique<LayoutBackendStats>(backend_->stats());
-    } else if (backend != nullptr) {
-        backend_snapshot_kind_ = backend->kind();
-    }
-    backend_ = backend;
-}
-
-BackendKind
-Machine::backendKindSeen() const
-{
-    if (backend_)
-        return backend_->kind();
-    if (backend_snapshot_)
-        return backend_snapshot_kind_;
-    return cfg_.backend_kind;
-}
-
-LayoutBackendStats
-Machine::backendStats() const
-{
-    if (backend_)
-        return backend_->stats();
-    if (backend_snapshot_)
-        return *backend_snapshot_;
-    return {};
 }
 
 Cycles
@@ -381,10 +332,10 @@ Machine::metrics() const
     if (gate_)
         gate_->fillMetrics(root.child("analysis"));
 
-    if (backendSeen()) {
+    if (backend_kind_) {
         auto &b = root.child("backend");
-        b.gauge("kind", static_cast<double>(backendKindSeen()));
-        const LayoutBackendStats bs = backendStats();
+        b.gauge("kind", static_cast<double>(*backend_kind_));
+        const LayoutBackendStats &bs = backend_stats_;
         b.counter("allocs", bs.allocs);
         b.counter("frees", bs.frees);
         b.counter("relocations", bs.relocations);

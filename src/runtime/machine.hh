@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,46 +44,7 @@ namespace memfwd
 
 class AnalysisGate;
 class FaultInjector;
-class LayoutBackend;
 class QuarantineAllocator;
-struct LayoutBackendStats;
-
-/** How the quarantining allocator bounds its arena (docs/API.md). */
-enum class QuarantinePolicy
-{
-    /**
-     * Reclaim the oldest entries ahead of need whenever live quarantine
-     * bytes cross `watermark * capacity_bytes` (the default).
-     */
-    watermark,
-    /**
-     * Reclaim only when an insertion actually fails: quarantine fills
-     * to capacity, then each free pays the retry/backoff path.
-     */
-    on_full
-};
-
-const char *quarantinePolicyName(QuarantinePolicy policy);
-
-/** Bounds and policy of the quarantine arena (runtime/quarantine_allocator). */
-struct QuarantineConfig
-{
-    bool enabled = false;
-
-    /** Ceiling on bytes held in quarantine at once. */
-    Addr capacity_bytes = 1ULL << 20;
-
-    /** Fraction of capacity the watermark policy reclaims down to. */
-    double watermark = 0.75;
-
-    /** Reclaim-and-retry attempts before a free degrades to plain. */
-    unsigned max_retries = 3;
-
-    /** Base of the exponential compute backoff charged per retry. */
-    Cycles retry_backoff_base = 64;
-
-    QuarantinePolicy policy = QuarantinePolicy::watermark;
-};
 
 /**
  * Whole-machine configuration.
@@ -119,9 +81,6 @@ struct MachineConfig
      */
     bool metadata_plane = false;
 
-    /** Quarantine arena bounds/policy; implies the metadata plane. */
-    QuarantineConfig quarantine_cfg{};
-
     /**
      * Which layout backend mediates allocation/relocation for backend
      * clients (runtime/layout_backend.hh, makeLayoutBackend()).  The
@@ -153,13 +112,6 @@ struct MachineConfig
     l1Bytes(unsigned bytes)
     {
         hierarchy.l1d.size_bytes = bytes;
-        return *this;
-    }
-
-    MachineConfig &
-    l2Bytes(unsigned bytes)
-    {
-        hierarchy.l2.size_bytes = bytes;
         return *this;
     }
 
@@ -226,28 +178,6 @@ struct MachineConfig
         return *this;
     }
 
-    MachineConfig &
-    depSpeculation(bool on)
-    {
-        cpu.dep_speculation = on;
-        return *this;
-    }
-
-    MachineConfig &
-    tlbEnabled(bool on = true)
-    {
-        tlb.enabled = on;
-        return *this;
-    }
-
-    MachineConfig &
-    heapRegion(Addr base, Addr span)
-    {
-        heap_base = base;
-        heap_span = span;
-        return *this;
-    }
-
     /** Fast-forward @p region ("all" = the whole run). */
     MachineConfig &
     fastForward(std::string region = "all")
@@ -261,18 +191,6 @@ struct MachineConfig
     metadataPlane(bool on = true)
     {
         metadata_plane = on;
-        return *this;
-    }
-
-    /** Configure the quarantine arena; implies metadataPlane(true). */
-    MachineConfig &
-    quarantine(Addr capacity,
-               QuarantinePolicy policy = QuarantinePolicy::watermark)
-    {
-        metadata_plane = true;
-        quarantine_cfg.enabled = true;
-        quarantine_cfg.capacity_bytes = capacity;
-        quarantine_cfg.policy = policy;
         return *this;
     }
 
@@ -572,30 +490,18 @@ class Machine
     QuarantineAllocator *quarantineAllocator() const { return quarantine_; }
 
     /**
-     * Attach (or clear, with nullptr) the active layout backend so
-     * metrics() exports its mediation counters under "backend" and
-     * memfwd_sim can print the per-backend summary line.
-     * makeLayoutBackend() registers the backend it builds; clearing
-     * (which LayoutBackend's destructor does) snapshots the counters so
-     * they outlive the backend — workloads construct backends on their
-     * own stack.  Not owned.
+     * The mediation counters every layout backend built on this machine
+     * counts into (runtime/layout_backend.hh binds each backend to it
+     * on construction), exported under "backend" once the first backend
+     * is built, with @p kind — the kind of the latest — as its gauge.
+     * The record is machine state, so it outlives the backends.
      */
-    void setLayoutBackend(LayoutBackend *backend);
-
-    LayoutBackend *layoutBackend() const { return backend_; }
-
-    /** True if a layout backend is, or has been, attached. */
-    bool
-    backendSeen() const
+    LayoutBackendStats &
+    backendRecord(BackendKind kind)
     {
-        return backend_ != nullptr || backend_snapshot_ != nullptr;
+        backend_kind_ = kind;
+        return backend_stats_;
     }
-
-    /** Kind of the attached (or last-detached) backend. */
-    BackendKind backendKindSeen() const;
-
-    /** Counters of the attached (or last-detached) backend. */
-    LayoutBackendStats backendStats() const;
 
     // ----- reference-level forwarding stats (Figure 10(c)) -------------
 
@@ -677,11 +583,10 @@ class Machine
     FaultInjector *faults_ = nullptr;
     AnalysisGate *gate_ = nullptr;
     QuarantineAllocator *quarantine_ = nullptr;
-    LayoutBackend *backend_ = nullptr;
 
-    /** Counters of the last detached backend (see setLayoutBackend). */
-    std::unique_ptr<LayoutBackendStats> backend_snapshot_;
-    BackendKind backend_snapshot_kind_ = BackendKind::forwarding;
+    LayoutBackendStats backend_stats_{};
+    /** Kind of the latest backend built here; unset until the first. */
+    std::optional<BackendKind> backend_kind_;
 
     std::uint64_t loads_ = 0;
     std::uint64_t stores_ = 0;

@@ -10,11 +10,6 @@
 namespace memfwd
 {
 
-QuarantineAllocator::QuarantineAllocator(Machine &machine, SimAllocator &alloc)
-    : QuarantineAllocator(machine, alloc, machine.config().quarantine_cfg)
-{
-}
-
 QuarantineAllocator::QuarantineAllocator(Machine &machine, SimAllocator &alloc,
                                          const QuarantineConfig &cfg)
     : machine_(machine), alloc_(alloc), backend_(machine, alloc),
@@ -27,12 +22,6 @@ QuarantineAllocator::~QuarantineAllocator()
 {
     if (machine_.quarantineAllocator() == this)
         machine_.setQuarantineAllocator(nullptr);
-}
-
-bool
-QuarantineAllocator::active() const
-{
-    return cfg_.enabled && plane_ != nullptr;
 }
 
 std::uint32_t
@@ -87,7 +76,7 @@ QuarantineAllocator::relocateIntoQuarantine(Addr addr, Addr slot, Addr bytes)
 void
 QuarantineAllocator::free(Addr addr)
 {
-    if (!active()) {
+    if (plane_ == nullptr) {
         backend_.free(addr);
         return;
     }

@@ -23,13 +23,13 @@
  * freed object are invalidated precisely by the ordinary chain-append
  * notification the relocation raises.
  *
- * The quarantine arena is bounded (QuarantineConfig in
- * runtime/machine.hh).  The watermark policy reclaims the oldest
- * entries ahead of need; when an insertion still cannot be placed the
- * free retries with exponential compute backoff, reclaiming one entry
- * per attempt, and after `max_retries` failures *degrades gracefully*
- * to a plain free (counted, never aborting) — detection coverage
- * shrinks under pressure, correctness never does.
+ * The quarantine arena is bounded (QuarantineConfig below).  The
+ * watermark policy reclaims the oldest entries ahead of need; when an
+ * insertion still cannot be placed the free retries with exponential
+ * compute backoff, reclaiming one entry per attempt, and after
+ * `max_retries` failures *degrades gracefully* to a plain free
+ * (counted, never aborting) — detection coverage shrinks under
+ * pressure, correctness never does.
  *
  * Like relocate(), a quarantine relocation submits its own micro-plan
  * ("quarantine") when an analysis gate is attached, so every trap left
@@ -54,22 +54,52 @@ namespace memfwd
 
 class MetadataPlane;
 
+/** How the quarantining allocator bounds its arena (docs/API.md). */
+enum class QuarantinePolicy
+{
+    /**
+     * Reclaim the oldest entries ahead of need whenever live quarantine
+     * bytes cross `watermark * capacity_bytes` (the default).
+     */
+    watermark,
+    /**
+     * Reclaim only when an insertion actually fails: quarantine fills
+     * to capacity, then each free pays the retry/backoff path.
+     */
+    on_full
+};
+
+/** Bounds and policy of the quarantine arena. */
+struct QuarantineConfig
+{
+    /** Ceiling on bytes held in quarantine at once. */
+    Addr capacity_bytes = 1ULL << 20;
+
+    /** Fraction of capacity the watermark policy reclaims down to. */
+    double watermark = 0.75;
+
+    /** Reclaim-and-retry attempts before a free degrades to plain. */
+    unsigned max_retries = 3;
+
+    /** Base of the exponential compute backoff charged per retry. */
+    Cycles retry_backoff_base = 64;
+
+    QuarantinePolicy policy = QuarantinePolicy::watermark;
+};
+
 /** SimAllocator wrapper that quarantines freed objects. */
 class QuarantineAllocator
 {
   public:
     /**
-     * Wrap @p alloc on @p machine with the machine's configured
-     * quarantine bounds (MachineConfig::quarantine(...)).  Registers
+     * Wrap @p alloc on @p machine with arena bounds @p cfg.  Registers
      * itself with the machine for metrics export; quarantining is
-     * active only when the machine's metadata plane is enabled and the
-     * config says so — otherwise every call passes straight through.
+     * active only when the machine's metadata plane is enabled
+     * (MachineConfig::metadataPlane()) — otherwise every call passes
+     * straight through.
      */
-    QuarantineAllocator(Machine &machine, SimAllocator &alloc);
-
-    /** As above with explicit bounds, overriding the machine config. */
     QuarantineAllocator(Machine &machine, SimAllocator &alloc,
-                        const QuarantineConfig &cfg);
+                        const QuarantineConfig &cfg = {});
 
     ~QuarantineAllocator();
 
@@ -83,8 +113,8 @@ class QuarantineAllocator
     /**
      * Quarantine the object at @p addr: relocate it into a fresh slot,
      * leave forwarding traps over the old storage, tag the slot with
-     * the object's id.  Falls back to a plain free (degraded_frees)
-     * when quarantining is off or the arena cannot take the object
+     * the object's id.  A plain free when the plane is off; falls back
+     * to one (degraded_frees) when the arena cannot take the object
      * after reclaim/backoff.  A double free of a quarantined address is
      * counted and otherwise ignored.  Never aborts.
      */
@@ -136,7 +166,6 @@ class QuarantineAllocator
         std::uint32_t id;
     };
 
-    bool active() const;
     std::uint32_t nextId();
 
     /** Place a quarantine slot for @p bytes, or 0 if it will not fit. */

@@ -239,7 +239,7 @@ TEST(AuditReport, StatsAndDump)
 TEST(HeapVerifier, QuarantinedChainsAreExpectedStateNotCorruption)
 {
     MachineConfig cfg;
-    cfg.quarantine(1ULL << 20);
+    cfg.metadataPlane();
     Machine machine(cfg);
     SimAllocator alloc(machine, /*seed=*/7);
     QuarantineAllocator qa(machine, alloc);

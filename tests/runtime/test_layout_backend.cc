@@ -184,22 +184,40 @@ TEST_P(BackendConformance, CompactObjectPreservesDataWhenSupported)
     EXPECT_EQ(r.backend->objectBytes(ref), obj_bytes);
 }
 
-TEST_P(BackendConformance, MachineRegistrationAndSnapshot)
+TEST_P(BackendConformance, MachineKeepsBackendCounters)
 {
     MachineConfig cfg;
     cfg.backend(GetParam());
     Machine machine(cfg);
-    EXPECT_FALSE(machine.backendSeen());
+    SimAllocator alloc(machine, 7);
+    EXPECT_EQ(machine.metrics().findChild("backend"), nullptr);
+
+    // The counters are machine state: they outlive the backend.
     {
-        SimAllocator alloc(machine, 7);
         const auto backend = makeLayoutBackend(machine, alloc);
-        EXPECT_TRUE(machine.backendSeen());
         (void)backend->allocate(obj_bytes);
     }
-    // After destruction the stats snapshot (and kind) survive.
-    EXPECT_TRUE(machine.backendSeen());
-    EXPECT_EQ(machine.backendKindSeen(), GetParam());
-    EXPECT_EQ(machine.backendStats().allocs, 1u);
+    obs::MetricsNode m = machine.metrics();
+    EXPECT_EQ(m.counterAt("backend.allocs"), 1u);
+    EXPECT_EQ(m.gaugeAt("backend.kind"), double(GetParam()));
+
+    // A second backend on the same machine adds to the same counters.
+    {
+        const auto backend = makeLayoutBackend(machine, alloc);
+        (void)backend->allocate(obj_bytes);
+    }
+    EXPECT_EQ(machine.metrics().counterAt("backend.allocs"), 2u);
+
+    // So does one built directly rather than by the factory, and its
+    // kind becomes the one reported.
+    {
+        const std::unique_ptr<LayoutBackend> fwd =
+            std::make_unique<ForwardingBackend>(machine, alloc);
+        (void)fwd->allocate(obj_bytes);
+    }
+    m = machine.metrics();
+    EXPECT_EQ(m.counterAt("backend.allocs"), 3u);
+    EXPECT_EQ(m.gaugeAt("backend.kind"), double(BackendKind::forwarding));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
@@ -380,10 +398,10 @@ TEST(BackendDifferential, KvServerChecksumInvariantAcrossBackends)
                 << " diverged functionally";
         }
         // Sanity: the run actually exercised the backend.
-        EXPECT_TRUE(machine.backendSeen());
-        EXPECT_GT(machine.backendStats().allocs, 0u);
+        const obs::MetricsNode m = machine.metrics();
+        EXPECT_GT(m.counterAt("backend.allocs"), 0u);
         if (kind == BackendKind::none) {
-            EXPECT_EQ(machine.backendStats().relocations, 0u);
+            EXPECT_EQ(m.counterAt("backend.relocations"), 0u);
         }
     }
 }

@@ -30,19 +30,20 @@ struct Rig
     SimAllocator alloc;
     QuarantineAllocator qa;
 
-    explicit Rig(const MachineConfig &cfg)
-        : machine(cfg), alloc(machine, /*seed=*/7), qa(machine, alloc)
+    explicit Rig(const QuarantineConfig &arena = {},
+                 const MachineConfig &cfg = MachineConfig{}.metadataPlane())
+        : machine(cfg), alloc(machine, /*seed=*/7), qa(machine, alloc, arena)
     {
     }
 };
 
-MachineConfig
-quarantineConfig(Addr capacity = 1ULL << 20,
-                 QuarantinePolicy policy = QuarantinePolicy::watermark)
+QuarantineConfig
+arenaOf(Addr capacity, QuarantinePolicy policy = QuarantinePolicy::watermark)
 {
-    MachineConfig cfg;
-    cfg.quarantine(capacity, policy);
-    return cfg;
+    QuarantineConfig arena;
+    arena.capacity_bytes = capacity;
+    arena.policy = policy;
+    return arena;
 }
 
 /** Allocate an object and fill each word with base + word index. */
@@ -57,7 +58,7 @@ fillObject(Rig &r, std::uint64_t base)
 
 TEST(QuarantineAllocator, FreeRelocatesIntoQuarantine)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     const Addr a = fillObject(r, 0x100);
     const Addr b = fillObject(r, 0x200);
     const std::uint32_t b_id = r.qa.objectId(b);
@@ -90,7 +91,7 @@ TEST(QuarantineAllocator, FreeRelocatesIntoQuarantine)
 
 TEST(QuarantineAllocator, UafClassifiedByMatchingProvenance)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     fillObject(r, 0x100);
     const Addr b = fillObject(r, 0x200);
     const std::uint32_t b_id = r.qa.objectId(b);
@@ -123,7 +124,7 @@ TEST(QuarantineAllocator, UafClassifiedByMatchingProvenance)
 
 TEST(QuarantineAllocator, OobClassifiedOnForeignOrUnknownProvenance)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     const Addr a = fillObject(r, 0x100);
     const Addr b = fillObject(r, 0x200);
     ASSERT_EQ(a + obj_bytes, b) << "sequential placement must adjoin";
@@ -147,7 +148,7 @@ TEST(QuarantineAllocator, OobClassifiedOnForeignOrUnknownProvenance)
 
 TEST(QuarantineAllocator, OrdinaryRelocationTrapsStayForwardingKind)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     const Addr a = fillObject(r, 0x100);
     const Addr tgt = r.alloc.alloc(obj_bytes);
 
@@ -168,11 +169,7 @@ TEST(QuarantineAllocator, OrdinaryRelocationTrapsStayForwardingKind)
 
 TEST(QuarantineAllocator, FtcInvalidatedPreciselyOnQuarantine)
 {
-    MachineConfig cfg = quarantineConfig();
-    cfg.forwarding.ftc_enabled = true;
-    cfg.forwarding.ftc_sets = 64;
-    cfg.forwarding.ftc_ways = 4;
-    Rig r(cfg);
+    Rig r({}, MachineConfig{}.metadataPlane().ftcGeometry(64, 4));
     fillObject(r, 0x100);
     const Addr b = fillObject(r, 0x200);
     const std::uint32_t b_id = r.qa.objectId(b);
@@ -200,9 +197,9 @@ TEST(QuarantineAllocator, WatermarkReclaimsAheadOfNeed)
 {
     // Capacity of four objects, watermark 0.5: the arena steady-states
     // at two quarantined objects, reclaiming oldest-first.
-    MachineConfig cfg = quarantineConfig(4 * obj_bytes);
-    cfg.quarantine_cfg.watermark = 0.5;
-    Rig r(cfg);
+    QuarantineConfig arena = arenaOf(4 * obj_bytes);
+    arena.watermark = 0.5;
+    Rig r(arena);
 
     std::vector<Addr> objs;
     for (int i = 0; i < 6; ++i)
@@ -227,9 +224,7 @@ TEST(QuarantineAllocator, WatermarkReclaimsAheadOfNeed)
 
 TEST(QuarantineAllocator, OnFullPolicyRetriesWithBackoffThenReclaims)
 {
-    MachineConfig cfg =
-        quarantineConfig(4 * obj_bytes, QuarantinePolicy::on_full);
-    Rig r(cfg);
+    Rig r(arenaOf(4 * obj_bytes, QuarantinePolicy::on_full));
 
     std::vector<Addr> objs;
     for (int i = 0; i < 5; ++i)
@@ -257,7 +252,7 @@ TEST(QuarantineAllocator, ExhaustionDegradesGracefullyNeverAborts)
 {
     // Capacity smaller than a single object: every free must degrade
     // to a plain free — counted, functional, no throw.
-    Rig r(quarantineConfig(obj_bytes / 2));
+    Rig r(arenaOf(obj_bytes / 2));
     const Addr a = fillObject(r, 0x100);
     const Addr b = fillObject(r, 0x200);
 
@@ -277,7 +272,7 @@ TEST(QuarantineAllocator, ExhaustionDegradesGracefullyNeverAborts)
 
 TEST(QuarantineAllocator, DoubleFreeCountedAndIgnored)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     const Addr b = fillObject(r, 0x200);
     r.qa.free(b);
     ASSERT_NO_THROW(r.qa.free(b));
@@ -288,7 +283,7 @@ TEST(QuarantineAllocator, DoubleFreeCountedAndIgnored)
 
 TEST(QuarantineAllocator, ReclaimAllReleasesEverything)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     std::vector<Addr> objs;
     for (int i = 0; i < 4; ++i)
         objs.push_back(fillObject(r, 0x100 * (i + 1)));
@@ -307,8 +302,7 @@ TEST(QuarantineAllocator, ReclaimAllReleasesEverything)
 
 TEST(QuarantineAllocator, DisabledConfigPassesStraightThrough)
 {
-    MachineConfig cfg; // no plane, no quarantine
-    Rig r(cfg);
+    Rig r({}, MachineConfig{}); // no metadata plane
     const Addr b = fillObject(r, 0x200);
     r.qa.free(b);
     EXPECT_FALSE(r.alloc.isAllocated(b));
@@ -319,7 +313,7 @@ TEST(QuarantineAllocator, DisabledConfigPassesStraightThrough)
 
 TEST(QuarantineAllocator, MetricsExported)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     fillObject(r, 0x100);
     const Addr b = fillObject(r, 0x200);
     const std::uint32_t b_id = r.qa.objectId(b);
@@ -338,7 +332,7 @@ TEST(QuarantineAllocator, MetricsExported)
 
 TEST(QuarantineAllocator, TemporalViolationTraceEventEmitted)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     const Addr a = fillObject(r, 0x100);
     const Addr b = fillObject(r, 0x200);
     const std::uint32_t a_id = r.qa.objectId(a);
@@ -366,7 +360,7 @@ TEST(QuarantineAllocator, TemporalViolationTraceEventEmitted)
 
 TEST(QuarantineAllocator, AnalysisGateAcceptsQuarantineMicroPlans)
 {
-    Rig r(quarantineConfig());
+    Rig r;
     AnalysisGate gate(AnalyzeMode::enforce);
     r.machine.setAnalysisGate(&gate);
     const Addr b = fillObject(r, 0x200);
@@ -413,7 +407,7 @@ TEST(QuarantineAllocator, BatchInvarianceWithPlaneAndQuarantine)
     };
 
     auto runScenario = [&](std::size_t batch_cap) -> Outcome {
-        Rig r(quarantineConfig());
+        Rig r;
         std::vector<Access> probes;
         std::vector<std::pair<Addr, Addr>> pairs;
         for (int i = 0; i < n_pairs; ++i) {

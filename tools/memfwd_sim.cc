@@ -97,10 +97,6 @@ usage(std::FILE *out, const char *argv0)
         "                     per-word object-id/bounds metadata plane\n"
         "                     (default off; enables temporal-violation\n"
         "                     classification on trap delivery)\n"
-        "  --quarantine[=N]   quarantine freed objects by relocating them\n"
-        "                     into a bounded arena of N bytes (bare flag =\n"
-        "                     1048576; 'off' disables); implies\n"
-        "                     --metadata-plane\n"
         "\n"
         "execution engine:\n"
         "  --fast-forward[=REGION]\n"
@@ -331,20 +327,6 @@ main(int argc, char **argv)
             }
         } else if (name == "--metadata-plane") {
             cfg.machine.metadataPlane(onOff());
-        } else if (name == "--quarantine") {
-            Addr capacity = QuarantineConfig{}.capacity_bytes;
-            if (has_inline) {
-                if (inline_val == "off") {
-                    cfg.machine.quarantine_cfg.enabled = false;
-                    continue;
-                }
-                capacity = std::strtoull(inline_val.c_str(), nullptr, 0);
-                if (capacity == 0)
-                    usageError(argv[0], "bad --quarantine value '" +
-                                            inline_val +
-                                            "' (off | capacity in bytes)");
-            }
-            cfg.machine.quarantine(capacity);
         } else if (name == "--audit") {
             run_audit = onOff();
         } else if (name == "--analyze") {
@@ -444,30 +426,30 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     machine.storesForwarded()),
                 static_cast<unsigned long long>(machine.stores()));
-    if (machine.backendSeen()) {
-        const LayoutBackendStats bs = machine.backendStats();
-        const BackendKind bk = machine.backendKindSeen();
+    obs::MetricsNode metrics = machine.metrics();
+    if (metrics.findChild("backend")) {
+        const auto bk =
+            static_cast<BackendKind>(metrics.gaugeAt("backend.kind"));
+        const auto count = [&](const char *name) {
+            return static_cast<unsigned long long>(
+                metrics.counterAt(std::string("backend.") + name));
+        };
+        const auto ratio = [](std::uint64_t num, std::uint64_t den) {
+            return den ? double(num) / double(den) : 0.0;
+        };
         if (bk == BackendKind::handles) {
             std::printf("backend        handles: %llu allocs, %llu moved "
                         "(%llu refused), %.2f derefs/resolve\n",
-                        static_cast<unsigned long long>(bs.allocs),
-                        static_cast<unsigned long long>(bs.relocations),
-                        static_cast<unsigned long long>(bs.refusals),
-                        bs.resolves ? double(bs.handle_derefs) /
-                                          double(bs.resolves)
-                                    : 0.0);
+                        count("allocs"), count("relocations"),
+                        count("refusals"),
+                        ratio(count("handle_derefs"), count("resolves")));
         } else {
-            const auto &fs = machine.forwarding().stats();
             std::printf("backend        %s: %llu allocs, %llu moved "
                         "(%llu refused), %.4f hops/ref\n",
-                        backendKindName(bk),
-                        static_cast<unsigned long long>(bs.allocs),
-                        static_cast<unsigned long long>(bs.relocations),
-                        static_cast<unsigned long long>(bs.refusals),
-                        machine.refsExecuted()
-                            ? double(fs.hops) /
-                                  double(machine.refsExecuted())
-                            : 0.0);
+                        backendKindName(bk), count("allocs"),
+                        count("relocations"), count("refusals"),
+                        ratio(metrics.counterAt("fwd.hops"),
+                              machine.refsExecuted()));
         }
     }
     if (cfg.machine.metadata_plane) {
@@ -528,12 +510,11 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        obs::MetricsNode root = machine.metrics();
         if (run_audit)
             HeapVerifier(machine.mem()).audit().fillMetrics(
-                root.child("audit"));
+                metrics.child("audit"));
         const obs::Json doc =
-            obs::metricsDocument(root, "memfwd_sim/" + cfg.workload);
+            obs::metricsDocument(metrics, "memfwd_sim/" + cfg.workload);
         if (json_path == "-") {
             doc.write(std::cout, 2);
             std::cout << "\n";
