@@ -1,12 +1,12 @@
 #include "bench_util.hh"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace memfwd::bench
 {
@@ -85,12 +85,11 @@ benchScale()
     const char *env = std::getenv("MEMFWD_BENCH_SCALE");
     if (!env || !*env)
         return 1.0;
-    char *end = nullptr;
-    const double scale = std::strtod(env, &end);
-    if (*end != '\0' || !std::isfinite(scale) || scale <= 0.0)
+    const std::optional<double> scale = parsePositive(env);
+    if (!scale)
         memfwd_fatal("MEMFWD_BENCH_SCALE='%s' is not a positive number",
                      env);
-    return scale;
+    return *scale;
 }
 
 unsigned

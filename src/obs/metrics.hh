@@ -32,7 +32,7 @@ namespace memfwd::obs
 inline constexpr const char *metrics_schema = "memfwd.metrics";
 
 /** Bumped on any incompatible rename/retyping (docs/METRICS.md). */
-inline constexpr unsigned metrics_schema_version = 1;
+inline constexpr unsigned metrics_schema_version = 2;
 
 /** A value distribution: summary moments plus exact small-value buckets. */
 struct Distribution
@@ -139,8 +139,8 @@ class MetricsNode
 
 /**
  * Wrap @p root in the versioned export envelope:
- * `{"schema": "memfwd.metrics", "version": 1, "source": ..., "metrics":
- * {...}}`.
+ * `{"schema": "memfwd.metrics", "version": metrics_schema_version,
+ * "source": ..., "metrics": {...}}`.
  */
 Json metricsDocument(const MetricsNode &root, const std::string &source);
 

@@ -172,7 +172,7 @@ Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
 
       case RefKind::unforwarded_write: {
         if (gate_ && gate_->enforcing())
-            gate_->checkUnforwardedWrite(a.addr, a.value, a.fbit, mem_);
+            gate_->checkUnforwardedWrite(a.addr, a.fbit, mem_);
         const Cycles done = rawAccess<E>(a, false, alu_acc);
         mem_.unforwardedWrite(a.addr, a.value, a.fbit);
         return {a.value, done, 0, a.addr, false};

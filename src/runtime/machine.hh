@@ -47,10 +47,8 @@ class FaultInjector;
 class QuarantineAllocator;
 
 /**
- * Whole-machine configuration.
- *
- * Fields remain aggregate-initializable as before; the fluent setters
- * additionally make one-expression configs readable:
+ * Whole-machine configuration.  The fluent setters make
+ * one-expression configs readable:
  *
  *   Machine m(MachineConfig{}.lineBytes(64).forwardingMode(
  *       MachineConfig::Mode::exception));
@@ -221,9 +219,8 @@ enum class RefKind : std::uint8_t
 
 /**
  * One reference in the unified access API.  Build instances with the
- * named constructors (Access::load, Access::store, ...) — they keep the
- * call sites as readable as the old per-kind methods while funnelling
- * everything through one entry point that the batched loop shares.
+ * named constructors (Access::load, Access::store, ...); every kind
+ * goes through the one entry point that the batched loop shares.
  */
 struct Access
 {
@@ -343,11 +340,7 @@ struct Access
     }
 };
 
-/**
- * Result of one reference through the unified entry point.  The leading
- * four fields mirror the (since removed) legacy LoadResult so
- * positional initialization carried over.
- */
+/** Result of one reference through the unified entry point. */
 struct AccessResult
 {
     /** Loaded value; the forwarding bit (0/1) for read_fbit; the raw

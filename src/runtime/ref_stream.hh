@@ -2,11 +2,10 @@
  * @file
  * Batched reference-stream API — the host-speed execution surface.
  *
- * Workloads traditionally called Machine::load/store once per simulated
- * reference.  That is one virtual-free but branch-heavy round trip per
- * reference: the tracer test, the fast-forward test and the result
- * plumbing all sit inside the hottest loop of the simulator.  The
- * batched API amortizes them:
+ * One Machine::access() call per simulated reference is a virtual-free
+ * but branch-heavy round trip: the tracer test, the fast-forward test
+ * and the result plumbing all sit inside the hottest loop of the
+ * simulator.  The batched API amortizes them:
  *
  *  - an AccessBatch is a flat array of MemRef{Access, AccessResult,
  *    dep}; the workload appends references and hands the whole batch to

@@ -1,17 +1,13 @@
 /**
  * @file
- * InterferenceAnalyzer + PlanScheduler unit tests: the pairwise verdict
- * matrix (commute / ordered / conflict), one test per interference
- * diagnostic code (E101-E104, W201, W202), and the gate-attached
- * admission path including ScheduleRefused and race_check tracing.
+ * InterferenceAnalyzer unit tests: the pairwise verdict matrix
+ * (commute / ordered / conflict) and one test per interference
+ * diagnostic code (E101-E104, W201, W202).
  */
 
 #include <gtest/gtest.h>
 
-#include "analysis/gate.hh"
 #include "analysis/interference.hh"
-#include "analysis/scheduler.hh"
-#include "obs/trace.hh"
 
 using namespace memfwd;
 
@@ -224,141 +220,4 @@ TEST(Interference, ReportJsonRoundsTheMatrix)
     EXPECT_EQ(pair["verdict"].asString(), "ordered");
     EXPECT_EQ(pair["first"].asU64(), 0u);
     EXPECT_EQ(pair["second"].asU64(), 1u);
-}
-
-// ----- PlanScheduler admission ---------------------------------------
-
-TEST(PlanScheduler, CommutingPlansRunTogether)
-{
-    PlanScheduler sched;
-    const auto d1 = sched.admit(movePlan("a", 0x1000, 0x2000, 4), 1);
-    const auto d2 = sched.admit(movePlan("b", 0x3000, 0x4000, 4), 2);
-    EXPECT_TRUE(d1.admitted);
-    EXPECT_TRUE(d2.admitted);
-    EXPECT_EQ(sched.inFlight(), 2u);
-    ASSERT_EQ(d2.checks.size(), 1u);
-    EXPECT_EQ(d2.checks[0].other_ticket, 1u);
-    EXPECT_EQ(d2.checks[0].verdict, InterferenceVerdict::commute);
-    EXPECT_EQ(sched.stats().pairs_commute, 1u);
-    EXPECT_EQ(sched.stats().plans_admitted, 2u);
-}
-
-TEST(PlanScheduler, OrderedAdmitsWhenInFlightRunsFirst)
-{
-    // The candidate drains the in-flight plan's destination: the edge
-    // "in-flight first" already holds, so admission is legal.
-    PlanScheduler sched;
-    ASSERT_TRUE(sched.admit(movePlan("a", 0x1000, 0x2000, 4), 1).admitted);
-    const auto d = sched.admit(movePlan("b", 0x2000, 0x3000, 4), 2);
-    EXPECT_TRUE(d.admitted);
-    EXPECT_EQ(sched.stats().pairs_ordered, 1u);
-}
-
-TEST(PlanScheduler, OrderedRefusesWhenCandidateMustRunFirst)
-{
-    // The in-flight plan drains the candidate's destination: the edge
-    // demands the candidate commit first, which cannot happen anymore.
-    PlanScheduler sched;
-    ASSERT_TRUE(sched.admit(movePlan("a", 0x2000, 0x3000, 4), 1).admitted);
-    const auto d = sched.admit(movePlan("b", 0x1000, 0x2000, 4), 2);
-    EXPECT_FALSE(d.admitted);
-    EXPECT_FALSE(d.diags.empty());
-    EXPECT_EQ(sched.inFlight(), 1u); // refused plans are not tracked
-    EXPECT_EQ(sched.stats().plans_refused, 1u);
-}
-
-TEST(PlanScheduler, ConflictRefusedUntilReleased)
-{
-    PlanScheduler sched;
-    ASSERT_TRUE(sched.admit(movePlan("a", 0x1000, 0x2000, 4), 1).admitted);
-    EXPECT_FALSE(
-        sched.admit(movePlan("b", 0x1000, 0x3000, 4), 2).admitted);
-
-    sched.release(1);
-    EXPECT_EQ(sched.inFlight(), 0u);
-    EXPECT_TRUE(
-        sched.admit(movePlan("b", 0x1000, 0x3000, 4), 3).admitted);
-    sched.release(99); // unknown ticket is a no-op
-    EXPECT_EQ(sched.inFlight(), 1u);
-}
-
-// ----- gate integration ----------------------------------------------
-
-TEST(GateScheduler, RefusalSurfacesAsScheduleRefused)
-{
-    AnalysisGate gate(AnalyzeMode::plan);
-    PlanScheduler sched;
-    gate.setScheduler(&sched);
-
-    gate.submit(movePlan("a", 0x1000, 0x2000, 4));
-    EXPECT_EQ(gate.activeTicket(), 1u);
-    EXPECT_THROW(gate.submit(movePlan("b", 0x1000, 0x3000, 4)),
-                 ScheduleRefused);
-    // The refused plan never activated.
-    EXPECT_EQ(gate.activePlans(), 1u);
-
-    gate.planDone();
-    EXPECT_EQ(sched.inFlight(), 0u);
-    EXPECT_EQ(gate.activeTicket(), 0u);
-}
-
-TEST(GateScheduler, KeepGoingSurveysRefusals)
-{
-    AnalysisGate gate(AnalyzeMode::plan);
-    gate.setKeepGoing(true);
-    PlanScheduler sched;
-    gate.setScheduler(&sched);
-
-    gate.submit(movePlan("a", 0x1000, 0x2000, 4));
-    EXPECT_NO_THROW(gate.submit(movePlan("b", 0x1000, 0x3000, 4)));
-    EXPECT_EQ(gate.activePlans(), 2u); // lint executes it anyway
-    EXPECT_EQ(sched.inFlight(), 1u);   // but it is not tracked
-    EXPECT_EQ(sched.stats().plans_refused, 1u);
-    gate.planDone();
-    gate.planDone();
-}
-
-TEST(GateScheduler, PairVerdictsMirroredAsRaceCheckEvents)
-{
-    AnalysisGate gate(AnalyzeMode::plan);
-    PlanScheduler sched;
-    gate.setScheduler(&sched);
-    obs::Tracer tracer;
-    obs::RingBufferSink ring;
-    tracer.addSink(&ring);
-    gate.setTrace(&tracer, [] { return Cycles(123); });
-
-    gate.submit(movePlan("a", 0x1000, 0x2000, 4)); // no pairs yet
-    gate.submit(movePlan("b", 0x3000, 0x4000, 4)); // one commute pair
-
-    std::vector<obs::TraceEvent> checks;
-    for (const obs::TraceEvent &e : ring.events())
-        if (e.kind == obs::EventKind::race_check)
-            checks.push_back(e);
-    ASSERT_EQ(checks.size(), 1u);
-    EXPECT_EQ(checks[0].addr, 1u);  // in-flight ticket
-    EXPECT_EQ(checks[0].addr2, 2u); // admitted ticket
-    EXPECT_EQ(checks[0].arg,
-              static_cast<std::uint64_t>(InterferenceVerdict::commute));
-    EXPECT_EQ(checks[0].ts, Cycles(123));
-    gate.planDone();
-    gate.planDone();
-}
-
-TEST(GateScheduler, MetricsMountUnderInterference)
-{
-    AnalysisGate gate(AnalyzeMode::plan);
-    PlanScheduler sched;
-    gate.setScheduler(&sched);
-    gate.submit(movePlan("a", 0x1000, 0x2000, 4));
-    gate.submit(movePlan("b", 0x3000, 0x4000, 4));
-    gate.planDone();
-    gate.planDone();
-
-    obs::MetricsNode root;
-    gate.fillMetrics(root);
-    const obs::MetricsNode *in = root.findChild("interference");
-    ASSERT_NE(in, nullptr);
-    EXPECT_EQ(in->counterValue("plans_admitted"), 2u);
-    EXPECT_EQ(in->counterValue("pairs_commute"), 1u);
 }

@@ -19,8 +19,8 @@
  * default 8) through the InterferenceAnalyzer, reporting how many
  * pairs commute, need an order, or conflict.  The matrix is
  * informational — plans a sequential run emits back-to-back routinely
- * touch the same objects — so it never affects the exit status; it is
- * the data the sharded-runtime work sizes its admission policy from.
+ * touch the same objects, and the runtime executes them in program
+ * order — so it never affects the exit status.
  */
 
 #include <algorithm>
@@ -37,6 +37,7 @@
 #include "analysis/interference.hh"
 #include "analysis/plan.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "runtime/machine.hh"
 #include "workloads/driver.hh"
 #include "workloads/workload.hh"
@@ -70,7 +71,8 @@ usage(std::FILE *out, const char *argv0)
         "  --selftest        verify the analyzer detects every seeded\n"
         "                    negative plan (one per diagnostic code) and\n"
         "                    exit\n"
-        "exit status: 0 clean, 1 error diagnostics (or failed selftest)\n",
+        "exit status: 0 clean, 1 error diagnostics (or failed selftest),\n"
+        "             64 usage error\n",
         argv0);
 }
 
@@ -508,7 +510,16 @@ main(int argc, char **argv)
         if (arg == "--workload") {
             workloads.emplace_back(next());
         } else if (arg == "--scale") {
-            scale = std::atof(next());
+            const char *text = next();
+            const std::optional<double> parsed = parsePositive(text);
+            if (!parsed) {
+                std::fprintf(stderr,
+                             "%s: bad --scale value '%s' (a positive "
+                             "number)\n",
+                             argv[0], text);
+                return exit_usage;
+            }
+            scale = *parsed;
         } else if (arg == "--seed") {
             seed = std::strtoull(next(), nullptr, 0);
         } else if (arg == "--enforce") {

@@ -26,6 +26,7 @@
 
 #include "analysis/gate.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/cycle_check.hh"
 #include "core/fault_injector.hh"
 #include "obs/metrics.hh"
@@ -251,7 +252,13 @@ main(int argc, char **argv)
                                         "none)");
             }
         } else if (name == "--scale") {
-            cfg.params.scale = std::atof(value().c_str());
+            const std::string text = value();
+            const std::optional<double> scale = parsePositive(text.c_str());
+            if (!scale) {
+                usageError(argv[0], "bad --scale value '" + text +
+                                        "' (a positive number)");
+            }
+            cfg.params.scale = *scale;
         } else if (name == "--seed") {
             cfg.params.seed =
                 std::strtoull(value().c_str(), nullptr, 0);
