@@ -21,6 +21,7 @@
 #include "bench_util.hh"
 
 #include "common/logging.hh"
+#include "obs/json.hh"
 #include "obs/trace.hh"
 
 using namespace memfwd;
@@ -75,7 +76,8 @@ main()
 
     if (trace_out) {
         std::ofstream os(trace_out);
-        obs::exportChromeTrace(ring.events(), os);
+        obs::chromeTrace(ring.events()).write(os);
+        os << '\n';
         std::printf("wrote chrome trace (%zu events, %llu dropped) to "
                     "%s\n",
                     ring.size(),

@@ -58,8 +58,8 @@ main()
                 via_new.hops);
 
     // The metrics tree has the same story in counter form, and the
-    // trace ring holds the individual events (exportable as JSONL or
-    // a chrome://tracing file — see docs/METRICS.md).
+    // trace ring holds the individual events (exportable as a
+    // chrome://tracing file — see docs/METRICS.md).
     const obs::MetricsNode metrics = machine.metrics();
     std::printf("fwd.walks=%llu  fwd.hops=%llu  trace events=%llu\n\n",
                 static_cast<unsigned long long>(

@@ -36,12 +36,11 @@ MemoryLevel::writeback(Addr line_addr, Cycles now)
 Cache::Cache(const CacheConfig &cfg, MemLevel &below)
     : cfg_(cfg), below_(below), mshrs_(cfg.mshrs)
 {
-    memfwd_assert(cfg_.line_bytes >= wordBytes &&
-                      (cfg_.line_bytes & (cfg_.line_bytes - 1)) == 0,
-                  "line size must be a power of two >= %u", wordBytes);
-    memfwd_assert(cfg_.numSets() > 0 &&
-                      (cfg_.numSets() & (cfg_.numSets() - 1)) == 0,
-                  "cache geometry must give a power-of-two set count");
+    memfwd_assert(cfg_.validGeometry(),
+                  "%s: bad geometry (%u B, %u-way, %u B lines): line and "
+                  "set count must each be a power of two, line >= %u B",
+                  cfg_.name.c_str(), cfg_.size_bytes, cfg_.assoc,
+                  cfg_.line_bytes, wordBytes);
     lines_.resize(static_cast<std::size_t>(cfg_.numSets()) * cfg_.assoc);
     line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.line_bytes));
     set_mask_ = cfg_.numSets() - 1;

@@ -11,6 +11,8 @@
 #ifndef MEMFWD_CACHE_CACHE_CONFIG_HH
 #define MEMFWD_CACHE_CACHE_CONFIG_HH
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "common/types.hh"
@@ -51,6 +53,19 @@ struct CacheConfig
     ReplacementPolicy replacement = ReplacementPolicy::lru;
 
     unsigned numSets() const { return size_bytes / (assoc * line_bytes); }
+
+    /** Geometry the cache model accepts: a nonzero associativity, a
+     *  power-of-two line of at least one word, and a nonzero
+     *  power-of-two set count. */
+    bool
+    validGeometry() const
+    {
+        if (assoc == 0 || line_bytes < wordBytes ||
+            !std::has_single_bit(line_bytes))
+            return false;
+        const std::uint64_t way_bytes = std::uint64_t(assoc) * line_bytes;
+        return std::has_single_bit(size_bytes / way_bytes);
+    }
 };
 
 /** How an access was satisfied — drives Figure 6(a)'s classification. */

@@ -6,8 +6,12 @@
 #ifndef MEMFWD_COMMON_PARSE_HH
 #define MEMFWD_COMMON_PARSE_HH
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 
 namespace memfwd
@@ -23,6 +27,25 @@ parsePositive(const char *text)
     if (*end != '\0' || !std::isfinite(value) || value <= 0.0)
         return std::nullopt;
     return value;
+}
+
+/** @p text as a decimal or 0x-prefixed hex integer that fits in @p T;
+ *  nullopt for anything else (empty text, a sign or leading space,
+ *  trailing junk, or a value too large for @p T). */
+template <typename T = std::uint64_t>
+std::optional<T>
+parseUnsigned(const char *text)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    const bool hex = text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text, &end, hex ? 16 : 10);
+    if (*end != '\0' || errno == ERANGE ||
+        value > std::numeric_limits<T>::max())
+        return std::nullopt;
+    return static_cast<T>(value);
 }
 
 } // namespace memfwd

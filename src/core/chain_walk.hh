@@ -5,9 +5,10 @@
  * Every path that follows a forwarding chain runs walkChain(): the
  * engine's timed and functional walks, Machine::peek/poke, the
  * multiprocessor substrate and relocation's target chase.  The loop
- * validates each payload (a misaligned one can only be corruption),
- * runs the hop counter, and on its overflow runs the accurate check:
- * a cycle ends the walk, a false alarm resets the counter.  Once the
+ * always validates each payload (a misaligned one can only be
+ * corruption, and ends the walk), runs the hop counter, and on its
+ * overflow runs the accurate check: a cycle ends the walk, a false
+ * alarm resets the counter.  Once the
  * false alarms exceed `max_retries` (the exception-mode handler's
  * budget), the check has just proven the chain acyclic, so the walk
  * finishes it uncharged and unchecked and still ends at the real tail.
@@ -33,9 +34,8 @@ namespace memfwd
 /** The architectural bounds of one walk. */
 struct ChainLimits
 {
-    unsigned hop_limit = 16;      ///< hops before the accurate check
-    bool validate_targets = true; ///< misaligned payload = corruption
-    unsigned max_retries = ~0u;   ///< false alarms before charging stops
+    unsigned hop_limit = 16;    ///< hops before the accurate check
+    unsigned max_retries = ~0u; ///< false alarms before charging stops
 };
 
 enum class ChainEnd : std::uint8_t
@@ -70,7 +70,7 @@ walkChain(const TaggedMemory &mem, Addr word, const ChainLimits &limits,
         if (charged)
             hop(w.word);
         const Word payload = mem.rawReadWord(w.word);
-        if (limits.validate_targets && !isWordAligned(payload)) {
+        if (!isWordAligned(payload)) {
             w.end = ChainEnd::corrupt;
             w.payload = payload;
             return w;

@@ -161,10 +161,9 @@ ForwardingEngine::ForwardingEngine(TaggedMemory &mem,
                                    MemoryHierarchy &hierarchy,
                                    const ForwardingConfig &cfg)
     : mem_(mem), hierarchy_(hierarchy), cfg_(cfg),
-      limits_{cfg.hop_limit, cfg.validate_targets,
-              cfg.mode == ForwardingConfig::Mode::exception
-                  ? cfg.max_handler_retries
-                  : ~0u}
+      limits_{cfg.hop_limit, cfg.mode == ForwardingConfig::Mode::exception
+                                 ? cfg.max_handler_retries
+                                 : ~0u}
 {
     memfwd_assert(cfg_.hop_limit >= 1, "hop limit must be at least 1");
     if (cfg_.ftc_enabled) {

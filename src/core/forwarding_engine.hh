@@ -55,11 +55,12 @@
  *                   references through the same chain resolve to the
  *                   pin without re-walking.
  *
- * Independent of cycles, the walk validates each forwarding word it
- * dereferences: a set bit over a misaligned payload can only be
- * corruption (legitimate relocation writes aligned targets), and is
- * handled by the same policy — abort throws ForwardingIntegrityError,
- * trap/quarantine pin the reference at the corrupt word.
+ * Independent of cycles, the walk validates every forwarding word it
+ * dereferences, and no option turns this off: a set bit over a
+ * misaligned payload can only be corruption (legitimate relocation
+ * writes aligned targets), and is handled by the same policy — abort
+ * throws ForwardingIntegrityError, trap/quarantine pin the reference at
+ * the corrupt word.  A corrupt word never silently redirects it.
  *
  * A FaultInjector (core/fault_injector.hh) can be attached to corrupt
  * chains at resolve time, exercising all of the above deterministically.
@@ -152,9 +153,6 @@ struct ForwardingConfig
 
     /** What to do when a chain provably cannot terminate. */
     CyclePolicy cycle_policy = CyclePolicy::abort;
-
-    /** Treat misaligned forwarding payloads as corruption. */
-    bool validate_targets = true;
 
     /**
      * Exception-mode handler: false alarms tolerated for one reference

@@ -1,9 +1,7 @@
 #include "obs/json.hh"
 
-#include <cctype>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -182,8 +180,8 @@ writeReal(std::ostream &os, double v)
 {
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Keep reals syntactically distinct from integers so a round trip
-    // preserves the kind.
+    // Keep reals syntactically distinct from integers so a reader sees
+    // the kind.
     std::string s = buf;
     if (s.find_first_of(".eEn") == std::string::npos)
         s += ".0";
@@ -261,253 +259,6 @@ Json::str(int indent) const
     std::ostringstream os;
     write(os, indent);
     return os.str();
-}
-
-// ----- parsing -------------------------------------------------------
-
-namespace
-{
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    Json
-    document()
-    {
-        Json v = value();
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &why) const
-    {
-        throw std::invalid_argument("json parse error at offset " +
-                                    std::to_string(pos_) + ": " + why);
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        if (pos_ >= text_.size())
-            fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool
-    consume(const char *lit)
-    {
-        const std::size_t n = std::string(lit).size();
-        if (text_.compare(pos_, n, lit) == 0) {
-            pos_ += n;
-            return true;
-        }
-        return false;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= text_.size())
-                fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                fail("unterminated escape");
-            char e = text_[pos_++];
-            switch (e) {
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case '/':
-                out += '/';
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 'b':
-                out += '\b';
-                break;
-              case 'f':
-                out += '\f';
-                break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= unsigned(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= unsigned(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= unsigned(h - 'A' + 10);
-                    else
-                        fail("bad \\u escape digit");
-                }
-                // The emitters only escape control characters; anything
-                // in the Latin-1 range round-trips, which is all the
-                // observability formats need.
-                if (code < 0x80) {
-                    out += char(code);
-                } else {
-                    out += char(0xc0 | (code >> 6));
-                    out += char(0x80 | (code & 0x3f));
-                }
-                break;
-              }
-              default:
-                fail("unknown escape");
-            }
-        }
-    }
-
-    Json
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        const std::string tok = text_.substr(start, pos_ - start);
-        if (tok.empty() || tok == "-")
-            fail("malformed number");
-        if (tok.find_first_of(".eE") == std::string::npos &&
-            tok[0] != '-') {
-            try {
-                return Json::number(std::stoull(tok));
-            } catch (const std::exception &) {
-                fail("integer out of range");
-            }
-        }
-        try {
-            return Json::real(std::stod(tok));
-        } catch (const std::exception &) {
-            fail("malformed number");
-        }
-    }
-
-    Json
-    value()
-    {
-        skipWs();
-        switch (peek()) {
-          case '{': {
-            ++pos_;
-            Json obj = Json::object();
-            skipWs();
-            if (peek() == '}') {
-                ++pos_;
-                return obj;
-            }
-            while (true) {
-                skipWs();
-                std::string key = parseString();
-                skipWs();
-                expect(':');
-                obj[key] = value();
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    continue;
-                }
-                expect('}');
-                return obj;
-            }
-          }
-          case '[': {
-            ++pos_;
-            Json arr = Json::array();
-            skipWs();
-            if (peek() == ']') {
-                ++pos_;
-                return arr;
-            }
-            while (true) {
-                arr.push(value());
-                skipWs();
-                if (peek() == ',') {
-                    ++pos_;
-                    continue;
-                }
-                expect(']');
-                return arr;
-            }
-          }
-          case '"':
-            return Json::string(parseString());
-          case 't':
-            if (consume("true"))
-                return Json::boolean(true);
-            fail("bad literal");
-          case 'f':
-            if (consume("false"))
-                return Json::boolean(false);
-            fail("bad literal");
-          case 'n':
-            if (consume("null"))
-                return Json();
-            fail("bad literal");
-          default:
-            return parseNumber();
-        }
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
-
-} // namespace
-
-Json
-Json::parse(const std::string &text)
-{
-    return Parser(text).document();
 }
 
 } // namespace memfwd::obs

@@ -3,12 +3,14 @@
  * A minimal JSON document model for the observability layer.
  *
  * Every machine-readable artifact the runtime emits — the versioned
- * metrics export, `BENCH_<name>.json` results, JSONL trace records,
- * chrome-trace files — is built and parsed through this one class, so
- * the schemas documented in docs/METRICS.md have a single point of
- * truth for formatting.  It is deliberately small: objects keep their
- * keys sorted (std::map) so serialization is deterministic and golden
- * tests are stable.  It is not a general-purpose JSON library.
+ * metrics export, `BENCH_<name>.json` results, chrome-trace files, the
+ * lint summary — is built through this one class, so the schemas
+ * documented in docs/METRICS.md have a single point of truth for
+ * formatting.  It is deliberately small: objects keep their keys
+ * sorted (std::map) so serialization is deterministic and golden tests
+ * are stable.  It only writes: nothing in the simulator reads an
+ * artifact back, and the `json_artifacts` test checks real tool output
+ * with an independent parser (python3's json module).
  */
 
 #ifndef MEMFWD_OBS_JSON_HH
@@ -72,19 +74,12 @@ class Json
     const Json *find(const std::string &key) const;
 
     /**
-     * Serialize.  @p indent = 0 emits one compact line (the JSONL and
+     * Serialize.  @p indent = 0 emits one compact line (the
      * chrome-trace form); > 0 pretty-prints with that step (the
      * metrics/bench form).
      */
     void write(std::ostream &os, int indent = 0, int depth = 0) const;
     std::string str(int indent = 0) const;
-
-    /**
-     * Parse one complete JSON document.
-     * @throws std::invalid_argument on malformed input or trailing
-     *         garbage.
-     */
-    static Json parse(const std::string &text);
 
   private:
     Kind kind_ = Kind::null;

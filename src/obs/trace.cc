@@ -1,7 +1,6 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "obs/json.hh"
 
@@ -27,35 +26,11 @@ eventKindName(EventKind kind)
     return i < std::size(kind_names) ? kind_names[i] : "?";
 }
 
-bool
-eventKindFromName(const std::string &name, EventKind &out)
-{
-    for (std::size_t i = 0; i < std::size(kind_names); ++i) {
-        if (name == kind_names[i]) {
-            out = static_cast<EventKind>(i);
-            return true;
-        }
-    }
-    return false;
-}
-
 const char *
 accessTypeName(AccessType type)
 {
     const auto i = static_cast<std::size_t>(type);
     return i < std::size(access_names) ? access_names[i] : "?";
-}
-
-bool
-accessTypeFromName(const std::string &name, AccessType &out)
-{
-    for (std::size_t i = 0; i < std::size(access_names); ++i) {
-        if (name == access_names[i]) {
-            out = static_cast<AccessType>(i);
-            return true;
-        }
-    }
-    return false;
 }
 
 RingBufferSink::RingBufferSink(std::size_t capacity)
@@ -121,60 +96,10 @@ Tracer::removeSink(TraceSink *sink)
                  sinks_.end());
 }
 
-// ----- exporters -----------------------------------------------------
+// ----- exporter ------------------------------------------------------
 
-void
-exportJsonl(const std::vector<TraceEvent> &events, std::ostream &os)
-{
-    for (const TraceEvent &e : events) {
-        Json j = Json::object();
-        j["kind"] = Json::string(eventKindName(e.kind));
-        j["access"] = Json::string(accessTypeName(e.access));
-        j["ts"] = Json::number(e.ts);
-        j["addr"] = Json::number(e.addr);
-        j["addr2"] = Json::number(e.addr2);
-        j["arg"] = Json::number(e.arg);
-        j["size"] = Json::number(e.size);
-        j.write(os);
-        os << '\n';
-    }
-}
-
-std::vector<TraceEvent>
-parseJsonl(std::istream &is)
-{
-    std::vector<TraceEvent> out;
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        const Json j = Json::parse(line);
-        TraceEvent e;
-        const Json *kind = j.find("kind");
-        const Json *access = j.find("access");
-        if (!kind || !eventKindFromName(kind->asString(), e.kind))
-            throw std::invalid_argument("trace record: bad kind");
-        if (!access || !accessTypeFromName(access->asString(), e.access))
-            throw std::invalid_argument("trace record: bad access");
-        auto u64 = [&](const char *name) -> std::uint64_t {
-            const Json *f = j.find(name);
-            if (!f)
-                throw std::invalid_argument(
-                    std::string("trace record: missing ") + name);
-            return f->asU64();
-        };
-        e.ts = u64("ts");
-        e.addr = u64("addr");
-        e.addr2 = u64("addr2");
-        e.arg = u64("arg");
-        e.size = static_cast<std::uint32_t>(u64("size"));
-        out.push_back(e);
-    }
-    return out;
-}
-
-void
-exportChromeTrace(const std::vector<TraceEvent> &events, std::ostream &os)
+Json
+chromeTrace(const std::vector<TraceEvent> &events)
 {
     std::vector<TraceEvent> sorted = events;
     std::stable_sort(sorted.begin(), sorted.end(),
@@ -222,8 +147,7 @@ exportChromeTrace(const std::vector<TraceEvent> &events, std::ostream &os)
 
     doc["traceEvents"] = std::move(arr);
     doc["displayTimeUnit"] = Json::string("ms");
-    doc.write(os);
-    os << '\n';
+    return doc;
 }
 
 } // namespace memfwd::obs

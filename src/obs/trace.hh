@@ -11,25 +11,15 @@
  *
  * `RingBufferSink` is the standard collector: a fixed-capacity ring
  * that keeps the newest events and counts what it dropped.  Collected
- * events export two ways:
- *
- *  - `exportJsonl`      — one JSON object per line; `parseJsonl`
- *                         inverts it exactly (round-trip tested);
- *  - `exportChromeTrace`— the Trace Event Format chrome://tracing /
- *                         about:tracing loads directly, one track per
- *                         event kind, timestamps in simulated cycles.
- *
- * This replaced the old single-callback `Machine::setTraceHook`;
- * registering a TraceSink is the one tracing API.
+ * events export as one document, `chromeTrace()`: the Trace Event
+ * Format that chrome://tracing / about:tracing loads directly, one
+ * track per event kind, timestamps in simulated cycles.
  */
 
 #ifndef MEMFWD_OBS_TRACE_HH
 #define MEMFWD_OBS_TRACE_HH
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "cache/cache_config.hh"
@@ -37,6 +27,8 @@
 
 namespace memfwd::obs
 {
+
+class Json;
 
 /** What happened. */
 enum class EventKind : std::uint8_t
@@ -53,12 +45,7 @@ enum class EventKind : std::uint8_t
 };
 
 const char *eventKindName(EventKind kind);
-
-/** Inverse of eventKindName(); false if @p name is unknown. */
-bool eventKindFromName(const std::string &name, EventKind &out);
-
 const char *accessTypeName(AccessType type);
-bool accessTypeFromName(const std::string &name, AccessType &out);
 
 /** One traced event.  Field meaning varies slightly by kind:
  *  addr/addr2 are initial/final address for references and walks,
@@ -140,24 +127,14 @@ class Tracer
     std::vector<TraceSink *> sinks_;
 };
 
-// ----- exporters -----------------------------------------------------
-
-/** One compact JSON object per line. */
-void exportJsonl(const std::vector<TraceEvent> &events, std::ostream &os);
-
-/**
- * Parse JSONL back into events (exact inverse of exportJsonl).
- * @throws std::invalid_argument on malformed lines.
- */
-std::vector<TraceEvent> parseJsonl(std::istream &is);
+// ----- exporter ------------------------------------------------------
 
 /**
  * Trace Event Format document for about:tracing.  Events are sorted by
  * timestamp (the viewer requires monotonic input) and grouped into one
  * named track per kind; 1 "us" in the viewer is 1 simulated cycle.
  */
-void exportChromeTrace(const std::vector<TraceEvent> &events,
-                       std::ostream &os);
+Json chromeTrace(const std::vector<TraceEvent> &events);
 
 } // namespace memfwd::obs
 

@@ -26,8 +26,7 @@
  * Batch size never changes simulated timing — references execute in
  * program order with the same cycle accounting as the per-call API
  * (tests/runtime/test_ref_stream.cc proves batch-size invariance).  The
- * default capacity is 256, overridable with MEMFWD_BATCH_CAP for the
- * differential tests.
+ * default capacity is 256.
  */
 
 #ifndef MEMFWD_RUNTIME_REF_STREAM_HH
@@ -55,14 +54,14 @@ struct MemRef
     std::int32_t dep = -1;
 };
 
-/** Batch capacity: MEMFWD_BATCH_CAP if set and positive, else 256. */
-std::size_t defaultBatchCapacity();
+/** Capacity of a batch built without an explicit one. */
+constexpr std::size_t default_batch_capacity = 256;
 
 /** A flat, bounded, reusable array of MemRefs. */
 class AccessBatch
 {
   public:
-    explicit AccessBatch(std::size_t capacity = defaultBatchCapacity())
+    explicit AccessBatch(std::size_t capacity = default_batch_capacity)
         : capacity_(capacity ? capacity : 1)
     {
         refs_.reserve(capacity_);
@@ -122,7 +121,7 @@ class BatchEmitter
 {
   public:
     explicit BatchEmitter(Machine &machine,
-                          std::size_t capacity = defaultBatchCapacity())
+                          std::size_t capacity = default_batch_capacity)
         : machine_(machine), batch_(capacity)
     {
     }

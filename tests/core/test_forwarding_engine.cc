@@ -384,20 +384,6 @@ TEST(ForwardingEngine, CorruptionQuarantinesAtCorruptWord)
     EXPECT_EQ(rig.engine.quarantinePin(0x1000), 0x2000u);
 }
 
-TEST(ForwardingEngine, ValidationCanBeDisabled)
-{
-    ForwardingConfig cfg;
-    cfg.validate_targets = false;
-    cfg.hop_limit = 4;
-    Rig rig(cfg);
-    // With validation off the walk follows the garbage payload; the
-    // wordAlign keeps it from crashing and the chain just terminates.
-    rig.mem.unforwardedWrite(0x1000, 0x2003, true);
-    const WalkResult w = rig.engine.resolve(0x1000, AccessType::load, 0);
-    EXPECT_EQ(w.final_addr, 0x2000u);
-    EXPECT_EQ(rig.engine.stats().corrupt_forwards, 0u);
-}
-
 TEST(ForwardingEngine, ExceptionModeChargesBoundedRetryBackoff)
 {
     ForwardingConfig cfg;

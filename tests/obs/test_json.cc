@@ -1,12 +1,11 @@
 /**
  * @file
  * The observability layer's JSON document model: deterministic
- * serialization, exact parse round-trips, and error behavior.
+ * serialization and the in-memory accessors.  Real tool output is
+ * checked by an independent parser (the json_artifacts test).
  */
 
 #include <gtest/gtest.h>
-
-#include <stdexcept>
 
 #include "obs/json.hh"
 
@@ -38,13 +37,11 @@ TEST(Json, ObjectKeysSerializeSorted)
 
 TEST(Json, StringEscapes)
 {
-    Json s = Json::string("a\"b\\c\n\t");
-    const std::string text = s.str();
-    EXPECT_EQ(text, "\"a\\\"b\\\\c\\n\\t\"");
-    EXPECT_EQ(Json::parse(text).asString(), "a\"b\\c\n\t");
+    EXPECT_EQ(Json::string("a\"b\\c\n\t").str(),
+              "\"a\\\"b\\\\c\\n\\t\"");
 }
 
-TEST(Json, RoundTripNestedDocument)
+TEST(Json, NestedDocumentExactText)
 {
     Json doc = Json::object();
     doc["name"] = Json::string("memfwd");
@@ -59,20 +56,22 @@ TEST(Json, RoundTripNestedDocument)
     arr.push(inner);
     doc["items"] = std::move(arr);
 
-    for (int indent : {0, 2, 4}) {
-        const Json back = Json::parse(doc.str(indent));
-        EXPECT_EQ(back.str(), doc.str()) << "indent=" << indent;
+    EXPECT_EQ(doc.str(0),
+              R"({"count":123456789,"items":[1,"two",{"x":0}],)"
+              R"("name":"memfwd","ok":false,"rate":0.25})");
+    EXPECT_EQ(doc.str(2), R"({
+  "count": 123456789,
+  "items": [
+    1,
+    "two",
+    {
+      "x": 0
     }
-}
-
-TEST(Json, ParseRejectsMalformedInput)
-{
-    EXPECT_THROW(Json::parse(""), std::invalid_argument);
-    EXPECT_THROW(Json::parse("{"), std::invalid_argument);
-    EXPECT_THROW(Json::parse("[1,]"), std::invalid_argument);
-    EXPECT_THROW(Json::parse("{\"a\":1} trailing"),
-                 std::invalid_argument);
-    EXPECT_THROW(Json::parse("'single'"), std::invalid_argument);
+  ],
+  "name": "memfwd",
+  "ok": false,
+  "rate": 0.25
+})");
 }
 
 TEST(Json, FieldLookupWithoutCreation)

@@ -1,12 +1,11 @@
 /**
  * @file
- * Event tracing: ring-buffer bounds, exporter round-trips, and the
+ * Event tracing: ring-buffer bounds, the chrome-trace exporter, and the
  * events the Machine emits (references, walks, traps, FTC hits, ...).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <tuple>
 #include <vector>
 
@@ -76,29 +75,6 @@ TEST(Tracer, InactiveWithoutSinksAndMultiSinkFanout)
     EXPECT_FALSE(tracer.active());
 }
 
-TEST(Exporters, JsonlRoundTripIsExact)
-{
-    std::vector<TraceEvent> events = {
-        {EventKind::reference, AccessType::load, 10, 0x1000, 0x2000, 1, 8},
-        {EventKind::chain_walk, AccessType::store, 11, 0x1000, 0x2000, 2, 4},
-        {EventKind::relocation, AccessType::store, 12, 0xa0, 0xb0, 64, 0},
-        {EventKind::trap, AccessType::load, 13, 0x1, 0x2, 3, 0},
-        {EventKind::cache_miss, AccessType::prefetch, 14, 0x3, 0x3, 0, 8},
-        {EventKind::rollback, AccessType::store, 15, 0xc0, 0xd0, 5, 0},
-        {EventKind::ftc, AccessType::load, 16, 0x1000, 0x2000, 4, 0},
-    };
-
-    std::stringstream ss;
-    exportJsonl(events, ss);
-    EXPECT_EQ(parseJsonl(ss), events);
-}
-
-TEST(Exporters, ParseJsonlRejectsGarbage)
-{
-    std::stringstream ss("{\"not\": \"an event\"}\n");
-    EXPECT_THROW(parseJsonl(ss), std::invalid_argument);
-}
-
 TEST(Exporters, ChromeTraceIsValidAndMonotonic)
 {
     // Deliberately out-of-order input: the exporter must sort.
@@ -107,10 +83,7 @@ TEST(Exporters, ChromeTraceIsValidAndMonotonic)
         {EventKind::chain_walk, AccessType::load, 10, 0x2, 0x3, 1, 8},
         {EventKind::relocation, AccessType::store, 20, 0x4, 0x5, 8, 0},
     };
-    std::stringstream ss;
-    exportChromeTrace(events, ss);
-
-    const Json doc = Json::parse(ss.str());
+    const Json doc = chromeTrace(events);
     const Json *trace_events = doc.find("traceEvents");
     ASSERT_NE(trace_events, nullptr);
     ASSERT_TRUE(trace_events->isArray());

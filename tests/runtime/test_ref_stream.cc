@@ -340,7 +340,8 @@ TEST(AccessBatch, ClearKeepsCapacity)
 
 TEST(RefStreamApi, DefaultCapacityIsPositive)
 {
-    EXPECT_GE(defaultBatchCapacity(), 1u);
+    EXPECT_GE(default_batch_capacity, 1u);
+    EXPECT_EQ(AccessBatch().capacity(), default_batch_capacity);
 }
 
 // ---------------------------------------------------------------------

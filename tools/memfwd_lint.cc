@@ -7,7 +7,8 @@
  * surveyed — one run reports every diagnostic instead of dying on the
  * first rejected plan.  Intended for CI: exit status 1 when any
  * error-severity diagnostic is found, with a machine-readable JSON
- * summary for the build artifact.
+ * summary for the build artifact.  With `--json -` that summary is the
+ * only thing on stdout; the report goes to stderr.
  *
  *   memfwd_lint                          # lint all workloads
  *   memfwd_lint --workload health --json lint.json
@@ -67,13 +68,24 @@ usage(std::FILE *out, const char *argv0)
         "                    pairwise InterferenceAnalyzer over a sliding\n"
         "                    window of them (informational: never fails)\n"
         "  --window N        interference window size (default 8)\n"
-        "  --json FILE       write the lint summary as JSON ('-': stdout)\n"
+        "  --json FILE       write the lint summary as JSON ('-': stdout,\n"
+        "                    with the report on stderr)\n"
         "  --selftest        verify the analyzer detects every seeded\n"
         "                    negative plan (one per diagnostic code) and\n"
         "                    exit\n"
         "exit status: 0 clean, 1 error diagnostics (or failed selftest),\n"
         "             64 usage error\n",
         argv0);
+}
+
+/** Report a bad option value; returns the usage exit status. */
+int
+badValue(const char *argv0, const std::string &option, const char *text,
+         const char *expected)
+{
+    std::fprintf(stderr, "%s: bad %s value '%s' (%s)\n", argv0,
+                 option.c_str(), text, expected);
+    return exit_usage;
 }
 
 /** Windowed pairwise interference summary for one workload's plans. */
@@ -395,8 +407,32 @@ seededNegativePairs()
     return seeds;
 }
 
+/** Write @p doc to @p path ('-': stdout); false if it cannot be
+ *  opened. */
+bool
+writeJson(const char *argv0, const obs::Json &doc, const std::string &path)
+{
+    if (path == "-") {
+        doc.write(std::cout, 2);
+        std::cout << "\n";
+        return true;
+    }
+    std::ofstream os(path);
+    if (!os) {
+        std::fprintf(stderr, "%s: cannot write '%s'\n", argv0,
+                     path.c_str());
+        return false;
+    }
+    doc.write(os, 2);
+    os << "\n";
+    return true;
+}
+
+/** --selftest: check every seeded negative plan and pair, reporting
+ *  on @p out. */
 int
-runSelftest(const std::string &json_path)
+runSelftest(const char *argv0, const std::string &json_path,
+            std::FILE *out)
 {
     PlanAnalyzer analyzer;
     bool all_detected = true;
@@ -411,13 +447,13 @@ runSelftest(const std::string &json_path)
             report.hasCode(seed.expect) &&
             (seed.expect_error ? !report.verified() : report.verified());
         all_detected = all_detected && detected;
-        std::printf("selftest %-28s [%s] %s\n", seed.what,
-                    diagCodeName(seed.expect),
-                    detected ? "detected" : "MISSED");
+        std::fprintf(out, "selftest %-28s [%s] %s\n", seed.what,
+                     diagCodeName(seed.expect),
+                     detected ? "detected" : "MISSED");
         if (!detected) {
             for (const Diagnostic &d : report.diagnostics())
-                std::printf("  got [%s] %s\n", diagCodeName(d.code),
-                            d.message.c_str());
+                std::fprintf(out, "  got [%s] %s\n", diagCodeName(d.code),
+                             d.message.c_str());
         }
 
         obs::Json jc = obs::Json::object();
@@ -440,15 +476,15 @@ runSelftest(const std::string &json_path)
         const bool detected = finding.hasCode(seed.expect) &&
                               finding.verdict == seed.verdict;
         all_detected = all_detected && detected;
-        std::printf("selftest %-28s [%s] %s\n", seed.what,
-                    diagCodeName(seed.expect),
-                    detected ? "detected" : "MISSED");
+        std::fprintf(out, "selftest %-28s [%s] %s\n", seed.what,
+                     diagCodeName(seed.expect),
+                     detected ? "detected" : "MISSED");
         if (!detected) {
-            std::printf("  got verdict %s\n",
-                        interferenceVerdictName(finding.verdict));
+            std::fprintf(out, "  got verdict %s\n",
+                         interferenceVerdictName(finding.verdict));
             for (const Diagnostic &d : finding.diags)
-                std::printf("  got [%s] %s\n", diagCodeName(d.code),
-                            d.message.c_str());
+                std::fprintf(out, "  got [%s] %s\n", diagCodeName(d.code),
+                             d.message.c_str());
         }
 
         obs::Json jc = obs::Json::object();
@@ -468,14 +504,8 @@ runSelftest(const std::string &json_path)
         doc["ok"] = obs::Json::boolean(all_detected);
         doc["cases"] = std::move(cases);
         doc["pair_cases"] = std::move(pair_cases);
-        if (json_path == "-") {
-            doc.write(std::cout, 2);
-            std::cout << "\n";
-        } else {
-            std::ofstream os(json_path);
-            doc.write(os, 2);
-            os << "\n";
-        }
+        if (!writeJson(argv0, doc, json_path))
+            return 1;
     }
     return all_detected ? 0 : 1;
 }
@@ -512,28 +542,28 @@ main(int argc, char **argv)
         } else if (arg == "--scale") {
             const char *text = next();
             const std::optional<double> parsed = parsePositive(text);
-            if (!parsed) {
-                std::fprintf(stderr,
-                             "%s: bad --scale value '%s' (a positive "
-                             "number)\n",
-                             argv[0], text);
-                return exit_usage;
-            }
+            if (!parsed)
+                return badValue(argv[0], arg, text, "a positive number");
             scale = *parsed;
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 0);
+            const char *text = next();
+            const std::optional<std::uint64_t> parsed = parseUnsigned(text);
+            if (!parsed) {
+                return badValue(argv[0], arg, text,
+                                "a non-negative integer");
+            }
+            seed = *parsed;
         } else if (arg == "--enforce") {
             enforce = true;
         } else if (arg == "--interference") {
             interference = true;
         } else if (arg == "--window") {
-            window = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 0));
-            if (window == 0) {
-                std::fprintf(stderr, "%s: --window must be >= 1\n",
-                             argv[0]);
-                return exit_usage;
-            }
+            const char *text = next();
+            const std::optional<unsigned> parsed =
+                parseUnsigned<unsigned>(text);
+            if (!parsed || *parsed == 0)
+                return badValue(argv[0], arg, text, "an integer >= 1");
+            window = *parsed;
         } else if (arg == "--json") {
             json_path = next();
         } else if (arg == "--selftest") {
@@ -549,8 +579,11 @@ main(int argc, char **argv)
         }
     }
 
+    // With the JSON document on stdout, the report goes to stderr so
+    // that stdout holds exactly one document.
+    std::FILE *out = json_path == "-" ? stderr : stdout;
     if (selftest)
-        return runSelftest(json_path);
+        return runSelftest(argv[0], json_path, out);
 
     if (workloads.empty())
         workloads = extendedWorkloadNames(); // all nine, kv_server included
@@ -562,38 +595,38 @@ main(int argc, char **argv)
         WorkloadLint wl = lintWorkload(name, scale, seed, enforce,
                                        interference ? window : 0);
 
-        std::printf("%-10s %llu plans (%llu verified, %llu rejected), "
-                    "%llu sites proven, E:%llu W:%llu N:%llu%s%s\n",
-                    wl.name.c_str(),
-                    static_cast<unsigned long long>(
-                        wl.stats.plans_submitted),
-                    static_cast<unsigned long long>(
-                        wl.stats.plans_verified),
-                    static_cast<unsigned long long>(
-                        wl.stats.plans_rejected),
-                    static_cast<unsigned long long>(
-                        wl.stats.sites_proven_unforwarded),
-                    static_cast<unsigned long long>(wl.stats.diag_errors),
-                    static_cast<unsigned long long>(
-                        wl.stats.diag_warnings),
-                    static_cast<unsigned long long>(wl.stats.diag_notes),
-                    wl.ran_ok ? "" : "  RUN FAILED: ",
-                    wl.ran_ok ? "" : wl.run_error.c_str());
+        std::fprintf(out, "%-10s %llu plans (%llu verified, %llu rejected), "
+                     "%llu sites proven, E:%llu W:%llu N:%llu%s%s\n",
+                     wl.name.c_str(),
+                     static_cast<unsigned long long>(
+                         wl.stats.plans_submitted),
+                     static_cast<unsigned long long>(
+                         wl.stats.plans_verified),
+                     static_cast<unsigned long long>(
+                         wl.stats.plans_rejected),
+                     static_cast<unsigned long long>(
+                         wl.stats.sites_proven_unforwarded),
+                     static_cast<unsigned long long>(wl.stats.diag_errors),
+                     static_cast<unsigned long long>(
+                         wl.stats.diag_warnings),
+                     static_cast<unsigned long long>(wl.stats.diag_notes),
+                     wl.ran_ok ? "" : "  RUN FAILED: ",
+                     wl.ran_ok ? "" : wl.run_error.c_str());
         for (const auto &[optimizer, d] : wl.diags) {
             if (d.severity == Severity::note)
                 continue;
-            std::printf("  %s: [%s] %s: %s\n", severityName(d.severity),
-                        diagCodeName(d.code), optimizer.c_str(),
-                        d.message.c_str());
+            std::fprintf(out, "  %s: [%s] %s: %s\n", severityName(d.severity),
+                         diagCodeName(d.code), optimizer.c_str(),
+                         d.message.c_str());
         }
         if (interference) {
             const InterferenceLint &il = wl.interference;
-            std::printf("  interference(window %u): %zu plans, %zu "
-                        "pairs: %zu commute, %zu ordered, %zu "
-                        "conflict\n",
-                        il.window, il.plans, il.pairs_checked,
-                        il.pairs_commute, il.pairs_ordered,
-                        il.pairs_conflict);
+            std::fprintf(out, "  interference(window %u): %zu plans, %zu "
+                         "pairs: %zu commute, %zu ordered, %zu "
+                         "conflict\n",
+                         il.window, il.plans, il.pairs_checked,
+                         il.pairs_commute, il.pairs_ordered,
+                         il.pairs_conflict);
         }
 
         totals.plans_submitted += wl.stats.plans_submitted;
@@ -609,12 +642,12 @@ main(int argc, char **argv)
         results.push_back(std::move(wl));
     }
 
-    std::printf("total      %llu plans, %llu rejected, errors %llu, "
-                "warnings %llu\n",
-                static_cast<unsigned long long>(totals.plans_submitted),
-                static_cast<unsigned long long>(totals.plans_rejected),
-                static_cast<unsigned long long>(totals.diag_errors),
-                static_cast<unsigned long long>(totals.diag_warnings));
+    std::fprintf(out, "total      %llu plans, %llu rejected, errors %llu, "
+                 "warnings %llu\n",
+                 static_cast<unsigned long long>(totals.plans_submitted),
+                 static_cast<unsigned long long>(totals.plans_rejected),
+                 static_cast<unsigned long long>(totals.diag_errors),
+                 static_cast<unsigned long long>(totals.diag_warnings));
 
     if (!json_path.empty()) {
         obs::Json doc = obs::Json::object();
@@ -636,19 +669,8 @@ main(int argc, char **argv)
         jt["warnings"] = obs::Json::number(totals.diag_warnings);
         jt["notes"] = obs::Json::number(totals.diag_notes);
         doc["totals"] = std::move(jt);
-        if (json_path == "-") {
-            doc.write(std::cout, 2);
-            std::cout << "\n";
-        } else {
-            std::ofstream os(json_path);
-            if (!os) {
-                std::fprintf(stderr, "%s: cannot write '%s'\n", argv[0],
-                             json_path.c_str());
-                return 1;
-            }
-            doc.write(os, 2);
-            os << "\n";
-        }
+        if (!writeJson(argv[0], doc, json_path))
+            return 1;
     }
 
     return (totals.diag_errors > 0 || any_run_failed) ? 1 : 0;

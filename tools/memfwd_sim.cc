@@ -12,7 +12,9 @@
  *
  * Every option accepts both `--name value` and `--name=value`; boolean
  * features take an optional on|off value (bare means on).  Usage errors
- * exit with BSD sysexits EX_USAGE (64).
+ * (including a malformed number or a cache geometry the model rejects)
+ * exit with BSD sysexits EX_USAGE (64).  With `--json -` the metrics
+ * document is the only thing on stdout and the report goes to stderr.
  */
 
 #include <chrono>
@@ -23,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "analysis/gate.hh"
 #include "common/logging.hh"
@@ -123,7 +126,8 @@ usage(std::FILE *out, const char *argv0)
         "output:\n"
         "  --json FILE        write the hierarchical metrics tree as a\n"
         "                     versioned JSON document (docs/METRICS.md);\n"
-        "                     FILE of '-' writes to stdout\n"
+        "                     FILE of '-' writes it to stdout and the\n"
+        "                     report to stderr\n"
         "  --help, -h         this message\n",
         argv0);
 }
@@ -149,14 +153,19 @@ parseFtc(const char *argv0, const std::string &spec,
     fwd.ftc_enabled = true;
     if (spec == "on")
         return;
-    unsigned sets = 0, ways = 0;
-    if (std::sscanf(spec.c_str(), "%ux%u", &sets, &ways) != 2 || !sets ||
-        !ways) {
+    const auto x = spec.find('x');
+    const std::optional<unsigned> sets =
+        parseUnsigned<unsigned>(spec.substr(0, x).c_str());
+    const std::optional<unsigned> ways =
+        x == std::string::npos
+            ? std::nullopt
+            : parseUnsigned<unsigned>(spec.substr(x + 1).c_str());
+    if (!sets || !ways || !*sets || !*ways) {
         usageError(argv0, "bad --ftc value '" + spec +
                               "' (off | on | SETSxWAYS)");
     }
-    fwd.ftc_sets = sets;
-    fwd.ftc_ways = ways;
+    fwd.ftc_sets = *sets;
+    fwd.ftc_ways = *ways;
 }
 
 /** Parse a --collapse value: "off", "on", or a hop threshold. */
@@ -171,13 +180,12 @@ parseCollapse(const char *argv0, const std::string &spec,
     fwd.collapse_enabled = true;
     if (spec == "on")
         return;
-    char *end = nullptr;
-    const unsigned long n = std::strtoul(spec.c_str(), &end, 0);
-    if (!end || *end != '\0' || n == 0) {
+    const std::optional<unsigned> n = parseUnsigned<unsigned>(spec.c_str());
+    if (!n || *n == 0) {
         usageError(argv0,
                    "bad --collapse value '" + spec + "' (off | on | N)");
     }
-    fwd.collapse_threshold = static_cast<unsigned>(n);
+    fwd.collapse_threshold = *n;
 }
 
 } // namespace
@@ -217,6 +225,19 @@ main(int argc, char **argv)
             if (i + 1 >= argc)
                 usageError(argv[0], "missing value for " + name);
             return argv[++i];
+        };
+        // Integer option: a value parseUnsigned accepts for @p out's
+        // type.
+        auto integer = [&](auto &out) {
+            const std::string text = value();
+            const auto n =
+                parseUnsigned<std::remove_reference_t<decltype(out)>>(
+                    text.c_str());
+            if (!n) {
+                usageError(argv[0], "bad " + name + " value '" + text +
+                                        "' (a non-negative integer)");
+            }
+            out = *n;
         };
         // Boolean feature: bare flag or =on/=off.
         auto onOff = [&]() -> bool {
@@ -260,30 +281,27 @@ main(int argc, char **argv)
             }
             cfg.params.scale = *scale;
         } else if (name == "--seed") {
-            cfg.params.seed =
-                std::strtoull(value().c_str(), nullptr, 0);
+            integer(cfg.params.seed);
         } else if (name == "--line") {
-            cfg.machine.hierarchy.setLineBytes(
-                static_cast<unsigned>(std::atoi(value().c_str())));
+            unsigned bytes = 0;
+            integer(bytes);
+            cfg.machine.hierarchy.setLineBytes(bytes);
         } else if (name == "--l1") {
-            cfg.machine.hierarchy.l1d.size_bytes =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            integer(cfg.machine.hierarchy.l1d.size_bytes);
         } else if (name == "--l1-assoc") {
-            cfg.machine.hierarchy.l1d.assoc =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            integer(cfg.machine.hierarchy.l1d.assoc);
         } else if (name == "--l2") {
-            cfg.machine.hierarchy.l2.size_bytes =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            integer(cfg.machine.hierarchy.l2.size_bytes);
         } else if (name == "--mem-lat") {
-            cfg.machine.hierarchy.memory.latency =
-                static_cast<Cycles>(std::atoi(value().c_str()));
+            integer(cfg.machine.hierarchy.memory.latency);
         } else if (name == "--opt") {
             cfg.variant.layout_opt = onOff();
         } else if (name == "--prefetch") {
             cfg.variant.prefetch = onOff();
         } else if (name == "--block") {
-            cfg.variant.prefetch_block =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            integer(cfg.variant.prefetch_block);
+            if (cfg.variant.prefetch_block == 0)
+                usageError(argv[0], "--block must be at least 1");
         } else if (name == "--forwarding") {
             const std::string mode = value();
             if (mode == "hardware") {
@@ -318,7 +336,7 @@ main(int argc, char **argv)
         } else if (name == "--faults") {
             fault_spec = value();
         } else if (name == "--fault-seed") {
-            fault_seed = std::strtoull(value().c_str(), nullptr, 0);
+            integer(fault_seed);
         } else if (name == "--cycle-policy") {
             const std::string policy = value();
             if (policy == "abort") {
@@ -352,6 +370,19 @@ main(int argc, char **argv)
 
     if (cfg.workload.empty())
         usageError(argv[0], "--workload is required");
+    for (const CacheConfig *c :
+         {&cfg.machine.hierarchy.l1d, &cfg.machine.hierarchy.l2}) {
+        if (!c->validGeometry()) {
+            usageError(argv[0],
+                       "bad " + c->name + " geometry: " +
+                           std::to_string(c->size_bytes) + " B, " +
+                           std::to_string(c->assoc) + "-way, " +
+                           std::to_string(c->line_bytes) +
+                           " B lines (need a power-of-two line of at "
+                           "least " + std::to_string(wordBytes) +
+                           " B and a power-of-two set count)");
+        }
+    }
 
     // Run with a live Machine so we can dump its registry afterwards.
     Machine machine(cfg.machine);
@@ -400,39 +431,44 @@ main(int argc, char **argv)
         exit_code = 2;
     }
 
+    // With the JSON document on stdout, the report goes to stderr so
+    // that stdout holds exactly one document.
+    const bool json_stdout = json_path == "-";
+    std::FILE *out = json_stdout ? stderr : stdout;
+    std::ostream &out_os = json_stdout ? std::cerr : std::cout;
     const auto &st = machine.cpu().stalls();
-    std::printf("workload       %s%s%s\n", cfg.workload.c_str(),
-                cfg.variant.layout_opt ? " +layout-opt" : "",
-                cfg.variant.prefetch ? " +prefetch" : "");
-    std::printf("cycles         %llu\n",
-                static_cast<unsigned long long>(machine.cycles()));
-    std::printf("instructions   %llu (IPC %.2f)\n",
-                static_cast<unsigned long long>(
-                    machine.cpu().instructions()),
-                double(machine.cpu().instructions()) /
-                    double(machine.cycles()));
-    std::printf("slots          busy %llu / load %llu / store %llu / "
-                "inst %llu\n",
-                static_cast<unsigned long long>(st.busy),
-                static_cast<unsigned long long>(st.load_stall),
-                static_cast<unsigned long long>(st.store_stall),
-                static_cast<unsigned long long>(st.inst_stall));
+    std::fprintf(out, "workload       %s%s%s\n", cfg.workload.c_str(),
+                 cfg.variant.layout_opt ? " +layout-opt" : "",
+                 cfg.variant.prefetch ? " +prefetch" : "");
+    std::fprintf(out, "cycles         %llu\n",
+                 static_cast<unsigned long long>(machine.cycles()));
+    std::fprintf(out, "instructions   %llu (IPC %.2f)\n",
+                 static_cast<unsigned long long>(
+                     machine.cpu().instructions()),
+                 double(machine.cpu().instructions()) /
+                     double(machine.cycles()));
+    std::fprintf(out, "slots          busy %llu / load %llu / store %llu / "
+                 "inst %llu\n",
+                 static_cast<unsigned long long>(st.busy),
+                 static_cast<unsigned long long>(st.load_stall),
+                 static_cast<unsigned long long>(st.store_stall),
+                 static_cast<unsigned long long>(st.inst_stall));
     const auto &l1 = machine.hierarchy().l1d().stats();
-    std::printf("l1d misses     loads %llu (partial %llu) stores %llu\n",
-                static_cast<unsigned long long>(l1.loadMisses()),
-                static_cast<unsigned long long>(l1.load_partial_misses),
-                static_cast<unsigned long long>(l1.storeMisses()));
-    std::printf("traffic        l1<->l2 %llu B, l2<->mem %llu B\n",
-                static_cast<unsigned long long>(
-                    machine.hierarchy().l1L2Bytes()),
-                static_cast<unsigned long long>(
-                    machine.hierarchy().l2MemBytes()));
-    std::printf("forwarding     %llu/%llu loads, %llu/%llu stores\n",
-                static_cast<unsigned long long>(machine.loadsForwarded()),
-                static_cast<unsigned long long>(machine.loads()),
-                static_cast<unsigned long long>(
-                    machine.storesForwarded()),
-                static_cast<unsigned long long>(machine.stores()));
+    std::fprintf(out, "l1d misses     loads %llu (partial %llu) stores %llu\n",
+                 static_cast<unsigned long long>(l1.loadMisses()),
+                 static_cast<unsigned long long>(l1.load_partial_misses),
+                 static_cast<unsigned long long>(l1.storeMisses()));
+    std::fprintf(out, "traffic        l1<->l2 %llu B, l2<->mem %llu B\n",
+                 static_cast<unsigned long long>(
+                     machine.hierarchy().l1L2Bytes()),
+                 static_cast<unsigned long long>(
+                     machine.hierarchy().l2MemBytes()));
+    std::fprintf(out, "forwarding     %llu/%llu loads, %llu/%llu stores\n",
+                 static_cast<unsigned long long>(machine.loadsForwarded()),
+                 static_cast<unsigned long long>(machine.loads()),
+                 static_cast<unsigned long long>(
+                     machine.storesForwarded()),
+                 static_cast<unsigned long long>(machine.stores()));
     obs::MetricsNode metrics = machine.metrics();
     if (metrics.findChild("backend")) {
         const auto bk =
@@ -445,73 +481,75 @@ main(int argc, char **argv)
             return den ? double(num) / double(den) : 0.0;
         };
         if (bk == BackendKind::handles) {
-            std::printf("backend        handles: %llu allocs, %llu moved "
-                        "(%llu refused), %.2f derefs/resolve\n",
-                        count("allocs"), count("relocations"),
-                        count("refusals"),
-                        ratio(count("handle_derefs"), count("resolves")));
+            std::fprintf(out,
+                         "backend        handles: %llu allocs, %llu moved "
+                         "(%llu refused), %.2f derefs/resolve\n",
+                         count("allocs"), count("relocations"),
+                         count("refusals"),
+                         ratio(count("handle_derefs"), count("resolves")));
         } else {
-            std::printf("backend        %s: %llu allocs, %llu moved "
-                        "(%llu refused), %.4f hops/ref\n",
-                        backendKindName(bk), count("allocs"),
-                        count("relocations"), count("refusals"),
-                        ratio(metrics.counterAt("fwd.hops"),
-                              machine.refsExecuted()));
+            std::fprintf(out, "backend        %s: %llu allocs, %llu moved "
+                         "(%llu refused), %.4f hops/ref\n",
+                         backendKindName(bk), count("allocs"),
+                         count("relocations"), count("refusals"),
+                         ratio(metrics.counterAt("fwd.hops"),
+                               machine.refsExecuted()));
         }
     }
     if (cfg.machine.metadata_plane) {
         const auto &fs = machine.forwarding().stats();
-        std::printf("temporal       %llu uaf, %llu oob violations\n",
-                    static_cast<unsigned long long>(fs.temporal_uaf),
-                    static_cast<unsigned long long>(fs.temporal_oob));
+        std::fprintf(out, "temporal       %llu uaf, %llu oob violations\n",
+                     static_cast<unsigned long long>(fs.temporal_uaf),
+                     static_cast<unsigned long long>(fs.temporal_oob));
     }
-    std::printf("checksum       %llu\n",
-                static_cast<unsigned long long>(workload->checksum()));
-    std::printf("space overhead %llu bytes\n",
-                static_cast<unsigned long long>(
-                    workload->spaceOverheadBytes()));
+    std::fprintf(out, "checksum       %llu\n",
+                 static_cast<unsigned long long>(workload->checksum()));
+    std::fprintf(out, "space overhead %llu bytes\n",
+                 static_cast<unsigned long long>(
+                     workload->spaceOverheadBytes()));
     // Host-speed gauge (docs/METRICS.md "host" family): wall-clock
     // simulation rate, not a simulated quantity.
     const double host_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - host_t0)
             .count();
-    std::printf("host           %llu refs in %.1f ms (%.0f refs/s)\n",
-                static_cast<unsigned long long>(machine.refsExecuted()),
-                host_ms,
-                host_ms > 0.0
-                    ? double(machine.refsExecuted()) * 1000.0 / host_ms
-                    : 0.0);
+    std::fprintf(out, "host           %llu refs in %.1f ms (%.0f refs/s)\n",
+                 static_cast<unsigned long long>(machine.refsExecuted()),
+                 host_ms,
+                 host_ms > 0.0
+                     ? double(machine.refsExecuted()) * 1000.0 / host_ms
+                     : 0.0);
 
     if (!fault_spec.empty()) {
-        std::printf("faults fired   %llu\n",
-                    static_cast<unsigned long long>(faults.fired()));
+        std::fprintf(out, "faults fired   %llu\n",
+                     static_cast<unsigned long long>(faults.fired()));
     }
 
     if (analyze_mode != AnalyzeMode::off) {
         const GateStats &gs = gate.stats();
-        std::printf("analysis       mode %s: %llu plans (%llu verified, "
-                    "%llu rejected), %llu sites proven unforwarded\n",
-                    analyzeModeName(analyze_mode),
-                    static_cast<unsigned long long>(gs.plans_submitted),
-                    static_cast<unsigned long long>(gs.plans_verified),
-                    static_cast<unsigned long long>(gs.plans_rejected),
-                    static_cast<unsigned long long>(
-                        gs.sites_proven_unforwarded));
+        std::fprintf(out, "analysis       mode %s: %llu plans (%llu verified, "
+                     "%llu rejected), %llu sites proven unforwarded\n",
+                     analyzeModeName(analyze_mode),
+                     static_cast<unsigned long long>(gs.plans_submitted),
+                     static_cast<unsigned long long>(gs.plans_verified),
+                     static_cast<unsigned long long>(gs.plans_rejected),
+                     static_cast<unsigned long long>(
+                         gs.sites_proven_unforwarded));
         if (gate.enforcing()) {
-            std::printf("enforcement    %llu raw accesses cross-checked, "
-                        "%llu violations\n",
-                        static_cast<unsigned long long>(gs.enforce_checks),
-                        static_cast<unsigned long long>(
-                            gs.enforce_violations));
+            std::fprintf(out,
+                         "enforcement    %llu raw accesses cross-checked, "
+                         "%llu violations\n",
+                         static_cast<unsigned long long>(gs.enforce_checks),
+                         static_cast<unsigned long long>(
+                             gs.enforce_violations));
         }
     }
 
     if (run_audit) {
         HeapVerifier verifier(machine.mem());
         const AuditReport report = verifier.audit();
-        std::printf("\n");
-        report.dump(std::cout);
+        std::fprintf(out, "\n");
+        report.dump(out_os);
         if (!report.clean())
             exit_code = exit_code == 0 ? 3 : exit_code;
     }
@@ -522,7 +560,7 @@ main(int argc, char **argv)
                 metrics.child("audit"));
         const obs::Json doc =
             obs::metricsDocument(metrics, "memfwd_sim/" + cfg.workload);
-        if (json_path == "-") {
+        if (json_stdout) {
             doc.write(std::cout, 2);
             std::cout << "\n";
         } else {
