@@ -16,15 +16,18 @@ namespace
 
 Report *current_report = nullptr;
 
+/** Whole-number knob @p name: @p fallback when unset or empty; junk,
+ *  or a value below @p least, is fatal. */
 unsigned
-envUnsigned(const char *name, unsigned fallback)
+envCount(const char *name, unsigned fallback, unsigned least)
 {
-    if (const char *env = std::getenv(name)) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return fallback;
+    const char *env = std::getenv(name);
+    if (!env || !*env)
+        return fallback;
+    const std::optional<unsigned> n = parseUnsigned<unsigned>(env);
+    if (!n || *n < least)
+        memfwd_fatal("%s='%s' is not a whole number >= %u", name, env, least);
+    return *n;
 }
 
 std::string
@@ -95,13 +98,13 @@ benchScale()
 unsigned
 benchReps()
 {
-    return envUnsigned("MEMFWD_BENCH_REPS", 1);
+    return envCount("MEMFWD_BENCH_REPS", 1, 1);
 }
 
 unsigned
 benchWarmup()
 {
-    return envUnsigned("MEMFWD_BENCH_WARMUP", 0);
+    return envCount("MEMFWD_BENCH_WARMUP", 0, 0);
 }
 
 MachineConfig

@@ -41,7 +41,8 @@ namespace memfwd::bench
  */
 double benchScale();
 
-/** Timed repetitions per case (MEMFWD_BENCH_REPS, default 1). */
+/** Timed repetitions per case (MEMFWD_BENCH_REPS, default 1; as for
+ *  the scale, empty means unset and a value below 1 is fatal). */
 unsigned benchReps();
 
 /** Untimed warmup runs per case (MEMFWD_BENCH_WARMUP, default 0). */

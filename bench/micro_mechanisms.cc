@@ -133,7 +133,7 @@ BM_Relocate64WordsAnalyzed(benchmark::State &state)
         src = tgt;
         tgt += 64 * 8;
     }
-    state.SetLabel(analyzeModeName(gate.mode()));
+    state.SetLabel(gate.enforcing() ? "enforce" : "plan");
 }
 BENCHMARK(BM_Relocate64WordsAnalyzed)
     ->Arg(0)

@@ -6,35 +6,6 @@
 namespace memfwd
 {
 
-const char *
-analyzeModeName(AnalyzeMode mode)
-{
-    switch (mode) {
-      case AnalyzeMode::off:
-        return "off";
-      case AnalyzeMode::plan:
-        return "plan";
-      case AnalyzeMode::enforce:
-        return "enforce";
-    }
-    return "?";
-}
-
-bool
-analyzeModeFromName(const std::string &name, AnalyzeMode &out)
-{
-    if (name == "off") {
-        out = AnalyzeMode::off;
-    } else if (name == "plan") {
-        out = AnalyzeMode::plan;
-    } else if (name == "enforce") {
-        out = AnalyzeMode::enforce;
-    } else {
-        return false;
-    }
-    return true;
-}
-
 namespace
 {
 

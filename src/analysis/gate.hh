@@ -2,11 +2,10 @@
  * @file
  * The AnalysisGate: where static plan verdicts meet the running machine.
  *
- * A gate is attached to a Machine (Machine::setAnalysisGate) in one of
- * three modes:
+ * With no gate attached nothing is checked and nothing is paid (the
+ * Machine's fast paths test one pointer and branch away).  A gate is
+ * attached to a Machine (Machine::setAnalysisGate) in one of two modes:
  *
- *  - `off`     — nothing is checked, nothing is paid (the Machine's
- *                fast paths test one pointer and branch away);
  *  - `plan`    — every layout optimizer must submit its RelocationPlan
  *                before touching memory; the PlanAnalyzer verifies it
  *                and a plan carrying error diagnostics is rejected
@@ -61,18 +60,12 @@ namespace memfwd
 
 class TaggedMemory;
 
-/** How much of the analysis machinery is active. */
+/** How much of the analysis machinery an attached gate runs. */
 enum class AnalyzeMode
 {
-    off,    ///< gate is inert
     plan,   ///< plans verified statically; bad plans rejected
     enforce ///< plan + dynamic cross-check of every raw access
 };
-
-const char *analyzeModeName(AnalyzeMode mode);
-
-/** Parse "off" | "plan" | "enforce"; false if @p name is unknown. */
-bool analyzeModeFromName(const std::string &name, AnalyzeMode &out);
 
 /** Thrown when a submitted plan carries error diagnostics. */
 class PlanRejected : public std::runtime_error
@@ -126,8 +119,6 @@ class AnalysisGate
         : mode_(mode)
     {
     }
-
-    AnalyzeMode mode() const { return mode_; }
 
     bool enforcing() const { return mode_ == AnalyzeMode::enforce; }
 
@@ -237,8 +228,8 @@ class AnalysisGate
 };
 
 /**
- * RAII plan scope: submits on entry (when a gate is attached and not
- * off), deactivates on exit.  Null-gate tolerant so optimizers write
+ * RAII plan scope: submits on entry (when a gate is attached),
+ * deactivates on exit.  Null-gate tolerant so optimizers write
  * one unconditional line:
  *
  *   PlanScope scope(machine.analysisGate(), plan);
@@ -249,7 +240,7 @@ class PlanScope
 {
   public:
     PlanScope(AnalysisGate *gate, const RelocationPlan &plan)
-        : gate_(gate && gate->mode() != AnalyzeMode::off ? gate : nullptr)
+        : gate_(gate)
     {
         if (gate_)
             gate_->submit(plan);

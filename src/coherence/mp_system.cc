@@ -23,7 +23,7 @@ MpSystem::chase(unsigned cpu, Addr word)
 {
     // Each hop reads the forwarding word through this processor's cache
     // (a coherent read: the word may be written by a relocating peer).
-    return chainTail(mem_, word, ChainLimits{cfg_.fwd_hop_limit},
+    return chainTail(mem_, word, ChainLimits{},
                      [this, cpu](Addr hop) {
                          clocks_[cpu] = caches_[cpu]->load(hop, clocks_[cpu]);
                      });

@@ -33,7 +33,6 @@ struct MpConfig
     unsigned cache_bytes = 16 * 1024;
     unsigned assoc = 2;
     unsigned line_bytes = 64;
-    unsigned fwd_hop_limit = 16;
 };
 
 /** P in-order cores + private MSI caches + shared tagged memory. */

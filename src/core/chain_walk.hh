@@ -4,7 +4,9 @@
  *
  * Every path that follows a forwarding chain runs walkChain(): the
  * engine's timed and functional walks, Machine::peek/poke, the
- * multiprocessor substrate and relocation's target chase.  The loop
+ * multiprocessor substrate, relocation's target chase, and the timed
+ * software walk (chaseChain: Relocate()'s source chase, final-address
+ * pointer comparison and the chain-aware free).  The loop
  * always validates each payload (a misaligned one can only be
  * corruption, and ends the walk), runs the hop counter, and on its
  * overflow runs the accurate check: a cycle ends the walk, a false

@@ -51,7 +51,10 @@ accurateCycleCheck(const TaggedMemory &mem, Addr addr)
             return {true, length, word, pre};
         }
         order.push_back(word);
-        word = wordAlign(mem.rawReadWord(word));
+        const Word payload = mem.rawReadWord(word);
+        if (!isWordAligned(payload))
+            break; // the chain ends in corruption, which walkChain reports
+        word = payload;
         ++length;
     }
     return {false, length, 0, 0};

@@ -96,7 +96,9 @@ struct CycleCheckResult
 /**
  * Precisely walk the forwarding chain starting at the word containing
  * @p addr.  Pure functional check — no timing, no cache effects (the
- * engine charges a fixed software cost for invoking it).
+ * engine charges a fixed software cost for invoking it).  A misaligned
+ * payload ends the check without a cycle: rounding it to a word could
+ * fake one, and the corruption is the walk's to report.
  */
 CycleCheckResult accurateCycleCheck(const TaggedMemory &mem, Addr addr);
 

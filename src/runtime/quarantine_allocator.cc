@@ -64,7 +64,7 @@ QuarantineAllocator::relocateIntoQuarantine(Addr addr, Addr slot, Addr bytes)
     AnalysisGate *gate = machine_.analysisGate();
     std::optional<PlanScope> micro;
     const auto n_words = static_cast<unsigned>(bytes / wordBytes);
-    if (gate && gate->mode() != AnalyzeMode::off && gate->activePlans() == 0) {
+    if (gate && gate->activePlans() == 0) {
         RelocationPlan plan("quarantine");
         plan.assume(AliasAssumption::stale_pointers_possible)
             .move(addr, slot, n_words);

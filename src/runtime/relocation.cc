@@ -16,11 +16,8 @@ namespace memfwd
 namespace
 {
 
-/**
- * Timed Read_FBit loops run a cheap hop counter just like the
- * hardware walk; past this many hops the software falls back to the
- * accurate functional check rather than spinning forever on a cycle.
- */
+/** The timed software walk's hop counter: past this many hops it runs
+ *  the accurate check rather than spinning forever on a cycle. */
 constexpr unsigned chase_soft_limit = 64;
 
 } // namespace
@@ -28,24 +25,20 @@ constexpr unsigned chase_soft_limit = 64;
 Addr
 chaseChain(Machine &machine, Addr addr)
 {
-    Addr word = wordAlign(addr);
-    const unsigned offset = wordOffset(addr);
-    unsigned guard = 0;
+    // Each hop issues Read_FBit and then Unforwarded_Read of the word;
+    // the Read_FBit that finds the tail's bit clear ends the walk.
     // Hand-proven raw reads: every word read here was just observed
     // with its forwarding bit set, and a forwarding word's payload is
     // the one thing a raw read of it legitimately fetches.
     ScopedUnforwardedAnnotation chase_ok(machine.analysisGate());
-    while ((machine.access(Access::readFBit(word)).value != 0)) {
-        word = wordAlign(machine.access(Access::unforwardedRead(word)).value);
-        if (++guard > chase_soft_limit) {
-            const CycleCheckResult chk =
-                accurateCycleCheck(machine.mem(), addr);
-            if (chk.is_cycle)
-                throw ForwardingCycleError(wordAlign(addr), chk.length);
-            guard = 0;
-        }
-    }
-    return word + offset;
+    const Addr tail = chainTail(
+        machine.mem(), wordAlign(addr), ChainLimits{chase_soft_limit},
+        [&machine](Addr word) {
+            machine.access(Access::readFBit(word));
+            machine.access(Access::unforwardedRead(word));
+        });
+    machine.access(Access::readFBit(tail));
+    return tail + wordOffset(addr);
 }
 
 void
@@ -84,8 +77,7 @@ relocate(Machine &machine, Addr src, Addr tgt, unsigned n_words)
     // are statically vetted when an analysis gate is attached.
     AnalysisGate *gate = machine.analysisGate();
     std::optional<PlanScope> micro;
-    if (gate && gate->mode() != AnalyzeMode::off &&
-        gate->activePlans() == 0) {
+    if (gate && gate->activePlans() == 0) {
         RelocationPlan plan("relocate");
         plan.assume(AliasAssumption::stale_pointers_possible)
             .move(src, tgt, n_words);

@@ -35,9 +35,10 @@ class Machine;
  * forward @p src (or the tail of its existing chain) to @p tgt.
  * Both addresses must be word-aligned.
  *
- * @throws ForwardingCycleError if a source chain is cyclic; AllocFailure
- *         if a relocate-site fault injector fires.  On any throw the
- *         heap has been rolled back to its pre-call contents.
+ * @throws ForwardingCycleError or ForwardingIntegrityError if a source
+ *         chain is cyclic or corrupt; AllocFailure if a relocate-site
+ *         fault injector fires.  On any throw the heap has been rolled
+ *         back to its pre-call contents.
  */
 void relocate(Machine &machine, Addr src, Addr tgt, unsigned n_words);
 
@@ -45,9 +46,11 @@ void relocate(Machine &machine, Addr src, Addr tgt, unsigned n_words);
  * Chase the forwarding chain of the word containing @p addr using the
  * ISA extensions (Read_FBit + Unforwarded_Read) and return the final
  * address, preserving the byte offset.  This is the software
- * final-address lookup used for pointer comparisons and by Relocate().
+ * final-address lookup used for pointer comparisons, by Relocate() and
+ * by the chain-aware SimAllocator::free(): chainTail(), every hop timed.
  *
- * @throws ForwardingCycleError if the chain is cyclic.
+ * @throws ForwardingCycleError if the chain is cyclic, and
+ *         ForwardingIntegrityError if it holds a misaligned payload.
  */
 Addr chaseChain(Machine &machine, Addr addr);
 

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <iterator>
 
-#include "analysis/gate.hh"
 #include "common/logging.hh"
+#include "core/chain_walk.hh"
 #include "core/fault_injector.hh"
 #include "runtime/machine.hh"
+#include "runtime/relocation.hh"
 
 namespace memfwd
 {
@@ -275,24 +276,24 @@ SimAllocator::free(Addr addr)
 {
     // Section 3.3: the wrapper walks the forwarding chain first and
     // deallocates every relocated copy of the object, then the block
-    // itself.  The walk is performed with the ISA extensions so its
-    // cost appears in the timing.
+    // itself.  The walk is the timed software walk, so its cost appears
+    // in the timing, and a cyclic or corrupt chain throws before
+    // anything is released.
+    chaseChain(machine_, addr);
+
     auto release = [this](Addr start) {
         const Addr bytes = allocationSize(start);
         bytes_live_ -= bytes;
         setBlock(start, start + bytes, false);
     };
-    Addr cur = wordAlign(addr);
-    unsigned guard = 0;
-    // Hand-proven chain walk: each raw read targets a word just
-    // observed with its forwarding bit set.
-    ScopedUnforwardedAnnotation walk_ok(machine_.analysisGate());
-    while ((machine_.access(Access::readFBit(cur)).value != 0)) {
-        cur = wordAlign(machine_.access(Access::unforwardedRead(cur)).value);
-        if (isAllocated(cur))
-            release(cur);
-        memfwd_assert(++guard < 1u << 20, "free(): runaway chain");
-    }
+    // The chain is now known to end: an untimed second pass releases
+    // each hop's target that is a known allocation.
+    const TaggedMemory &mem = machine_.mem();
+    walkChain(mem, wordAlign(addr), ChainLimits{~0u}, [&](Addr word) {
+        const Addr copy = mem.rawReadWord(word);
+        if (isAllocated(copy))
+            release(copy);
+    });
 
     memfwd_assert(isAllocated(addr), "free() of unallocated address %#llx",
                   static_cast<unsigned long long>(addr));

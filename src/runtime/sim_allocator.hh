@@ -110,7 +110,11 @@ class SimAllocator
     /**
      * Free the block at @p addr, first freeing every relocated copy
      * reachable through the forwarding chain of its first word.
-     * Unknown chain targets (e.g. pool space) are skipped.
+     * Unknown chain targets (e.g. pool space) are skipped.  The whole
+     * chain is walked (chaseChain) before anything is released.
+     *
+     * @throws ForwardingCycleError or ForwardingIntegrityError if the
+     *         chain is cyclic or corrupt, having released nothing.
      */
     void free(Addr addr);
 

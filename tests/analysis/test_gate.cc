@@ -80,20 +80,12 @@ TEST(AnalysisGate, SharedSiteIdNeedsEverySiteProven)
     gate.planDone();
 }
 
-TEST(PlanScope, NullGateAndOffModeAreInert)
+TEST(PlanScope, NullGateIsInert)
 {
     RelocationPlan plan("inert");
     plan.move(0x1000, 0x1010, 4); // would be rejected if analyzed
-    {
-        PlanScope scope(nullptr, plan);
-        EXPECT_FALSE(scope.approved(1));
-    }
-    AnalysisGate off(AnalyzeMode::off);
-    {
-        PlanScope scope(&off, plan);
-        EXPECT_FALSE(scope.approved(1));
-    }
-    EXPECT_EQ(off.stats().plans_submitted, 0u);
+    PlanScope scope(nullptr, plan);
+    EXPECT_FALSE(scope.approved(1));
 }
 
 // ----- enforce mode ----------------------------------------------------

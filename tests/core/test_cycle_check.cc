@@ -64,6 +64,18 @@ TEST(CycleCheck, UnalignedStartUsesContainingWord)
     EXPECT_TRUE(accurateCycleCheck(mem, 0x1003).is_cycle);
 }
 
+TEST(CycleCheck, CorruptPayloadIsNotACycle)
+{
+    // 0x2000 holds the misaligned 0x1003, which rounds back to 0x1000:
+    // the chain ends in corruption, not in a loop.
+    TaggedMemory mem;
+    mem.unforwardedWrite(0x1000, 0x2000, true);
+    mem.unforwardedWrite(0x2000, 0x1003, true);
+    const CycleCheckResult r = accurateCycleCheck(mem, 0x1000);
+    EXPECT_FALSE(r.is_cycle);
+    EXPECT_EQ(r.length, 1u);
+}
+
 TEST(CycleCheck, SelfLoopEntryAndPin)
 {
     TaggedMemory mem;

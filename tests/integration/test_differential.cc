@@ -27,16 +27,25 @@
  * and retry budget, timed access(), fast-forward access() and peek()
  * must agree on the error thrown, the value, the final address and the
  * trap sequence, and leave the same canonical heap.
+ *
+ * A fifth holds the timed software walk (chaseChain, relocate and the
+ * chain-aware free) to the same walk on the same chain shapes, past its
+ * 64-hop counter: each reaches peek()'s tail or throws peek()'s error,
+ * and on a chain that ends each costs exactly the cycles and references
+ * of the hand-rolled Read_FBit loop it replaced, kept here as the
+ * oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "analysis/gate.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/chain_walk.hh"
@@ -45,6 +54,7 @@
 #include "mem/tagged_memory.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
+#include "runtime/sim_allocator.hh"
 #include "workloads/workload.hh"
 
 namespace memfwd
@@ -700,6 +710,267 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(name) + "_"
                + cyclePolicyName(std::get<1>(info.param))
                + (std::get<2>(info.param) ? "_accel" : "_plain");
+    });
+
+// ---------------------------------------------------------------------
+// The software walk: chaseChain, relocate and free agree with peek, and
+// cost what a hand-rolled Read_FBit loop costs.
+// ---------------------------------------------------------------------
+
+/**
+ * The software walk hand-rolled as its own Read_FBit loop, with the
+ * accurate check past 64 hops: the timing oracle chaseChain() must
+ * match hop for hop.
+ */
+Addr
+oracleChase(Machine &machine, Addr addr)
+{
+    Addr word = wordAlign(addr);
+    const unsigned offset = wordOffset(addr);
+    unsigned guard = 0;
+    ScopedUnforwardedAnnotation chase_ok(machine.analysisGate());
+    while ((machine.access(Access::readFBit(word)).value != 0)) {
+        word = wordAlign(machine.access(Access::unforwardedRead(word)).value);
+        if (++guard > 64) {
+            const CycleCheckResult chk =
+                accurateCycleCheck(machine.mem(), addr);
+            if (chk.is_cycle)
+                throw ForwardingCycleError(wordAlign(addr), chk.length);
+            guard = 0;
+        }
+    }
+    return word + offset;
+}
+
+/**
+ * The timed part of a chain-aware free() hand-rolled as its own
+ * Read_FBit loop (the releases are untimed and left out), then the
+ * allocator's per-call charge of 40 ALU ops: the timing oracle
+ * SimAllocator::free() must match.
+ */
+void
+oracleFree(Machine &machine, Addr addr)
+{
+    Addr cur = wordAlign(addr);
+    unsigned guard = 0;
+    ScopedUnforwardedAnnotation walk_ok(machine.analysisGate());
+    while ((machine.access(Access::readFBit(cur)).value != 0)) {
+        cur = wordAlign(machine.access(Access::unforwardedRead(cur)).value);
+        memfwd_assert(++guard < 1u << 20, "free(): runaway chain");
+    }
+    machine.access(Access::compute(40));
+}
+
+/** One relocate() word step, around the oracle chase of its source. */
+void
+oracleRelocate(Machine &machine, Addr src, Addr tgt)
+{
+    const Addr tail = oracleChase(machine, src);
+    const std::uint64_t value =
+        machine.access(Access::unforwardedRead(tail)).value;
+    machine.access(Access::store(tgt, wordBytes, value));
+    machine.access(Access::unforwardedWrite(tail, tgt, true));
+}
+
+/** Every word with a nonzero payload or a set forwarding bit. */
+std::map<Addr, std::pair<Word, bool>>
+rawImage(const TaggedMemory &mem)
+{
+    std::map<Addr, std::pair<Word, bool>> image;
+    for (const Addr base : mem.mappedPageBases()) {
+        for (unsigned w = 0; w < TaggedMemory::pageWords; ++w) {
+            const Addr a = base + Addr(w) * wordBytes;
+            if (mem.rawReadWord(a) != 0 || mem.fbit(a))
+                image.emplace(a, std::make_pair(mem.rawReadWord(a),
+                                                mem.fbit(a)));
+        }
+    }
+    return image;
+}
+
+/**
+ * buildChain()'s chain over live allocations: chain word i is the
+ * block allocated i-th, and `target`, allocated after the chain, is a
+ * spare block to relocate into.
+ */
+struct SoftwareWalkRig
+{
+    Machine m;
+    SimAllocator alloc;
+    unsigned hops;
+    Addr target = 0;
+
+    SoftwareWalkRig(const MachineConfig &cfg, unsigned hops, Shape shape)
+        : m(cfg), alloc(m, chain_base, 0x100000), hops(hops)
+    {
+        for (unsigned i = 0; i <= hops; ++i)
+            EXPECT_EQ(alloc.alloc(chain_stride), chainWord(i));
+        target = alloc.alloc(chain_stride);
+        buildChain(m.mem(), hops, shape);
+    }
+
+    Addr head() const { return chainWord(0); }
+    Addr tail() const { return chainWord(hops); }
+};
+
+/** The exception class @p f throws, "" if none. */
+template <class F>
+std::string
+errorOf(F &&f)
+{
+    return observe([&] {
+               f();
+               return Observed{};
+           })
+        .error;
+}
+
+/** cycles() and refsExecuted() spent. */
+using Cost = std::pair<Cycles, std::uint64_t>;
+
+/** The Cost of @p f on @p m. */
+template <class F>
+Cost
+costOf(Machine &m, F &&f)
+{
+    const Cycles c0 = m.cycles();
+    const std::uint64_t r0 = m.refsExecuted();
+    f();
+    return {m.cycles() - c0, m.refsExecuted() - r0};
+}
+
+class SoftwareWalkSweep
+    : public ::testing::TestWithParam<std::tuple<MachineConfig::Mode, bool>>
+{
+};
+
+TEST_P(SoftwareWalkSweep, ChaseRelocateAndFreeAgreeWithPeek)
+{
+    setVerbose(false);
+    const auto &[mode, accelerated] = GetParam();
+    MachineConfig cfg = MachineConfig{}
+                            .forwardingMode(mode)
+                            .cyclePolicy(CyclePolicy::abort);
+    if (accelerated)
+        cfg.ftc().collapse();
+    for (const unsigned hops : {1u, 2u, 63u, 64u, 65u, 66u, 129u, 200u}) {
+        for (const Shape shape :
+             {Shape::acyclic, Shape::cyclic, Shape::corrupt}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "hops=" << hops << " shape=" << int(shape));
+            const Observed peek = [&] {
+                SoftwareWalkRig rig(cfg, hops, shape);
+                return observe([&] {
+                    return Observed{"", rig.m.peek(rig.head() + 4, 4)};
+                });
+            }();
+            const bool ends = shape == Shape::acyclic;
+            EXPECT_EQ(peek.error, ends ? "" : (shape == Shape::cyclic
+                                                   ? "cycle"
+                                                   : "integrity"));
+
+            // chaseChain: peek's tail, at the oracle loop's cost.
+            {
+                SoftwareWalkRig rig(cfg, hops, shape);
+                Addr tail = 0;
+                Cost cost;
+                EXPECT_EQ(errorOf([&] {
+                              cost = costOf(rig.m, [&] {
+                                  tail = chaseChain(rig.m, rig.head() + 4);
+                              });
+                          }),
+                          peek.error);
+                if (ends) {
+                    EXPECT_EQ(tail, rig.tail() + 4);
+                    EXPECT_EQ(rig.m.mem().readBytes(tail, 4), peek.value);
+                    SoftwareWalkRig ref(cfg, hops, shape);
+                    Addr oracle_tail = 0;
+                    EXPECT_EQ(costOf(ref.m,
+                                     [&] {
+                                         oracle_tail = oracleChase(
+                                             ref.m, ref.head() + 4);
+                                     }),
+                              cost);
+                    EXPECT_EQ(oracle_tail, tail);
+                }
+            }
+
+            // relocate: appends at peek's tail, or throws peek's error
+            // with the heap bit-identical.
+            {
+                SoftwareWalkRig rig(cfg, hops, shape);
+                const auto before = rawImage(rig.m.mem());
+                Cost cost;
+                EXPECT_EQ(errorOf([&] {
+                              cost = costOf(rig.m, [&] {
+                                  relocate(rig.m, rig.head(), rig.target, 1);
+                              });
+                          }),
+                          peek.error);
+                if (ends) {
+                    EXPECT_TRUE(rig.m.mem().fbit(rig.tail()));
+                    EXPECT_EQ(rig.m.mem().rawReadWord(rig.tail()),
+                              rig.target);
+                    EXPECT_EQ(rig.m.peek(rig.head() + 4, 4), peek.value);
+                    SoftwareWalkRig ref(cfg, hops, shape);
+                    EXPECT_EQ(costOf(ref.m,
+                                     [&] {
+                                         oracleRelocate(ref.m, ref.head(),
+                                                        ref.target);
+                                     }),
+                              cost);
+                } else {
+                    EXPECT_EQ(rawImage(rig.m.mem()), before);
+                }
+            }
+
+            // free: releases the whole chain, or throws peek's error
+            // having released nothing.
+            {
+                SoftwareWalkRig rig(cfg, hops, shape);
+                const Addr live = rig.alloc.bytesLive();
+                Cost cost;
+                EXPECT_EQ(errorOf([&] {
+                              cost = costOf(rig.m, [&] {
+                                  rig.alloc.free(rig.head());
+                              });
+                          }),
+                          peek.error);
+                unsigned allocated = 0;
+                for (unsigned i = 0; i <= hops; ++i)
+                    allocated += rig.alloc.isAllocated(chainWord(i)) ? 1 : 0;
+                if (ends) {
+                    EXPECT_EQ(allocated, 0u);
+                    EXPECT_EQ(rig.alloc.bytesLive(), chain_stride);
+                    SoftwareWalkRig ref(cfg, hops, shape);
+                    EXPECT_EQ(costOf(ref.m,
+                                     [&] { oracleFree(ref.m, ref.head()); }),
+                              cost);
+                } else {
+                    EXPECT_EQ(allocated, hops + 1);
+                    EXPECT_EQ(rig.alloc.bytesLive(), live);
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAccelerations, SoftwareWalkSweep,
+    ::testing::Combine(
+        ::testing::Values(MachineConfig::Mode::hardware,
+                          MachineConfig::Mode::exception,
+                          MachineConfig::Mode::perfect),
+        ::testing::Bool()),
+    [](const auto &info) {
+        const MachineConfig::Mode mode = std::get<0>(info.param);
+        const char *name = mode == MachineConfig::Mode::hardware
+                               ? "hw"
+                               : (mode == MachineConfig::Mode::exception
+                                      ? "exc"
+                                      : "perfect");
+        return std::string(name)
+               + (std::get<1>(info.param) ? "_accel" : "_plain");
     });
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cycle_check.hh"
 #include "runtime/machine.hh"
 #include "runtime/pointer_compare.hh"
 #include "runtime/relocation.hh"
@@ -68,6 +69,18 @@ TEST(PointerCompare, OrderingFollowsFinalAddresses)
     // 0x9000 forwards to 0x0800: its final address is LOWER than 0x1000.
     relocate(m, 0x9000, 0x0800, 1);
     EXPECT_LT(pointerCompare(m, 0x9000, 0x1000), 0);
+}
+
+TEST(PointerCompare, CorruptChainThrowsInsteadOfComparing)
+{
+    // 0x1000 forwards to the misaligned 0x2003: rounding it down would
+    // make 0x1000 and 0x2000 "equal".  The walk refuses it as peek() does.
+    Machine m;
+    m.mem().unforwardedWrite(0x1000, 0x2003, true);
+    EXPECT_THROW(m.peek(0x1000, 8), ForwardingIntegrityError);
+    EXPECT_THROW(pointersEqual(m, 0x1000, 0x2000), ForwardingIntegrityError);
+    EXPECT_THROW(pointerCompare(m, 0x1000, 0x2000),
+                 ForwardingIntegrityError);
 }
 
 } // namespace

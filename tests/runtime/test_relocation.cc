@@ -143,6 +143,23 @@ TEST(ChaseChain, ThrowsOnCycleInsteadOfWedging)
     }
 }
 
+TEST(ChaseChain, CorruptPayloadThrowsLikePeek)
+{
+    // A misaligned payload can only be corruption: the timed software
+    // walk refuses it exactly as peek()'s untimed walk does, rather than
+    // rounding it down to a plausible word.
+    Machine m;
+    m.mem().unforwardedWrite(0x1000, 0x2003, true);
+    EXPECT_THROW(m.peek(0x1000, 8), ForwardingIntegrityError);
+    try {
+        chaseChain(m, 0x1000);
+        FAIL() << "corrupt payload followed";
+    } catch (const ForwardingIntegrityError &e) {
+        EXPECT_EQ(e.word(), 0x1000u);
+        EXPECT_EQ(e.payload(), 0x2003u);
+    }
+}
+
 TEST(Relocate, MidRelocationFailureRollsBackBitIdentically)
 {
     Machine m;
@@ -205,6 +222,21 @@ TEST(Relocate, CyclicSourceChainRollsBack)
 
     EXPECT_THROW(relocate(m, 0x1000, 0x9000, 3), ForwardingCycleError);
     EXPECT_EQ(heapImage(m.mem()), before);
+}
+
+TEST(Relocate, CorruptSourceChainRollsBack)
+{
+    // Word 1 forwards to a misaligned payload: the source chase throws
+    // before anything is written at the word it would round to
+    // (0x9000), and word 0, already forwarded, is undone.
+    Machine m;
+    m.access(Access::store(0x1000, 8, 1));
+    m.mem().unforwardedWrite(0x1008, 0x9001, true);
+    const auto before = heapImage(m.mem());
+
+    EXPECT_THROW(relocate(m, 0x1000, 0x5000, 2), ForwardingIntegrityError);
+    EXPECT_EQ(heapImage(m.mem()), before);
+    EXPECT_FALSE(m.mem().fbit(0x9000));
 }
 
 TEST(Relocate, CyclicTargetChainRollsBack)

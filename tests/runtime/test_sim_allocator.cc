@@ -10,6 +10,7 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "core/cycle_check.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
 #include "runtime/sim_allocator.hh"
@@ -424,6 +425,39 @@ TEST(SimAllocator, ChainAwareFreeSkipsUnknownTargets)
     m.access(Access::unforwardedWrite(obj, 0x7f0000000ull, true));
     alloc.free(obj); // must not crash
     EXPECT_FALSE(alloc.isAllocated(obj));
+}
+
+TEST(SimAllocator, FreeThroughCorruptChainReleasesNothing)
+{
+    // A forged forwarding word whose misaligned payload lands inside
+    // another live block: the walk refuses the payload, as peek() does,
+    // instead of rounding it to that block and freeing it.
+    Machine m;
+    SimAllocator alloc(m);
+    const Addr a = alloc.alloc(16);
+    const Addr b = alloc.alloc(16);
+    m.mem().unforwardedWrite(a, b + 3, true);
+    EXPECT_THROW(alloc.free(a), ForwardingIntegrityError);
+    EXPECT_TRUE(alloc.isAllocated(a));
+    EXPECT_TRUE(alloc.isAllocated(b));
+    EXPECT_EQ(alloc.bytesLive(), 32u);
+    EXPECT_EQ(alloc.freeCalls(), 0u);
+}
+
+TEST(SimAllocator, FreeOfCyclicChainThrowsAndReleasesNothing)
+{
+    // Two blocks forwarding to each other: the accurate check proves the
+    // cycle and free() throws, rather than spinning until an abort.
+    Machine m;
+    SimAllocator alloc(m);
+    const Addr a = alloc.alloc(16);
+    const Addr b = alloc.alloc(16);
+    m.mem().unforwardedWrite(a, b, true);
+    m.mem().unforwardedWrite(b, a, true);
+    EXPECT_THROW(alloc.free(a), ForwardingCycleError);
+    EXPECT_TRUE(alloc.isAllocated(a));
+    EXPECT_TRUE(alloc.isAllocated(b));
+    EXPECT_EQ(alloc.bytesLive(), 32u);
 }
 
 TEST(SimAllocatorDeathTest, DoubleFreePanics)

@@ -198,7 +198,7 @@ main(int argc, char **argv)
     RunConfig cfg;
     cfg.workload = "";
     bool run_audit = false;
-    AnalyzeMode analyze_mode = AnalyzeMode::off;
+    std::string analyze = "off"; // off (no gate) | plan | enforce
     std::string fault_spec;
     std::string json_path;
     std::uint64_t fault_seed = 0x5eedfa17ULL;
@@ -355,9 +355,10 @@ main(int argc, char **argv)
         } else if (name == "--audit") {
             run_audit = onOff();
         } else if (name == "--analyze") {
-            const std::string mode = has_inline ? inline_val : "plan";
-            if (!analyzeModeFromName(mode, analyze_mode)) {
-                usageError(argv[0], "unknown analyze mode '" + mode +
+            analyze = has_inline ? inline_val : "plan";
+            if (analyze != "off" && analyze != "plan" &&
+                analyze != "enforce") {
+                usageError(argv[0], "unknown analyze mode '" + analyze +
                                         "' (off | plan | enforce)");
             }
         } else if (name == "--help" || name == "-h") {
@@ -406,8 +407,9 @@ main(int argc, char **argv)
         machine.setFaultInjector(&faults);
     }
 
-    AnalysisGate gate(analyze_mode);
-    if (analyze_mode != AnalyzeMode::off)
+    AnalysisGate gate(analyze == "enforce" ? AnalyzeMode::enforce
+                                           : AnalyzeMode::plan);
+    if (analyze != "off")
         machine.setAnalysisGate(&gate);
 
     int exit_code = 0;
@@ -525,11 +527,11 @@ main(int argc, char **argv)
                      static_cast<unsigned long long>(faults.fired()));
     }
 
-    if (analyze_mode != AnalyzeMode::off) {
+    if (analyze != "off") {
         const GateStats &gs = gate.stats();
         std::fprintf(out, "analysis       mode %s: %llu plans (%llu verified, "
                      "%llu rejected), %llu sites proven unforwarded\n",
-                     analyzeModeName(analyze_mode),
+                     analyze.c_str(),
                      static_cast<unsigned long long>(gs.plans_submitted),
                      static_cast<unsigned long long>(gs.plans_verified),
                      static_cast<unsigned long long>(gs.plans_rejected),
