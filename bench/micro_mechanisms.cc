@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenches of the simulator's own mechanisms:
  * how fast the host simulates tagged-memory access, forwarding walks,
- * cache accesses, and timed machine references.  These measure the
- * simulator (host seconds), not the simulated machine (cycles).
+ * cache accesses, timed and fast-forwarded machine references, and ALU
+ * retirement in the reorder buffer.  These measure the simulator (host
+ * seconds), not the simulated machine (cycles).
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "cache/hierarchy.hh"
 #include "common/logging.hh"
 #include "core/forwarding_engine.hh"
+#include "cpu/rob.hh"
 #include "mem/tagged_memory.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
@@ -95,6 +97,37 @@ BM_MachineTimedLoad(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MachineTimedLoad);
+
+/**
+ * The fast-forward access: functional resolve plus one OooCpu::alu()
+ * call, whose retirement waits for an observer that never comes here.
+ */
+void
+BM_MachineFastForwardLoad(benchmark::State &state)
+{
+    setVerbose(false);
+    Machine m(MachineConfig{}.fastForward());
+    m.access(Access::store(0x1000, 8, 7));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(m.access(Access::load(0x1000, 8)).value);
+}
+BENCHMARK(BM_MachineFastForwardLoad);
+
+/**
+ * Retiring n ALU instructions on the default 4-wide, 64-entry ROB.  The
+ * burst steps until the stream is periodic and skips the rest, so
+ * 1<<20 should cost about what 64 does.
+ */
+void
+BM_RobAluBurst(benchmark::State &state)
+{
+    const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
+    Rob rob(4, 64);
+    for (auto _ : state)
+        rob.aluBurst(n);
+    benchmark::DoNotOptimize(rob.currentCycle());
+}
+BENCHMARK(BM_RobAluBurst)->Arg(1)->Arg(64)->Arg(1 << 20);
 
 void
 BM_Relocate64Words(benchmark::State &state)

@@ -15,7 +15,7 @@ OooCpu::OooCpu(const OooParams &params)
 void
 OooCpu::alu(std::uint64_t n)
 {
-    rob_.aluBurst(n);
+    pending_alu_ += n;
 }
 
 Cycles
@@ -42,6 +42,7 @@ OooCpu::arbitratePort(Cycles want)
 MemIssue
 OooCpu::issueMem(Cycles addr_ready, bool is_load)
 {
+    retireAlu();
     const Cycles dispatch = rob_.dispatch();
     Cycles issue = std::max(dispatch, addr_ready);
     if (is_load)
@@ -55,6 +56,7 @@ OooCpu::finishLoad(const MemIssue &mi, Cycles completion,
                    Cycles forward_cycles, bool missed_l1,
                    Addr initial_word, Addr final_word, unsigned words)
 {
+    retireAlu();
     const Cycles penalty = lsq_.checkLoad(mi.seq, mi.issue, initial_word,
                                           final_word, words);
     const Cycles done = completion + penalty;
@@ -76,6 +78,7 @@ OooCpu::finishStore(const MemIssue &mi, Cycles completion,
                     Cycles forward_cycles, bool missed_l1,
                     Addr initial_word, Addr final_word, unsigned words)
 {
+    retireAlu();
     lsq_.recordStore(mi.seq, initial_word, final_word, words, completion);
 
     ++ref_stats_.stores;
@@ -108,6 +111,7 @@ OooCpu::finishStore(const MemIssue &mi, Cycles completion,
 void
 OooCpu::finishNonBlocking(const MemIssue &mi)
 {
+    retireAlu();
     rob_.graduate(mi.dispatch + 1, WaitKind::none);
 }
 

@@ -67,7 +67,13 @@ class OooCpu
   public:
     explicit OooCpu(const OooParams &params = {});
 
-    /** Execute @p n plain ALU instructions (1-cycle latency each). */
+    /**
+     * Execute @p n plain ALU instructions (1-cycle latency each).  Their
+     * retirement waits for the CPU's next observer: every reader of the
+     * Rob (issueMem, the finish calls, cycles(), instructions(),
+     * stalls(), fillMetrics()) first retires the pending count in one
+     * Rob::aluBurst, so every figure equals eager retirement's.
+     */
     void alu(std::uint64_t n);
 
     /**
@@ -102,11 +108,26 @@ class OooCpu
     void finishNonBlocking(const MemIssue &mi);
 
     /** Total cycles elapsed so far (== last graduation cycle). */
-    Cycles cycles() const { return rob_.currentCycle(); }
+    Cycles
+    cycles() const
+    {
+        retireAlu();
+        return rob_.currentCycle();
+    }
 
-    std::uint64_t instructions() const { return rob_.instructions(); }
+    std::uint64_t
+    instructions() const
+    {
+        retireAlu();
+        return rob_.instructions();
+    }
 
-    const StallStats &stalls() const { return rob_.stalls(); }
+    const StallStats &
+    stalls() const
+    {
+        retireAlu();
+        return rob_.stalls();
+    }
     const RefLatencyStats &refLatency() const { return ref_stats_; }
     const Lsq &lsq() const { return lsq_; }
     const OooParams &params() const { return params_; }
@@ -129,8 +150,20 @@ class OooCpu
   private:
     Cycles arbitratePort(Cycles want);
 
+    /** Retire the ALU instructions alu() left pending. */
+    void
+    retireAlu() const
+    {
+        if (pending_alu_ != 0) {
+            rob_.aluBurst(pending_alu_);
+            pending_alu_ = 0;
+        }
+    }
+
     OooParams params_;
-    Rob rob_;
+    /** Mutable so the const observers can retire pending ALU work. */
+    mutable Rob rob_;
+    mutable std::uint64_t pending_alu_ = 0;
     Lsq lsq_;
     RefLatencyStats ref_stats_;
 

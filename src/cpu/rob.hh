@@ -49,9 +49,9 @@ class Rob
     /**
      * Dispatch + graduate @p n consecutive single-cycle ALU
      * instructions.  Exactly equivalent to n dispatch()/graduate(d+1)
-     * pairs — the definition of OooCpu::alu(n) — but fused into one
-     * in-TU loop so the per-instruction state stays in registers on
-     * the fast-forward path.
+     * pairs — the definition of OooCpu::alu(n) — in O(window + width)
+     * time: it steps until the stream is periodic, then skips whole
+     * cycles by arithmetic (see rob.cc).
      */
     void aluBurst(std::uint64_t n);
 

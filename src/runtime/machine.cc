@@ -78,7 +78,7 @@ Machine::rawAccess(const Access &a, bool is_load, std::uint64_t &alu_acc)
 {
     if constexpr (E == Exec::functional) {
         ++alu_acc;
-        return cpu_->cycles();
+        return 0;
     } else {
         // The ISA extensions never follow forwarding; the forwarding bit
         // cannot be tested until the word is in the primary cache
@@ -127,7 +127,7 @@ Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
             stores_forwarded_ += w.forwarded ? 1 : 0;
         }
 
-        Cycles done = cpu_->cycles();
+        Cycles done = 0;
         if constexpr (E == Exec::functional) {
             ++alu_acc;
         } else {
@@ -209,8 +209,6 @@ Machine::accessFast(const Access &a)
     std::uint64_t alu_acc = 0;
     AccessResult r = exec<Exec::functional>(a, alu_acc);
     cpu_->alu(alu_acc);
-    if (a.kind != RefKind::prefetch && a.kind != RefKind::compute)
-        r.ready = cpu_->cycles();
     return r;
 }
 
@@ -228,9 +226,10 @@ template <Machine::Exec E>
 void
 Machine::runRefs(MemRef *refs, std::size_t n)
 {
-    // Fast-forward retires the whole batch's ALU count in one Rob pass
-    // (ALU retirement is order-independent); per-reference `ready`
-    // cycles are not meaningful while timing is skipped (docs/API.md).
+    // Fast-forward hands the whole batch's ALU count to the CPU in one
+    // alu() call, which retires it at the CPU's next observer; `ready`
+    // is 0 while timing is skipped, per call and in batches
+    // (docs/API.md).
     std::uint64_t alu_acc = 0;
     for (std::size_t i = 0; i < n; ++i) {
         MemRef &r = refs[i];

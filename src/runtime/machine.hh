@@ -346,7 +346,7 @@ struct AccessResult
     /** Loaded value; the forwarding bit (0/1) for read_fbit; the raw
      *  payload for unforwarded_read. */
     std::uint64_t value = 0;
-    /** Completion cycle of the reference. */
+    /** Completion cycle of the reference; 0 under fast-forward. */
     Cycles ready = 0;
     /** Forwarding hops this reference took. */
     unsigned hops = 0;
@@ -530,12 +530,12 @@ class Machine
     };
 
     /**
-     * Execute one reference of any kind.  Functional execution retires
-     * each reference as ALU work accumulated into @p alu_acc instead of
-     * hitting the Rob per reference — pure-ALU retirement is
-     * order-independent, so a batch may retire its whole count in one
-     * aluBurst() with bit-identical cycle results.  Timed execution
-     * leaves @p alu_acc alone.
+     * Execute one reference of any kind.  Functional execution counts
+     * each reference as ALU work in @p alu_acc instead of touching the
+     * CPU, and returns `ready` 0.  Consecutive ALU instructions retire
+     * the same one at a time or all at once, so a batch hands its whole
+     * count to one OooCpu::alu() with bit-identical cycle results.
+     * Timed execution leaves @p alu_acc alone.
      */
     template <Exec E> AccessResult exec(const Access &a, std::uint64_t &alu_acc);
 
@@ -544,8 +544,9 @@ class Machine
     Cycles rawAccess(const Access &a, bool is_load, std::uint64_t &alu_acc);
 
     /**
-     * exec<Exec::functional>() plus immediate ALU retirement (the
-     * per-call path; kept out of line so access() stays small).
+     * exec<Exec::functional>() plus one OooCpu::alu() call for its ALU
+     * work, which the CPU retires at its next observer (the per-call
+     * path; kept out of line so access() stays small).
      */
     AccessResult accessFast(const Access &a);
 

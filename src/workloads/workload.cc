@@ -70,4 +70,13 @@ figure5Workloads()
     return names;
 }
 
+const std::vector<std::string> &
+fastForwardRegions()
+{
+    static const std::vector<std::string> names = {
+        "all", "build", "opt", "kernel",
+    };
+    return names;
+}
+
 } // namespace memfwd

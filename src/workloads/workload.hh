@@ -115,6 +115,13 @@ const std::vector<std::string> &extendedWorkloadNames();
 /** The seven applications of Figures 5-7 (all but SMV). */
 const std::vector<std::string> &figure5Workloads();
 
+/**
+ * The fast-forward region names (MachineConfig::fastForward): "all",
+ * the whole run, and the phases workloads bracket with
+ * Machine::enterRegion/exitRegion ("build", "opt", "kernel").
+ */
+const std::vector<std::string> &fastForwardRegions();
+
 } // namespace memfwd
 
 #endif // MEMFWD_WORKLOADS_WORKLOAD_HH

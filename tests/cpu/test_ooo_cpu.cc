@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "cpu/ooo_cpu.hh"
 
 namespace memfwd
@@ -142,6 +143,94 @@ TEST(OooCpu, MisspeculationPenaltyApplied)
     const Cycles done = cpu.finishLoad(l, base, 0, false, 0x300, 0x900, 1);
     EXPECT_EQ(done, base + 25);
     EXPECT_EQ(cpu.lsq().violations(), 1u);
+}
+
+TEST(OooCpu, ObservingNeverChangesTiming)
+{
+    // alu() leaves its instructions pending until the CPU's next
+    // observer retires them.  A CPU read after every call and one read
+    // only now and then must agree on every read, every memory issue
+    // and completion, and the final metrics tree.
+    Rng rng(testSeed(0x0b5e7u));
+    OooCpu eager;
+    OooCpu lazy;
+    auto expectSameStalls = [](const StallStats &a, const StallStats &b,
+                               int step) {
+        EXPECT_EQ(a.busy, b.busy) << "step " << step;
+        EXPECT_EQ(a.load_stall, b.load_stall) << "step " << step;
+        EXPECT_EQ(a.store_stall, b.store_stall) << "step " << step;
+        EXPECT_EQ(a.inst_stall, b.inst_stall) << "step " << step;
+    };
+
+    Cycles addr_ready = 0;
+    for (int step = 0; step < 4000; ++step) {
+        const std::uint64_t pick = rng.below(5);
+        if (pick == 0) {
+            const std::uint64_t n = rng.below(100001);
+            eager.alu(n);
+            lazy.alu(n);
+        } else {
+            const bool is_load = pick != 2;
+            const Cycles ready = rng.chance(0.3) ? addr_ready : 0;
+            const MemIssue a = eager.issueMem(ready, is_load);
+            const MemIssue b = lazy.issueMem(ready, is_load);
+            ASSERT_EQ(a.seq, b.seq) << "step " << step;
+            ASSERT_EQ(a.dispatch, b.dispatch) << "step " << step;
+            ASSERT_EQ(a.issue, b.issue) << "step " << step;
+            if (rng.chance(0.1)) {
+                // ALU work between a memory op's issue and its finish
+                // retires before the finish, as it would eagerly.
+                const std::uint64_t n = rng.below(200);
+                eager.alu(n);
+                eager.cycles();
+                lazy.alu(n);
+            }
+            const Cycles latency = 1 + rng.below(rng.chance(0.2) ? 400 : 4);
+            const Cycles fwd = rng.chance(0.1) ? rng.below(latency) : 0;
+            const bool missed = latency > 4;
+            const Addr word = 0x1000 + 8 * rng.below(16);
+            if (pick == 1) {
+                addr_ready = eager.finishLoad(a, a.issue + latency, fwd,
+                                              missed, word, word, 1);
+                ASSERT_EQ(addr_ready,
+                          lazy.finishLoad(b, b.issue + latency, fwd, missed,
+                                          word, word, 1));
+            } else if (pick == 2) {
+                ASSERT_EQ(eager.finishStore(a, a.issue + latency, fwd,
+                                            missed, word, word, 1),
+                          lazy.finishStore(b, b.issue + latency, fwd,
+                                           missed, word, word, 1));
+            } else {
+                eager.finishNonBlocking(a);
+                lazy.finishNonBlocking(b);
+            }
+        }
+
+        // The eager CPU is observed after every call.  The lazy one is
+        // observed at random points, through one reader picked at
+        // random, so each reader is sometimes the first to retire.
+        const Cycles cycles = eager.cycles();
+        const std::uint64_t instructions = eager.instructions();
+        const StallStats stalls = eager.stalls();
+        if (rng.chance(0.1)) {
+            switch (rng.below(3)) {
+              case 0:
+                ASSERT_EQ(lazy.cycles(), cycles) << "step " << step;
+                break;
+              case 1:
+                ASSERT_EQ(lazy.instructions(), instructions)
+                    << "step " << step;
+                break;
+              default:
+                expectSameStalls(lazy.stalls(), stalls, step);
+                break;
+            }
+        }
+    }
+    EXPECT_EQ(eager.metrics(), lazy.metrics());
+    EXPECT_EQ(eager.cycles(), lazy.cycles());
+    EXPECT_EQ(eager.instructions(), lazy.instructions());
+    expectSameStalls(eager.stalls(), lazy.stalls(), -1);
 }
 
 } // namespace

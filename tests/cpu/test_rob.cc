@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/random.hh"
 #include "cpu/rob.hh"
 
 namespace memfwd
@@ -118,44 +122,117 @@ TEST(RobDeathTest, BadGeometry)
     EXPECT_DEATH(Rob(8, 4), "geometry");
 }
 
+/** The literal definition of Rob::aluBurst(n): the test oracle. */
+void
+literalAluBurst(Rob &rob, std::uint64_t n)
+{
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const Cycles d = rob.dispatch();
+        rob.graduate(d + 1, WaitKind::none);
+    }
+}
+
+/**
+ * Drive @p a and @p b through the same random prior history: load
+ * misses with random delays, store-miss graduations at issue + 1,
+ * non-blocking graduations and short ALU runs, sometimes ending with
+ * an instruction dispatched but not yet graduated.
+ */
+void
+randomHistory(Rng &rng, Rob &a, Rob &b)
+{
+    const unsigned ops = static_cast<unsigned>(rng.below(3 * a.window() + 8));
+    for (unsigned i = 0; i < ops; ++i) {
+        const std::uint64_t pick = rng.below(4);
+        const Cycles delay = 1 + rng.below(300);
+        if (pick == 3) {
+            const std::uint64_t n = rng.below(2 * a.window());
+            literalAluBurst(a, n);
+            literalAluBurst(b, n);
+            continue;
+        }
+        for (Rob *rob : {&a, &b}) {
+            const Cycles d = rob->dispatch();
+            if (pick == 0)
+                rob->graduate(d + delay, WaitKind::load_miss);
+            else if (pick == 1)
+                rob->graduate(d + 1, WaitKind::store_miss);
+            else
+                rob->graduate(d + 1, WaitKind::none);
+        }
+    }
+    if (rng.below(4) == 0) {
+        a.dispatch();
+        b.dispatch();
+    }
+}
+
 TEST(Rob, AluBurstMatchesSingleOpsExactly)
 {
-    // aluBurst(n) is defined as n dispatch()/graduate(d+1) pairs; the
-    // fast-forward engine retires whole batches through it, so any
-    // divergence silently skews mixed fast-forward/timed cycle counts.
-    // Interleave bursts with long-latency graduations to exercise
-    // window pressure and stall attribution from non-trivial states.
+    // aluBurst(n) is defined as n dispatch()/graduate(d+1) pairs but
+    // skips the periodic part of the stream by arithmetic, so compare
+    // it with the literal composition from random prior states.  After
+    // each burst a probe of 2*window dispatch/graduate pairs exposes
+    // the retire ring and both cursors, which the counters alone
+    // cannot show.
+    Rng rng(testSeed(0xa1b0u));
     for (const auto &[width, window] : {std::pair<unsigned, unsigned>{4, 64},
-                                        {1, 1}, {2, 8}, {8, 128}}) {
-        Rob burst(width, window);
-        Rob singles(width, window);
+                                        {1, 1}, {2, 8}, {8, 128},
+                                        {3, 10}}) {
+        std::vector<std::uint64_t> sizes = {
+            0, 1, width, window - 1, window, window + width,
+            2 * window + 1};
+        for (int i = 0; i < 4; ++i)
+            sizes.push_back(rng.below(1000001));
 
-        std::uint64_t salt = 0x9e3779b97f4a7c15ull;
-        for (int round = 0; round < 20; ++round) {
-            salt = salt * 6364136223846793005ull + 1442695040888963407ull;
-            const std::uint64_t n = salt % 300;
+        for (const std::uint64_t n : sizes) {
+            for (int state = 0; state < 6; ++state) {
+                Rob burst(width, window);
+                Rob literal(width, window);
+                randomHistory(rng, burst, literal);
 
-            burst.aluBurst(n);
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const Cycles d = singles.dispatch();
-                singles.graduate(d + 1, WaitKind::none);
+                burst.aluBurst(n);
+                literalAluBurst(literal, n);
+
+                SCOPED_TRACE(::testing::Message()
+                             << "w" << width << "/" << window << " n=" << n
+                             << " state " << state);
+                ASSERT_EQ(burst.currentCycle(), literal.currentCycle());
+                ASSERT_EQ(burst.instructions(), literal.instructions());
+                ASSERT_EQ(burst.stalls().busy, literal.stalls().busy);
+                ASSERT_EQ(burst.stalls().load_stall,
+                          literal.stalls().load_stall);
+                ASSERT_EQ(burst.stalls().store_stall,
+                          literal.stalls().store_stall);
+                ASSERT_EQ(burst.stalls().inst_stall,
+                          literal.stalls().inst_stall);
+
+                for (unsigned i = 0; i < 2 * window; ++i) {
+                    const Cycles d = burst.dispatch();
+                    ASSERT_EQ(d, literal.dispatch()) << "probe " << i;
+                    const Cycles done = d + 1 + i % 3;
+                    ASSERT_EQ(burst.graduate(done, WaitKind::none),
+                              literal.graduate(done, WaitKind::none))
+                        << "probe " << i;
+                }
             }
-
-            // A straggling "load" with a big completion delay.
-            const Cycles delay = 1 + salt % 97;
-            burst.graduate(burst.dispatch() + delay, WaitKind::load_miss);
-            singles.graduate(singles.dispatch() + delay,
-                             WaitKind::load_miss);
-
-            ASSERT_EQ(burst.currentCycle(), singles.currentCycle())
-                << "w" << width << "/" << window << " round " << round;
-            ASSERT_EQ(burst.instructions(), singles.instructions());
-            ASSERT_EQ(burst.stalls().busy, singles.stalls().busy);
-            ASSERT_EQ(burst.stalls().load_stall,
-                      singles.stalls().load_stall);
-            ASSERT_EQ(burst.stalls().inst_stall,
-                      singles.stalls().inst_stall);
         }
+    }
+}
+
+TEST(Rob, AluBurstKeepsTheGapAfterAMiss)
+{
+    // After a 100-cycle load at 4/64 the ALU stream does not settle
+    // with graduation one cycle behind fetch: the window's first 63
+    // instructions dispatch before the load retires, and from then on
+    // each instruction graduates window/width = 16 cycles after it
+    // dispatches, however long the stream runs.
+    Rob rob(4, 64);
+    rob.graduate(rob.dispatch() + 100, WaitKind::load_miss);
+    for (const std::uint64_t n : {std::uint64_t{1000}, std::uint64_t{1000000}}) {
+        rob.aluBurst(n);
+        const Cycles d = rob.dispatch();
+        EXPECT_EQ(rob.graduate(d + 1, WaitKind::none), d + 16) << n;
     }
 }
 

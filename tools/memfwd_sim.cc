@@ -17,6 +17,7 @@
  * document is the only thing on stdout and the report goes to stderr.
  */
 
+#include <algorithm>
 #include <chrono>
 
 #include <cstdio>
@@ -330,7 +331,17 @@ main(int argc, char **argv)
             noValue();
             cfg.machine.cpu.dep_speculation = false;
         } else if (name == "--fast-forward") {
-            cfg.machine.fastForward(has_inline ? inline_val : "all");
+            const std::string region = has_inline ? inline_val : "all";
+            const auto &regions = fastForwardRegions();
+            if (std::find(regions.begin(), regions.end(), region) ==
+                regions.end()) {
+                std::string known;
+                for (const std::string &r : regions)
+                    known += (known.empty() ? "" : " | ") + r;
+                usageError(argv[0], "unknown fast-forward region '" +
+                                        region + "' (" + known + ")");
+            }
+            cfg.machine.fastForward(region);
         } else if (name == "--json") {
             json_path = value();
         } else if (name == "--faults") {
