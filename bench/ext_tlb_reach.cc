@@ -47,7 +47,7 @@ runWithTlb(const std::string &workload, bool layout_opt)
                      machine.cycles(), machine.cpu().instructions(),
                      w->checksum(), machine.metrics());
     }
-    return {machine.cycles(), machine.tlb().misses(), w->checksum()};
+    return {machine.cycles(), machine.tlb().faults(), w->checksum()};
 }
 
 } // namespace

@@ -17,30 +17,6 @@ rangesOverlap(Addr a, Addr a_end, Addr b, Addr b_end)
     return a < b_end && b < a_end;
 }
 
-/**
- * The planned forwarding graph under construction: keys are words that
- * will hold live forwarding words once the plan has executed, values
- * the word each forwards to.  Resolution is path-compressed; the
- * compression rewrites only values (resolution shortcuts), never the
- * key set, which the clobber and site checks depend on.
- */
-using FwdGraph = std::unordered_map<Addr, Addr>;
-
-Addr
-resolveTail(Addr word, FwdGraph &graph)
-{
-    std::vector<Addr> path;
-    auto it = graph.find(word);
-    while (it != graph.end()) {
-        path.push_back(word);
-        word = it->second;
-        it = graph.find(word);
-    }
-    for (Addr p : path)
-        graph[p] = word;
-    return word;
-}
-
 } // namespace
 
 std::size_t
@@ -131,7 +107,7 @@ PlanAnalyzer::analyze(const RelocationPlan &plan) const
     // words that will carry live forwarding words (with their planned
     // targets, chain-append applied); `final_home` the words holding
     // freshly relocated payload that nothing later disturbs.
-    FwdGraph graph;
+    PlannedGraph graph;
     std::unordered_map<Addr, std::size_t> final_home; // word -> move idx
 
     for (std::size_t i = 0; i < plan.moves().size(); ++i) {
@@ -224,35 +200,30 @@ PlanAnalyzer::analyze(const RelocationPlan &plan) const
                         i, appended));
         }
 
-        // Extend the planned forwarding graph word by word, with
-        // relocate()'s chain-append semantics: the forwarding word is
-        // planted at the *tail* of the source's existing chain and
-        // points at the nominal destination.  A tail that already
-        // resolves to the same word the destination resolves to means
-        // the new edge closes a loop — the planned chain can never
+        // Extend the planned forwarding graph word by word; an edge
+        // that would close a loop means the planned chain can never
         // terminate (E004).
         bool cycle_reported = false;
         for (unsigned k = 0; k < m.n_words; ++k) {
             const Addr s = m.src + Addr(k) * wordBytes;
             const Addr d = m.dst + Addr(k) * wordBytes;
-            const Addr tail = resolveTail(s, graph);
-            if (tail == resolveTail(d, graph)) {
+            const PlannedForward f = planForward(graph, s, d);
+            if (f.closes_cycle) {
                 if (!cycle_reported) {
                     diag(DiagCode::E004_forwarding_cycle, i,
                          no_plan_index,
                          strfmt("move %zu creates a forwarding cycle "
                                 "through %#llx: the chain from %#llx "
                                 "can never terminate",
-                                i, static_cast<unsigned long long>(tail),
+                                i, static_cast<unsigned long long>(f.tail),
                                 static_cast<unsigned long long>(s)));
                     cycle_reported = true;
                 }
-                continue; // keep the graph acyclic for later moves
+                continue;
             }
-            graph[tail] = d;
             // The tail may have been an earlier move's final home; it
             // now carries a forwarding word instead.
-            final_home.erase(tail);
+            final_home.erase(f.tail);
             final_home[d] = i;
         }
     }

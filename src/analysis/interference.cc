@@ -1,7 +1,6 @@
 #include "analysis/interference.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/logging.hh"
 
@@ -76,30 +75,13 @@ overlapsAny(Addr begin, Addr end, const std::vector<Range> &ranges)
     return false;
 }
 
-/** Path-compressed tail resolution (same structure as the PlanAnalyzer's). */
-Addr
-resolveTail(Addr word, std::unordered_map<Addr, Addr> &graph)
-{
-    std::vector<Addr> path;
-    auto it = graph.find(word);
-    while (it != graph.end()) {
-        path.push_back(word);
-        word = it->second;
-        it = graph.find(word);
-    }
-    for (Addr p : path)
-        graph[p] = word;
-    return word;
-}
-
 /**
  * Apply @p plan's moves to the composed forwarding graph with
  * relocate()'s chain-append semantics; true if some move closes a
  * cycle.  Misaligned or empty moves are skipped (single-plan defects).
  */
 bool
-applyMoves(const RelocationPlan &plan,
-           std::unordered_map<Addr, Addr> &graph, Addr &cycle_word)
+applyMoves(const RelocationPlan &plan, PlannedGraph &graph, Addr &cycle_word)
 {
     for (const PlanMove &m : plan.moves()) {
         if (!isWordAligned(m.src) || !isWordAligned(m.dst))
@@ -107,12 +89,11 @@ applyMoves(const RelocationPlan &plan,
         for (unsigned k = 0; k < m.n_words; ++k) {
             const Addr s = m.src + Addr(k) * wordBytes;
             const Addr d = m.dst + Addr(k) * wordBytes;
-            const Addr tail = resolveTail(s, graph);
-            if (tail == resolveTail(d, graph)) {
-                cycle_word = tail;
+            const PlannedForward f = planForward(graph, s, d);
+            if (f.closes_cycle) {
+                cycle_word = f.tail;
                 return true;
             }
-            graph[tail] = d;
         }
     }
     return false;
@@ -123,7 +104,7 @@ bool
 composedCycle(const RelocationPlan &a, const RelocationPlan &b,
               Addr &cycle_word)
 {
-    std::unordered_map<Addr, Addr> graph;
+    PlannedGraph graph;
     return applyMoves(a, graph, cycle_word) ||
            applyMoves(b, graph, cycle_word);
 }

@@ -172,4 +172,35 @@ RelocationPlan::toJson() const
     return j;
 }
 
+namespace
+{
+
+/** The word @p word's planned chain ends at, compressing the path. */
+Addr
+resolveTail(Addr word, PlannedGraph &graph)
+{
+    std::vector<Addr> path;
+    auto it = graph.find(word);
+    while (it != graph.end()) {
+        path.push_back(word);
+        word = it->second;
+        it = graph.find(word);
+    }
+    for (Addr p : path)
+        graph[p] = word;
+    return word;
+}
+
+} // namespace
+
+PlannedForward
+planForward(PlannedGraph &graph, Addr src, Addr dst)
+{
+    const Addr tail = resolveTail(src, graph);
+    if (tail == resolveTail(dst, graph))
+        return {tail, true};
+    graph[tail] = dst;
+    return {tail, false};
+}
+
 } // namespace memfwd

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -223,6 +224,32 @@ class RelocationPlan
     std::vector<AccessSite> sites_;
     AliasAssumption assumption_ = AliasAssumption::stale_pointers_possible;
 };
+
+/**
+ * The planned forwarding graph: keys are words that will hold live
+ * forwarding words once the moves have executed, values the word each
+ * forwards to.  Resolution is path-compressed; the compression rewrites
+ * only values (resolution shortcuts), never the key set, which the
+ * analyzer's clobber and site checks depend on.
+ */
+using PlannedGraph = std::unordered_map<Addr, Addr>;
+
+/** Outcome of planForward(). */
+struct PlannedForward
+{
+    Addr tail;         ///< where the forwarding word is planted
+    bool closes_cycle; ///< the edge was refused: it would close a loop
+};
+
+/**
+ * Plan moving the word at @p src to @p dst with relocate()'s
+ * chain-append semantics: the forwarding word is planted at the *tail*
+ * of @p src's existing chain and points at @p dst.  A tail that already
+ * resolves to the word @p dst resolves to means the edge would close a
+ * loop whose chain never terminates; the graph then stays acyclic and
+ * unchanged apart from path compression.
+ */
+PlannedForward planForward(PlannedGraph &graph, Addr src, Addr dst);
 
 } // namespace memfwd
 

@@ -128,12 +128,49 @@ Cache::flush()
         l = Line();
 }
 
+void
+Cache::count(AccessType type, MissKind kind)
+{
+    // A prefetch that finds its line, resident or in flight, adds no
+    // traffic and counts as a hit.
+    static constexpr std::uint64_t CacheStats::*counters[3][3] = {
+        {&CacheStats::load_hits, &CacheStats::load_partial_misses,
+         &CacheStats::load_full_misses},
+        {&CacheStats::store_hits, &CacheStats::store_partial_misses,
+         &CacheStats::store_full_misses},
+        {&CacheStats::prefetch_hits, &CacheStats::prefetch_hits,
+         &CacheStats::prefetch_misses},
+    };
+    ++(stats_.*counters[static_cast<unsigned>(type)]
+                       [static_cast<unsigned>(kind)]);
+}
+
+void
+Cache::install(Addr line_addr, bool dirty, bool prefetched,
+               Cycles victim_time)
+{
+    Line &victim = chooseVictim(setIndex(line_addr));
+    if (victim.valid && victim.dirty) {
+        ++stats_.writebacks;
+        stats_.bytes_out += cfg_.line_bytes;
+        below_.writeback(victim.tag, victim_time);
+    }
+    victim.valid = true;
+    victim.tag = line_addr;
+    victim.dirty = dirty;
+    victim.prefetched = prefetched;
+    recordAccess(victim);
+    victim.filled = victim.lru;
+    mru_hint_ = &victim;
+}
+
 MemLevel::Result
 Cache::access(Addr addr, AccessType type, Cycles now)
 {
     const Addr line_addr = lineAlign(addr);
 
-    if (Line *line = findLine(line_addr)) {
+    Line *line = findLine(line_addr);
+    if (line) {
         recordAccess(*line);
         if (type == AccessType::store)
             line->dirty = true;
@@ -141,102 +178,34 @@ Cache::access(Addr addr, AccessType type, Cycles now)
             line->prefetched = false;
             ++stats_.useful_prefetches;
         }
+    }
 
-        // The line is installed eagerly at miss time, so a "hit" may be
-        // to a line whose fill is still in flight: that is the paper's
-        // *partial miss* — it combines with the outstanding miss and
-        // waits only the remaining latency.
-        if (Cycles fill = mshrs_.outstandingFill(line_addr, now)) {
-            switch (type) {
-              case AccessType::load:
-                ++stats_.load_partial_misses;
-                break;
-              case AccessType::store:
-                ++stats_.store_partial_misses;
-                break;
-              case AccessType::prefetch:
-                ++stats_.prefetch_hits;
-                break;
-            }
-            const Cycles ready = std::max(fill, now + cfg_.hit_latency);
-            return {ready, MissKind::partial, 0};
-        }
-
-        switch (type) {
-          case AccessType::load:
-            ++stats_.load_hits;
-            break;
-          case AccessType::store:
-            ++stats_.store_hits;
-            break;
-          case AccessType::prefetch:
-            ++stats_.prefetch_hits;
-            break;
-        }
+    // Lines are installed eagerly at miss time, so a fill may still be
+    // in flight for a resident line, or for one evicted again since:
+    // either way the access is the paper's *partial miss* — it combines
+    // with the outstanding fill and waits only the remaining latency.
+    if (Cycles fill = mshrs_.outstandingFill(line_addr, now)) {
+        count(type, MissKind::partial);
+        return {std::max(fill, now + cfg_.hit_latency), MissKind::partial,
+                line ? 0u : 1u};
+    }
+    if (line) {
+        count(type, MissKind::hit);
         return {now + cfg_.hit_latency, MissKind::hit, 0};
     }
 
-    // Miss.  First see whether a fill for this line is already in
-    // flight — if so, combine with it (a "partial miss").
-    if (Cycles fill = mshrs_.outstandingFill(line_addr, now)) {
-        switch (type) {
-          case AccessType::load:
-            ++stats_.load_partial_misses;
-            break;
-          case AccessType::store:
-            ++stats_.store_partial_misses;
-            break;
-          case AccessType::prefetch:
-            ++stats_.prefetch_hits; // combined; no new traffic
-            break;
-        }
-        // The line will be resident when the fill completes; a store
-        // combining with the fill dirties it then.
-        const Cycles ready = std::max(fill, now + cfg_.hit_latency);
-        if (type == AccessType::store) {
-            if (Line *line = findLine(line_addr))
-                line->dirty = true;
-        }
-        return {ready, MissKind::partial, 1};
-    }
-
     // Full miss: allocate an MSHR (possibly waiting for a free one) and
-    // fetch the line from below.
+    // fetch the line from below.  The line is installed now (simulation
+    // state is eager; timing is carried by the returned ready cycle and
+    // the MSHR entry), and a dirty victim leaves when the fill arrives.
     const Cycles start = mshrs_.allocate(line_addr, now);
     const Result below = below_.access(line_addr, type,
                                        start + cfg_.hit_latency);
-    mshrs_.complete(line_addr, below.ready);
-
-    switch (type) {
-      case AccessType::load:
-        ++stats_.load_full_misses;
-        break;
-      case AccessType::store:
-        ++stats_.store_full_misses;
-        break;
-      case AccessType::prefetch:
-        ++stats_.prefetch_misses;
-        break;
-    }
+    mshrs_.complete(below.ready);
+    count(type, MissKind::full);
     stats_.bytes_in += cfg_.line_bytes;
-
-    // Install the line now (simulation state is eager; timing is carried
-    // by the returned ready cycle and the MSHR entry).
-    const unsigned set = setIndex(line_addr);
-    Line &victim = chooseVictim(set);
-    if (victim.valid && victim.dirty) {
-        ++stats_.writebacks;
-        stats_.bytes_out += cfg_.line_bytes;
-        below_.writeback(victim.tag, below.ready);
-    }
-    victim.valid = true;
-    victim.tag = line_addr;
-    victim.dirty = (type == AccessType::store);
-    victim.prefetched = (type == AccessType::prefetch);
-    recordAccess(victim);
-    victim.filled = victim.lru;
-    mru_hint_ = &victim;
-
+    install(line_addr, type == AccessType::store,
+            type == AccessType::prefetch, below.ready);
     return {below.ready, MissKind::full, below.depth + 1};
 }
 
@@ -251,20 +220,7 @@ Cache::writeback(Addr line_addr, Cycles now)
         recordAccess(*line);
         return;
     }
-    const unsigned set = setIndex(line_addr);
-    Line &victim = chooseVictim(set);
-    if (victim.valid && victim.dirty) {
-        ++stats_.writebacks;
-        stats_.bytes_out += cfg_.line_bytes;
-        below_.writeback(victim.tag, now);
-    }
-    victim.valid = true;
-    victim.tag = line_addr;
-    victim.dirty = true;
-    victim.prefetched = false;
-    recordAccess(victim);
-    victim.filled = victim.lru;
-    mru_hint_ = &victim;
+    install(line_addr, true, false, now);
 }
 
 void

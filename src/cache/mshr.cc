@@ -1,15 +1,13 @@
 #include "cache/mshr.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 
 namespace memfwd
 {
 
-MshrFile::MshrFile(unsigned entries)
-    : entries_(entries), slots_(entries)
+MshrFile::MshrFile(unsigned entries) : slots_(entries)
 {
     memfwd_assert(entries > 0, "MSHR file needs at least one entry");
 }
@@ -18,7 +16,7 @@ void
 MshrFile::expire(Cycles now)
 {
     for (auto &e : slots_) {
-        if (!e.pending && e.fill_done != 0 && e.fill_done <= now)
+        if (e.fill_done <= now)
             e.fill_done = 0;
     }
 }
@@ -27,9 +25,8 @@ Cycles
 MshrFile::outstandingFillSlow(Addr line_addr, Cycles now) const
 {
     for (const auto &e : slots_) {
-        const bool busy = e.pending || e.fill_done > now;
-        if (busy && e.line_addr == line_addr)
-            return e.pending ? now : e.fill_done;
+        if (e.fill_done > now && e.line_addr == line_addr)
+            return e.fill_done;
     }
     return 0;
 }
@@ -38,76 +35,22 @@ Cycles
 MshrFile::allocate(Addr line_addr, Cycles now)
 {
     expire(now);
-    // Find a free slot; if none, wait until the earliest fill retires.
-    Entry *victim = nullptr;
-    Cycles earliest = std::numeric_limits<Cycles>::max();
-    unsigned busy = 0;
-    for (auto &e : slots_) {
-        const bool is_busy = e.pending || e.fill_done > now;
-        if (!is_busy && !victim) {
-            victim = &e;
-        }
-        if (is_busy) {
-            ++busy;
-            if (!e.pending)
-                earliest = std::min(earliest, e.fill_done);
-        }
-    }
-
     Cycles start = now;
-    if (!victim) {
-        // All entries busy.  If every busy entry is still pending (its
-        // completion time unknown), we cannot model the wait precisely;
-        // that cannot happen because allocate/complete are paired
-        // immediately by the cache.
-        memfwd_assert(earliest != std::numeric_limits<Cycles>::max(),
-                      "MSHR file wedged: all entries pending");
-        ++alloc_stalls_;
-        start = earliest;
+    auto slot = std::find_if(slots_.begin(), slots_.end(),
+                             [](const Entry &e) { return e.fill_done == 0; });
+    if (slot == slots_.end()) {
+        // Every entry is busy: the miss waits for the earliest fill to
+        // retire and takes the first entry that frees.
+        slot = std::min_element(slots_.begin(), slots_.end(),
+                                [](const Entry &a, const Entry &b) {
+                                    return a.fill_done < b.fill_done;
+                                });
+        start = slot->fill_done;
         expire(start);
-        for (auto &e : slots_) {
-            if (!e.pending && e.fill_done == 0) {
-                victim = &e;
-                break;
-            }
-        }
-        memfwd_assert(victim, "MSHR expiry failed to free a slot");
-        busy = entries_ - 1;
     }
-
-    peak_ = std::max(peak_, busy + 1);
-    victim->line_addr = line_addr;
-    victim->pending = true;
-    victim->fill_done = 0;
-    ++pending_count_;
+    slot->line_addr = line_addr;
+    reserved_ = static_cast<std::size_t>(slot - slots_.begin());
     return start;
-}
-
-void
-MshrFile::complete(Addr line_addr, Cycles fill_done)
-{
-    for (auto &e : slots_) {
-        if (e.pending && e.line_addr == line_addr) {
-            e.pending = false;
-            e.fill_done = fill_done;
-            --pending_count_;
-            max_fill_done_ = std::max(max_fill_done_, fill_done);
-            return;
-        }
-    }
-    memfwd_panic("MSHR complete() without matching allocate(): line %#llx",
-                 static_cast<unsigned long long>(line_addr));
-}
-
-unsigned
-MshrFile::busyAt(Cycles now) const
-{
-    unsigned busy = 0;
-    for (const auto &e : slots_) {
-        if (e.pending || e.fill_done > now)
-            ++busy;
-    }
-    return busy;
 }
 
 } // namespace memfwd

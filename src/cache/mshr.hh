@@ -9,12 +9,19 @@
  * fixed number of entries; when all are busy, a new miss must wait for
  * the earliest entry to retire, modelling the limit on memory-level
  * parallelism.
+ *
+ * An entry is busy while its fill completes after the asking cycle, but
+ * it is freed only when allocate() expires it.  Cycles may go backwards
+ * between calls (an L2 receives the L1's victims at their fill times,
+ * later than the accesses that follow), so an entry expired by a later
+ * allocate() is gone even for an earlier cycle: the expiry is part of
+ * the model.
  */
 
 #ifndef MEMFWD_CACHE_MSHR_HH
 #define MEMFWD_CACHE_MSHR_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "common/types.hh"
@@ -33,57 +40,48 @@ class MshrFile
      * completion cycle (the caller combines with it); otherwise 0.
      *
      * Called on every cache access (the partial-miss check), so the
-     * common nothing-in-flight case must not scan the file: if no entry
-     * is pending and the latest completion ever recorded is already in
-     * the past, no fill can be outstanding at @p now.
+     * common nothing-in-flight case must not scan the file: if the
+     * latest completion ever recorded is already in the past, no fill
+     * can be outstanding at @p now.
      */
     Cycles
     outstandingFill(Addr line_addr, Cycles now) const
     {
-        if (pending_count_ == 0 && max_fill_done_ <= now)
+        if (max_fill_done_ <= now)
             return 0;
         return outstandingFillSlow(line_addr, now);
     }
 
     /**
-     * Allocate an entry for a new fill of @p line_addr.  If the file is
+     * Reserve an entry for a new fill of @p line_addr.  If the file is
      * full at @p now, the allocation is delayed until the earliest
      * in-flight fill completes.  Returns the cycle at which the miss
-     * may actually start being serviced (>= now).
+     * may actually start being serviced (>= now).  complete() must
+     * follow before the file is asked anything else.
      */
     Cycles allocate(Addr line_addr, Cycles now);
 
-    /** Record the completion time of the fill started by allocate(). */
-    void complete(Addr line_addr, Cycles fill_done);
-
-    unsigned entries() const { return entries_; }
-
-    /** Number of entries busy at @p now. */
-    unsigned busyAt(Cycles now) const;
-
-    /** Peak simultaneous occupancy observed. */
-    unsigned peakOccupancy() const { return peak_; }
-
-    /** Times an allocation had to wait for a free entry. */
-    std::uint64_t allocationStalls() const { return alloc_stalls_; }
+    /** Record the completion cycle of the fill allocate() reserved. */
+    void
+    complete(Cycles fill_done)
+    {
+        slots_[reserved_].fill_done = fill_done;
+        if (fill_done > max_fill_done_)
+            max_fill_done_ = fill_done;
+    }
 
   private:
     struct Entry
     {
         Addr line_addr = 0;
         Cycles fill_done = 0; ///< 0 means free
-        bool pending = false; ///< allocated but completion not yet known
     };
 
     void expire(Cycles now);
     Cycles outstandingFillSlow(Addr line_addr, Cycles now) const;
 
-    unsigned entries_;
     std::vector<Entry> slots_;
-    unsigned peak_ = 0;
-    std::uint64_t alloc_stalls_ = 0;
-    /** Entries allocated whose completion is not yet recorded. */
-    unsigned pending_count_ = 0;
+    std::size_t reserved_ = 0; ///< the entry the last allocate() chose
     /** Monotone upper bound on every entry's fill_done. */
     Cycles max_fill_done_ = 0;
 };

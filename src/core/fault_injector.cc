@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/logging.hh"
+#include "core/chain_walk.hh"
 #include "mem/tagged_memory.hh"
 
 namespace memfwd
@@ -263,15 +264,19 @@ FaultInjector::chainMembers(const TaggedMemory &mem, Addr start)
 {
     std::vector<Addr> members;
     std::unordered_set<Addr> seen;
-    Addr word = wordAlign(start);
-    for (;;) {
-        if (!seen.insert(word).second)
-            break; // pre-existing cycle: stop at the repeat
-        members.push_back(word);
-        if (!mem.fbit(word))
-            break;
-        word = wordAlign(mem.rawReadWord(word));
-    }
+    bool repeated = false;
+    auto hop = [&](Addr word) {
+        repeated = repeated || !seen.insert(word).second;
+        if (!repeated)
+            members.push_back(word);
+    };
+    ChainWalk w = walkChain(mem, wordAlign(start), {}, hop);
+    // The accurate check ends a cyclic walk after hop_limit + 1 hops,
+    // which may be short of the loop's first repeat: walk on from there.
+    while (w.end == ChainEnd::cycle && !repeated)
+        w = walkChain(mem, w.word, {}, hop);
+    if (w.end == ChainEnd::tail)
+        members.push_back(w.word);
     return members;
 }
 

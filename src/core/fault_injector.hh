@@ -169,7 +169,12 @@ class FaultInjector
     void repair(TaggedMemory &mem);
 
   private:
-    /** Walk the chain from @p start; stops at terminal or first repeat. */
+    /**
+     * The words of the chain from @p start, in walk order: every
+     * forwarding word, then the tail.  A chain that ends in a corrupt
+     * word ends with it (that word plays the tail's part), and a cyclic
+     * one stops before its first repeated word.
+     */
     static std::vector<Addr> chainMembers(const TaggedMemory &mem,
                                           Addr start);
 

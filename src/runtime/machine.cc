@@ -12,7 +12,8 @@ namespace memfwd
 {
 
 Machine::Machine(const MachineConfig &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg),
+      tlb_(cfg.tlb.page_bytes, cfg.tlb.entries, cfg.tlb.miss_penalty)
 {
     hierarchy_ = std::make_unique<MemoryHierarchy>(cfg_.hierarchy);
     cpu_ = std::make_unique<OooCpu>(cfg_.cpu);
@@ -22,7 +23,6 @@ Machine::Machine(const MachineConfig &cfg)
     if (cfg_.metadata_plane)
         fwd_->setMetadataPlane(&mem_.enableMetadataPlane());
     prefetcher_ = std::make_unique<Prefetcher>(*hierarchy_);
-    tlb_ = std::make_unique<Tlb>(cfg_.tlb);
 
     for (const std::string &r : cfg_.fast_forward_regions)
         ff_all_ = ff_all_ || r == "all";
@@ -67,9 +67,9 @@ Machine::setAnalysisGate(AnalysisGate *gate)
 Cycles
 Machine::translate(Addr addr, Cycles now)
 {
-    if (!cfg_.tlb.enabled)
-        return now;
-    return tlb_->access(addr, now);
+    if (cfg_.tlb.enabled && tlb_.access(addr))
+        return now + cfg_.tlb.miss_penalty;
+    return now;
 }
 
 template <Machine::Exec E>
@@ -325,8 +325,15 @@ Machine::metrics() const
         refs.gauge("store_forwarded_fraction",
                    double(stores_forwarded_) / double(stores_));
 
-    if (cfg_.tlb.enabled)
-        tlb_->fillMetrics(root.child("tlb"));
+    if (cfg_.tlb.enabled) {
+        const std::uint64_t lookups = tlb_.accesses();
+        const std::uint64_t walks = tlb_.faults();
+        auto &tlb = root.child("tlb");
+        tlb.counter("hits", lookups - walks);
+        tlb.counter("misses", walks);
+        tlb.gauge("miss_rate",
+                  lookups ? double(walks) / double(lookups) : 0.0);
+    }
 
     if (gate_)
         gate_->fillMetrics(root.child("analysis"));

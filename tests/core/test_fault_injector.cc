@@ -158,6 +158,69 @@ TEST(FaultInjector, CycleOnUnforwardedWordSelfLoops)
     EXPECT_EQ(mem.rawReadWord(0x1000), 0x1000u);
 }
 
+/**
+ * 0x1000 -> 0x2000 -> misaligned 0x3003: a chain already corrupt at
+ * 0x2000.  Rounding that payload to a word would walk on into the
+ * chain 0x3000 -> 0x4000 -> data, which is not part of this one.
+ */
+void
+buildCorruptChain(TaggedMemory &mem)
+{
+    mem.unforwardedWrite(0x1000, 0x2000, true);
+    mem.unforwardedWrite(0x2000, 0x3003, true);
+    mem.unforwardedWrite(0x3000, 0x4000, true);
+    mem.rawWriteWord(0x4000, 42);
+}
+
+TEST(FaultInjector, BitFlipStopsAtCorruptWord)
+{
+    TaggedMemory mem;
+    buildCorruptChain(mem);
+    FaultInjector inj;
+    // The corrupt word ends the chain, so it is the one flipped.
+    EXPECT_EQ(inj.injectBitFlip(mem, 0x1000), 0x2000u);
+    EXPECT_FALSE(mem.fbit(0x2000));
+    EXPECT_FALSE(mem.fbit(0x4000));
+}
+
+TEST(FaultInjector, TruncationStopsAtCorruptWord)
+{
+    TaggedMemory mem;
+    buildCorruptChain(mem);
+    FaultInjector inj;
+    // Only 0x1000 forwards before the corrupt word; hop 3 is past the
+    // chain's end, so the one candidate is drawn.
+    EXPECT_EQ(inj.injectTruncation(mem, 0x1000, /*hop=*/3), 0x1000u);
+    EXPECT_FALSE(mem.fbit(0x1000));
+    EXPECT_TRUE(mem.fbit(0x3000));
+}
+
+TEST(FaultInjector, CycleStopsAtCorruptWord)
+{
+    TaggedMemory mem;
+    buildCorruptChain(mem);
+    FaultInjector inj;
+    // The last forwarding word before the corrupt one loops back.
+    EXPECT_EQ(inj.injectCycle(mem, 0x1000), 0x1000u);
+    EXPECT_EQ(mem.rawReadWord(0x1000), 0x1000u);
+    EXPECT_EQ(mem.rawReadWord(0x3000), 0x4000u);
+}
+
+TEST(FaultInjector, BitFlipOnLongCycleHitsLastLoopWord)
+{
+    // A loop longer than the hop limit: the members run to the word
+    // before the first repeat, however long the loop is.
+    TaggedMemory mem;
+    const unsigned n = 40;
+    for (unsigned i = 0; i < n; ++i)
+        mem.unforwardedWrite(0x1000 + Addr(i) * 0x1000,
+                             0x1000 + Addr((i + 1) % n) * 0x1000, true);
+    FaultInjector inj;
+    const Addr last = 0x1000 + Addr(n - 1) * 0x1000;
+    EXPECT_EQ(inj.injectBitFlip(mem, 0x1000), last);
+    EXPECT_FALSE(mem.fbit(last));
+}
+
 TEST(FaultInjector, RepairRestoresExactPreFaultState)
 {
     TaggedMemory mem;

@@ -1,7 +1,10 @@
-# Fails if a forwarding dereference loop ("while (... fbit(", any case,
-# so the timed software walk's "readFBit(" counts) appears in src/
-# outside core/chain_walk.hh (walkChain, the one chain walker) and
-# core/cycle_check.cc (the accurate check's visited-set walk).
+# Fails if a forwarding dereference appears in src/ outside
+# core/chain_walk.hh (walkChain, the one chain walker) and
+# core/cycle_check.cc (the accurate check's visited-set walk).  Two
+# shapes count: a loop on the forwarding bit ("while (... fbit(", any
+# case, so the timed software walk's "readFBit(" counts), and a payload
+# followed as the next address ("wordAlign(... rawReadWord("), which
+# catches a chain loop of any other shape, such as "for (;;)".
 #
 #   cmake -DSRC_DIR=<repo>/src -P single_chain_walker.cmake
 
@@ -19,7 +22,8 @@ foreach(rel IN LISTS sources)
     if(rel IN_LIST allowed)
         continue()
     endif()
-    file(STRINGS "${SRC_DIR}/${rel}" hits REGEX "while[ \t]*\\(.*[fF][bB][iI][tT]\\(")
+    file(STRINGS "${SRC_DIR}/${rel}" hits REGEX
+         "while[ \t]*\\(.*[fF][bB][iI][tT]\\(|wordAlign[ \t]*\\(.*rawReadWord[ \t]*\\(")
     foreach(hit IN LISTS hits)
         string(STRIP "${hit}" hit)
         string(APPEND offenders "\n  src/${rel}: ${hit}")

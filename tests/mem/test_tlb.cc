@@ -1,8 +1,7 @@
-/** @file Unit tests for the TLB reach model. */
+/** @file Unit tests for the machine's TLB reach model. */
 
 #include <gtest/gtest.h>
 
-#include "mem/tlb.hh"
 #include "runtime/machine.hh"
 #include "runtime/sim_allocator.hh"
 
@@ -24,59 +23,67 @@ smallTlb(unsigned entries = 4)
 
 TEST(Tlb, FirstTouchWalks)
 {
-    Tlb tlb(smallTlb());
-    EXPECT_EQ(tlb.access(0x1000, 100), 130u);
-    EXPECT_EQ(tlb.access(0x1008, 200), 200u); // same page: hit
-    EXPECT_EQ(tlb.misses(), 1u);
-    EXPECT_EQ(tlb.hits(), 1u);
+    MachineConfig with, without;
+    with.tlb = smallTlb();
+    Machine a(with), b(without);
+    // The first touch of a page pays the walk; a second touch of the
+    // same page does not add another.
+    const Cycles a1 = a.access(Access::load(0x1000, 8)).ready;
+    const Cycles b1 = b.access(Access::load(0x1000, 8)).ready;
+    EXPECT_EQ(a1 - b1, 30u);
+    const Cycles a2 = a.access(Access::load(0x1008, 8, a1)).ready;
+    const Cycles b2 = b.access(Access::load(0x1008, 8, b1)).ready;
+    EXPECT_EQ(a2 - b2, 30u);
+    EXPECT_EQ(a.tlb().faults(), 1u);
+    EXPECT_EQ(a.tlb().accesses(), 2u);
 }
 
 TEST(Tlb, LruEviction)
 {
-    Tlb tlb(smallTlb(2));
-    tlb.access(0 * 4096, 0);
-    tlb.access(1 * 4096, 0);
-    tlb.access(0 * 4096, 0); // page 0 MRU
-    tlb.access(2 * 4096, 0); // evicts page 1
-    EXPECT_EQ(tlb.access(0 * 4096, 500), 500u);
-    EXPECT_EQ(tlb.access(1 * 4096, 600), 630u); // was evicted
-}
-
-TEST(Tlb, FlushDropsEverything)
-{
-    Tlb tlb(smallTlb());
-    tlb.access(0x1000, 0);
-    tlb.flush();
-    EXPECT_EQ(tlb.access(0x1000, 100), 130u);
+    MachineConfig mc;
+    mc.tlb = smallTlb(2);
+    Machine m(mc);
+    auto walks = [&m](Addr page) {
+        const std::uint64_t before = m.tlb().faults();
+        m.access(Access::load(0x100000 + page * 4096, 8));
+        return m.tlb().faults() - before;
+    };
+    walks(0);
+    walks(1);
+    walks(0); // page 0 MRU
+    walks(2); // evicts page 1
+    EXPECT_EQ(walks(0), 0u);
+    EXPECT_EQ(walks(1), 1u); // was evicted
 }
 
 TEST(Tlb, MissRate)
 {
-    Tlb tlb(smallTlb());
-    tlb.access(0, 0);
-    tlb.access(8, 0);
-    tlb.access(16, 0);
-    tlb.access(24, 0);
-    EXPECT_DOUBLE_EQ(tlb.missRate(), 0.25);
-    tlb.clearStats();
-    EXPECT_DOUBLE_EQ(tlb.missRate(), 0.0);
+    MachineConfig mc;
+    mc.tlb = smallTlb();
+    Machine m(mc);
+    for (Addr a = 0x1000; a < 0x1020; a += 8)
+        m.access(Access::load(a, 8));
+    const obs::MetricsNode metrics = m.metrics();
+    EXPECT_EQ(metrics.counterAt("tlb.hits"), 3u);
+    EXPECT_EQ(metrics.counterAt("tlb.misses"), 1u);
+    EXPECT_DOUBLE_EQ(metrics.gaugeAt("tlb.miss_rate"), 0.25);
 }
 
 TEST(TlbDeathTest, BadConfig)
 {
-    TlbConfig cfg = smallTlb();
-    cfg.entries = 0;
-    EXPECT_DEATH(Tlb t(cfg), "at least one entry");
-    cfg = smallTlb();
-    cfg.page_bytes = 1000;
-    EXPECT_DEATH(Tlb t(cfg), "power of two");
+    MachineConfig mc;
+    mc.tlb.entries = 0;
+    EXPECT_DEATH(Machine m(mc), "resident set must be nonempty");
+    mc = MachineConfig();
+    mc.tlb.page_bytes = 1000;
+    EXPECT_DEATH(Machine m(mc), "power of two");
 }
 
 TEST(TlbMachine, DisabledByDefaultAndFree)
 {
     Machine m;
     m.access(Access::load(0x1000, 8));
-    EXPECT_EQ(m.tlb().hits() + m.tlb().misses(), 0u);
+    EXPECT_EQ(m.tlb().accesses(), 0u);
 }
 
 TEST(TlbMachine, EnabledTlbChargesWalks)
@@ -93,7 +100,7 @@ TEST(TlbMachine, EnabledTlbChargesWalks)
         db = b.access(Access::load(addr, 8, db)).ready;
     }
     EXPECT_GT(a.cycles(), b.cycles());
-    EXPECT_EQ(a.tlb().misses(), 64u);
+    EXPECT_EQ(a.tlb().faults(), 64u);
 }
 
 TEST(TlbMachine, LinearizedDataNeedsFewerTranslations)
@@ -108,7 +115,7 @@ TEST(TlbMachine, LinearizedDataNeedsFewerTranslations)
         for (int pass = 0; pass < 3; ++pass)
             for (Addr a : addrs)
                 dep = m.access(Access::load(a, 8, dep)).ready;
-        return m.tlb().misses();
+        return m.tlb().faults();
     };
 
     Machine scattered(mc), packed(mc);
