@@ -2,19 +2,24 @@
  * @file
  * google-benchmark microbenches of the simulator's own mechanisms:
  * how fast the host simulates tagged-memory access, forwarding walks,
- * cache accesses, timed and fast-forwarded machine references, and ALU
- * retirement in the reorder buffer.  These measure the simulator (host
+ * cache accesses, timed and fast-forwarded machine references, ALU
+ * retirement in the reorder buffer, and the load/store queue's
+ * speculation check.  These measure the simulator (host
  * seconds), not the simulated machine (cycles).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "bench_util.hh"
 
 #include "analysis/gate.hh"
 #include "cache/hierarchy.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "core/forwarding_engine.hh"
+#include "cpu/lsq.hh"
 #include "cpu/rob.hh"
 #include "mem/tagged_memory.hh"
 #include "runtime/machine.hh"
@@ -64,6 +69,37 @@ BM_CacheMissStream(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheMissStream);
+
+/**
+ * Random lines over a 1 MiB footprint on the default hierarchy: nearly
+ * every access misses the 32 KiB L1 and hits the 1 MiB L2, the shape of
+ * Fig. 10's SMV.  One access in four is a store, so L1 victims are
+ * written back; a new access starts every other cycle, so several
+ * fills are in flight at once.
+ */
+void
+BM_CacheL2Resident(benchmark::State &state)
+{
+    MemoryHierarchy h{HierarchyConfig{}};
+    const unsigned line = h.config().l2.line_bytes;
+    const Addr footprint = 1 << 20;
+    Cycles t = 0;
+    for (Addr a = 0; a < footprint; a += line)
+        t = h.access(a, AccessType::load, t).ready;
+    std::vector<Addr> lines(1 << 12);
+    Rng rng(1);
+    for (Addr &a : lines)
+        a = rng.below(footprint / line) * line;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const AccessType type =
+            i % 4 == 3 ? AccessType::store : AccessType::load;
+        benchmark::DoNotOptimize(h.access(lines[i % lines.size()], type, t));
+        t += 2;
+        ++i;
+    }
+}
+BENCHMARK(BM_CacheL2Resident);
 
 void
 BM_ForwardingWalk(benchmark::State &state)
@@ -128,6 +164,37 @@ BM_RobAluBurst(benchmark::State &state)
     benchmark::DoNotOptimize(rob.currentCycle());
 }
 BENCHMARK(BM_RobAluBurst)->Arg(1)->Arg(64)->Arg(1 << 20);
+
+/**
+ * One store and one load per iteration on the default 64-entry window,
+ * every store still unresolved when the loads issue, so each load
+ * speculates past about 32 stores.  Arg 0: no word moves, the common
+ * case, which needs no walk.  Arg 1: every store and load was
+ * forwarded (to disjoint words, so nothing violates), and each load
+ * walks the whole window.
+ */
+void
+BM_LsqCheckLoad(benchmark::State &state)
+{
+    const Addr moved = state.range(0) ? Addr(1) << 32 : 0;
+    Lsq lsq{OooParams{}};
+    std::vector<Addr> words(1 << 12);
+    Rng rng(1);
+    for (Addr &w : words)
+        w = 0x100000 + rng.below(1 << 16) * wordBytes;
+    std::uint64_t seq = 0;
+    Cycles t = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Addr s = words[i++ % words.size()];
+        lsq.recordStore(++seq, s, s + moved, 1, t + 100);
+        const Addr l = words[i++ % words.size()];
+        benchmark::DoNotOptimize(lsq.checkLoad(++seq, t, l, l + 2 * moved, 1));
+        ++t;
+    }
+    state.SetLabel(moved ? "moved words" : "no moved words");
+}
+BENCHMARK(BM_LsqCheckLoad)->Arg(0)->Arg(1);
 
 void
 BM_Relocate64Words(benchmark::State &state)

@@ -41,9 +41,15 @@ Cache::Cache(const CacheConfig &cfg, MemLevel &below)
                   "set count must each be a power of two, line >= %u B",
                   cfg_.name.c_str(), cfg_.size_bytes, cfg_.assoc,
                   cfg_.line_bytes, wordBytes);
-    lines_.resize(static_cast<std::size_t>(cfg_.numSets()) * cfg_.assoc);
+    const std::size_t sets = cfg_.numSets();
+    host_lines_per_set_ =
+        (2 * cfg_.assoc + words_per_host_line - 1) / words_per_host_line;
+    blocks_.resize(sets * host_lines_per_set_);
+    flags_.resize(sets * cfg_.assoc);
     line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.line_bytes));
     set_mask_ = cfg_.numSets() - 1;
+    flush();
+    mru_ = way(0, 0);
 }
 
 unsigned
@@ -52,80 +58,64 @@ Cache::setIndex(Addr line_addr) const
     return static_cast<unsigned>(line_addr >> line_shift_) & set_mask_;
 }
 
-Cache::Line *
-Cache::findLineSlow(Addr line_addr)
+Cache::Way
+Cache::find(Addr line_addr)
 {
+    if (*mru_.tag == line_addr)
+        return mru_;
     const unsigned set = setIndex(line_addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * cfg_.assoc];
-    for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == line_addr) {
-            mru_hint_ = &base[w];
-            return &base[w];
-        }
-    }
-    return nullptr;
+    const Addr *t = tags(set);
+    // No early exit: which way holds the line is a coin flip, the
+    // number of ways is not.
+    unsigned hit = cfg_.assoc;
+    for (unsigned w = cfg_.assoc; w-- > 0;)
+        hit = t[w] == line_addr ? w : hit;
+    if (hit == cfg_.assoc)
+        return {};
+    mru_ = way(set, hit);
+    return mru_;
 }
 
-const Cache::Line *
-Cache::findLine(Addr line_addr) const
-{
-    return const_cast<Cache *>(this)->findLine(line_addr);
-}
-
-Cache::Line &
+unsigned
 Cache::chooseVictim(unsigned set)
 {
-    Line *base = &lines_[static_cast<std::size_t>(set) * cfg_.assoc];
-    // Invalid ways first, regardless of policy.
+    // The first invalid way, regardless of policy; else LRU and FIFO
+    // both evict the oldest stamp (they differ in what writes one:
+    // touch() and install()).
+    const Addr *t = tags(set);
+    const std::uint64_t *stamp = t + cfg_.assoc;
+    unsigned oldest = 0;
     for (unsigned w = 0; w < cfg_.assoc; ++w) {
-        if (!base[w].valid)
-            return base[w];
+        if (t[w] == invalid_tag)
+            return w;
+        if (stamp[w] < stamp[oldest])
+            oldest = w;
     }
-    switch (cfg_.replacement) {
-      case ReplacementPolicy::random: {
+    if (cfg_.replacement == ReplacementPolicy::random) {
         // Deterministic xorshift over the victim stream.
         victim_seed_ ^= victim_seed_ << 13;
         victim_seed_ ^= victim_seed_ >> 7;
         victim_seed_ ^= victim_seed_ << 17;
-        return base[victim_seed_ % cfg_.assoc];
-      }
-      case ReplacementPolicy::fifo: {
-        Line *victim = base;
-        for (unsigned w = 1; w < cfg_.assoc; ++w) {
-            if (base[w].filled < victim->filled)
-                victim = &base[w];
-        }
-        return *victim;
-      }
-      case ReplacementPolicy::lru:
-      default: {
-        Line *victim = base;
-        for (unsigned w = 1; w < cfg_.assoc; ++w) {
-            if (base[w].lru < victim->lru)
-                victim = &base[w];
-        }
-        return *victim;
-      }
+        return static_cast<unsigned>(victim_seed_ % cfg_.assoc);
     }
-}
-
-void
-Cache::recordAccess(Line &line)
-{
-    line.lru = ++lru_clock_;
+    return oldest;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    return findLine(lineAlign(addr)) != nullptr;
+    const Addr line_addr = lineAlign(addr);
+    const Addr *t = tags(setIndex(line_addr));
+    return std::find(t, t + cfg_.assoc, line_addr) != t + cfg_.assoc;
 }
 
 void
 Cache::flush()
 {
-    for (auto &l : lines_)
-        l = Line();
+    for (unsigned set = 0; set < cfg_.numSets(); ++set)
+        std::fill_n(tags(set), cfg_.assoc, invalid_tag);
+    std::fill(flags_.begin(), flags_.end(), std::uint8_t(0));
+    mshrs_.clear();
 }
 
 void
@@ -146,22 +136,20 @@ Cache::count(AccessType type, MissKind kind)
 }
 
 void
-Cache::install(Addr line_addr, bool dirty, bool prefetched,
-               Cycles victim_time)
+Cache::install(Addr line_addr, std::uint8_t line_flags, Cycles victim_time)
 {
-    Line &victim = chooseVictim(setIndex(line_addr));
-    if (victim.valid && victim.dirty) {
+    const unsigned set = setIndex(line_addr);
+    const Way w = way(set, chooseVictim(set));
+    if (*w.tag != invalid_tag && (*w.flags & dirty_bit)) {
         ++stats_.writebacks;
         stats_.bytes_out += cfg_.line_bytes;
-        below_.writeback(victim.tag, victim_time);
+        below_.writeback(*w.tag, victim_time);
     }
-    victim.valid = true;
-    victim.tag = line_addr;
-    victim.dirty = dirty;
-    victim.prefetched = prefetched;
-    recordAccess(victim);
-    victim.filled = victim.lru;
-    mru_hint_ = &victim;
+    *w.tag = line_addr;
+    *w.flags = line_flags;
+    if (cfg_.replacement != ReplacementPolicy::random)
+        w.tag[cfg_.assoc] = ++clock_;
+    mru_ = w;
 }
 
 MemLevel::Result
@@ -169,13 +157,13 @@ Cache::access(Addr addr, AccessType type, Cycles now)
 {
     const Addr line_addr = lineAlign(addr);
 
-    Line *line = findLine(line_addr);
-    if (line) {
-        recordAccess(*line);
+    const Way w = find(line_addr);
+    if (w.tag) {
+        touch(w);
         if (type == AccessType::store)
-            line->dirty = true;
-        if (line->prefetched && type != AccessType::prefetch) {
-            line->prefetched = false;
+            *w.flags |= dirty_bit;
+        if ((*w.flags & prefetched_bit) && type != AccessType::prefetch) {
+            *w.flags &= ~prefetched_bit;
             ++stats_.useful_prefetches;
         }
     }
@@ -187,9 +175,9 @@ Cache::access(Addr addr, AccessType type, Cycles now)
     if (Cycles fill = mshrs_.outstandingFill(line_addr, now)) {
         count(type, MissKind::partial);
         return {std::max(fill, now + cfg_.hit_latency), MissKind::partial,
-                line ? 0u : 1u};
+                w.tag ? 0u : 1u};
     }
-    if (line) {
+    if (w.tag) {
         count(type, MissKind::hit);
         return {now + cfg_.hit_latency, MissKind::hit, 0};
     }
@@ -204,8 +192,11 @@ Cache::access(Addr addr, AccessType type, Cycles now)
     mshrs_.complete(below.ready);
     count(type, MissKind::full);
     stats_.bytes_in += cfg_.line_bytes;
-    install(line_addr, type == AccessType::store,
-            type == AccessType::prefetch, below.ready);
+    install(line_addr,
+            type == AccessType::store      ? dirty_bit
+            : type == AccessType::prefetch ? prefetched_bit
+                                           : 0,
+            below.ready);
     return {below.ready, MissKind::full, below.depth + 1};
 }
 
@@ -215,12 +206,12 @@ Cache::writeback(Addr line_addr, Cycles now)
     // A dirty line arrives from the level above.  If we hold the line,
     // just mark it dirty; otherwise allocate it without fetching from
     // below (the incoming data is the whole line).
-    if (Line *line = findLine(line_addr)) {
-        line->dirty = true;
-        recordAccess(*line);
+    if (const Way w = find(line_addr); w.tag) {
+        *w.flags |= dirty_bit;
+        touch(w);
         return;
     }
-    install(line_addr, true, false, now);
+    install(line_addr, dirty_bit, now);
 }
 
 void

@@ -2,10 +2,11 @@
  * @file
  * One level of set-associative cache with timing.
  *
- * Write-back, write-allocate, true-LRU replacement.  Misses allocate an
- * MSHR; accesses that combine with an in-flight fill are classified as
- * *partial* misses, those that start a new fill as *full* misses, which
- * is exactly the breakdown Figure 6(a) of the paper reports.
+ * Write-back, write-allocate; true-LRU (the default), FIFO or random
+ * replacement.  Misses allocate an MSHR; accesses that combine with an
+ * in-flight fill are classified as *partial* misses, those that start a
+ * new fill as *full* misses, which is exactly the breakdown Figure 6(a)
+ * of the paper reports.
  *
  * A line is installed at miss time, so the fill an access combines with
  * may belong to a line that is still resident (the common case,
@@ -25,6 +26,17 @@
  * Each cache counts the bytes it exchanges with the level below it
  * (fills in, writebacks out); the hierarchy sums these into per-link
  * traffic for Figure 6(b).
+ *
+ * Host layout.  A set is one block, aligned to a host cache line: its
+ * assoc tags, then its assoc stamps, so probing a set of up to four
+ * ways reads one host line (the default 1 MiB, 4-way L2 is a 512 KiB
+ * host array).  An invalid way holds a sentinel tag that no line
+ * address equals.  There is one stamp per way, drawn from one clock
+ * and written only by the policy that reads it: LRU stamps every touch
+ * and fill, FIFO only fills, random nothing.  The victim is the first
+ * invalid way, else the oldest stamp (LRU, FIFO) or the next draw of a
+ * xorshift stream (random).  Dirty and prefetched bits, read only on a
+ * hit or an eviction, are one byte per way in a separate array.
  */
 
 #ifndef MEMFWD_CACHE_CACHE_HH
@@ -118,7 +130,7 @@ struct CacheStats
 };
 
 /** A single set-associative, write-back, write-allocate cache level. */
-class Cache : public MemLevel
+class Cache final : public MemLevel
 {
   public:
     Cache(const CacheConfig &cfg, MemLevel &below);
@@ -150,59 +162,86 @@ class Cache : public MemLevel
     /** Zero the statistics (contents and LRU state are preserved). */
     void clearStats() { stats_ = CacheStats(); }
 
-    /** Invalidate every line (used between benchmark configurations). */
+    /** Invalidate every line and drop every fill in flight. */
     void flush();
 
     Addr lineAlign(Addr a) const { return a & ~Addr(cfg_.line_bytes - 1); }
 
   private:
-    struct Line
+    /** One way of a set: its tag, whose stamp is assoc words on, and
+     *  its flags. */
+    struct Way
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;  ///< filled by prefetch, not yet used
-        std::uint64_t lru = 0;    ///< last-touch stamp
-        std::uint64_t filled = 0; ///< fill-order stamp (FIFO policy)
+        Addr *tag = nullptr; ///< nullptr when the line is absent
+        std::uint8_t *flags = nullptr;
     };
 
+    /** One host cache line; a set's block is one or more of them. */
+    static constexpr unsigned words_per_host_line = 8;
+    struct alignas(64) HostLine
+    {
+        std::uint64_t word[words_per_host_line];
+    };
+
+    static constexpr Addr invalid_tag = ~Addr(0);
+    static constexpr std::uint8_t dirty_bit = 1;
+    static constexpr std::uint8_t prefetched_bit = 2; ///< not yet used
+
     unsigned setIndex(Addr line_addr) const;
-    Line *findLineSlow(Addr line_addr);
+    /** The set's assoc tags; its assoc stamps follow them. */
+    Addr *
+    tags(unsigned set)
+    {
+        return blocks_[std::size_t(set) * host_lines_per_set_].word;
+    }
+    const Addr *
+    tags(unsigned set) const
+    {
+        return blocks_[std::size_t(set) * host_lines_per_set_].word;
+    }
+    Way
+    way(unsigned set, unsigned w)
+    {
+        return {tags(set) + w, &flags_[std::size_t(set) * cfg_.assoc + w]};
+    }
 
     /**
      * Tag lookup with a one-entry MRU hint.  Tags store the full line
-     * address, so a tag match on the hinted line is sufficient — the
-     * hint self-invalidates when the line it points at is re-filled
-     * with a different tag or invalidated by flush().
+     * address, so a tag match on the hinted way is sufficient — the
+     * hint self-invalidates when its way is re-filled with a different
+     * tag or invalidated by flush().
      */
-    Line *
-    findLine(Addr line_addr)
+    Way find(Addr line_addr);
+    unsigned chooseVictim(unsigned set);
+    /** A hit, a combine with a resident line's fill, or a writeback. */
+    void
+    touch(Way w)
     {
-        if (mru_hint_ && mru_hint_->valid && mru_hint_->tag == line_addr)
-            return mru_hint_;
-        return findLineSlow(line_addr);
+        if (cfg_.replacement == ReplacementPolicy::lru)
+            w.tag[cfg_.assoc] = ++clock_;
     }
-    const Line *findLine(Addr line_addr) const;
-    Line &chooseVictim(unsigned set);
-    void recordAccess(Line &line);
     /** Count one access of @p type that ended as @p kind. */
     void count(AccessType type, MissKind kind);
     /**
      * Fill @p line_addr into its set, writing a dirty victim back to the
      * level below at @p victim_time.
      */
-    void install(Addr line_addr, bool dirty, bool prefetched,
+    void install(Addr line_addr, std::uint8_t line_flags,
                  Cycles victim_time);
 
     CacheConfig cfg_;
     MemLevel &below_;
     MshrFile mshrs_;
     CacheStats stats_;
-    std::vector<Line> lines_; ///< sets_ x assoc, row-major
+    /** Per set, assoc tags then assoc stamps, padded to host lines. */
+    std::vector<HostLine> blocks_;
+    /** dirty_bit | prefetched_bit per way, sets x assoc, row-major. */
+    std::vector<std::uint8_t> flags_;
+    unsigned host_lines_per_set_ = 1;
     unsigned line_shift_ = 0; ///< log2(line_bytes)
     unsigned set_mask_ = 0;   ///< numSets() - 1
-    Line *mru_hint_ = nullptr; ///< last line hit or installed
-    std::uint64_t lru_clock_ = 0;
+    Way mru_;                 ///< last way hit or installed
+    std::uint64_t clock_ = 0; ///< source of every stamp
     std::uint64_t victim_seed_ = 0x2545f4914f6cdd1dULL;
 };
 

@@ -99,7 +99,9 @@ class MemoryHierarchy
     /** Zero all statistics; cache contents are preserved. */
     void clearStats();
 
-    /** Invalidate all cache contents and zero statistics. */
+    /** Invalidate all cache contents, drop the fills in flight and zero
+     *  statistics.  DRAM channel occupancy stays, as
+     *  MainMemory::clearStats() keeps it. */
     void reset();
 
   private:

@@ -7,7 +7,8 @@
 namespace memfwd
 {
 
-MshrFile::MshrFile(unsigned entries) : slots_(entries)
+MshrFile::MshrFile(unsigned entries)
+    : line_addr_(entries), fill_done_(entries)
 {
     memfwd_assert(entries > 0, "MSHR file needs at least one entry");
 }
@@ -15,18 +16,30 @@ MshrFile::MshrFile(unsigned entries) : slots_(entries)
 void
 MshrFile::expire(Cycles now)
 {
-    for (auto &e : slots_) {
-        if (e.fill_done <= now)
-            e.fill_done = 0;
+    // Keep the unexpired entries, in order, at the front.
+    std::uint64_t signature = 0;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < busy_; ++i) {
+        const Addr line = line_addr_[i];
+        const Cycles fill = fill_done_[i];
+        line_addr_[kept] = line;
+        fill_done_[kept] = fill;
+        const bool busy = fill > now;
+        signature |= busy ? signatureBit(line) : 0;
+        kept += busy;
     }
+    busy_ = kept;
+    signature_ = signature;
 }
 
 Cycles
 MshrFile::outstandingFillSlow(Addr line_addr, Cycles now) const
 {
-    for (const auto &e : slots_) {
-        if (e.fill_done > now && e.line_addr == line_addr)
-            return e.fill_done;
+    // At most one unexpired entry holds a line: allocate() is asked for
+    // a line only when its last fill is done, and then expires it.
+    for (std::size_t i = 0; i < busy_; ++i) {
+        if (line_addr_[i] == line_addr && fill_done_[i] > now)
+            return fill_done_[i];
     }
     return 0;
 }
@@ -36,21 +49,24 @@ MshrFile::allocate(Addr line_addr, Cycles now)
 {
     expire(now);
     Cycles start = now;
-    auto slot = std::find_if(slots_.begin(), slots_.end(),
-                             [](const Entry &e) { return e.fill_done == 0; });
-    if (slot == slots_.end()) {
+    if (busy_ == line_addr_.size()) {
         // Every entry is busy: the miss waits for the earliest fill to
-        // retire and takes the first entry that frees.
-        slot = std::min_element(slots_.begin(), slots_.end(),
-                                [](const Entry &a, const Entry &b) {
-                                    return a.fill_done < b.fill_done;
-                                });
-        start = slot->fill_done;
+        // retire and takes an entry it frees.
+        start = *std::min_element(fill_done_.begin(), fill_done_.end());
         expire(start);
     }
-    slot->line_addr = line_addr;
-    reserved_ = static_cast<std::size_t>(slot - slots_.begin());
+    line_addr_[busy_] = line_addr;
+    fill_done_[busy_] = 0;
+    ++busy_;
     return start;
+}
+
+void
+MshrFile::clear()
+{
+    busy_ = 0;
+    signature_ = 0;
+    last_fill_ = 0;
 }
 
 } // namespace memfwd

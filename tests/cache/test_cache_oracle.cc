@@ -7,21 +7,24 @@
  * must reproduce exactly.  The cache oracle builds two stacks, each L1
  * over L2 over a real MainMemory, one from the copies and one from the
  * current classes, drives both with the same random calls (loads,
- * stores and prefetches into L1, writebacks into L2, at times that
- * mostly rise but sometimes step back) and after every call compares
- * the result, every CacheStats field of both levels, the memory's
- * counters, and contains() for every line touched so far.  Geometries
- * are small enough that sets thrash.  The TLB oracle compares the
- * copied `Tlb` with the machine's model, a PageCache plus a fixed walk
- * penalty.  A change that keeps both passing keeps every simulated
- * cycle of the hierarchy; a change meant to alter the model updates
- * the copy along with it.  Seeds go through testSeed().
+ * stores and prefetches into L1, writebacks into L2, now and then a
+ * flush() or clearStats() of one level, at times that mostly rise but
+ * sometimes step back) and after every call compares the result, every
+ * CacheStats field of both levels, the memory's counters, and
+ * contains() for every line touched so far.  Geometries are small
+ * enough that sets thrash.  The MSHR oracle drives the two MSHR files
+ * directly, with lines chosen to share signature bits.  The TLB oracle
+ * compares the copied `Tlb` with the machine's model, a PageCache plus
+ * a fixed walk penalty.  A change that keeps them passing keeps every
+ * simulated cycle of the hierarchy; a change meant to alter the model
+ * updates the copy along with it.  Seeds go through testSeed().
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <list>
 #include <unordered_map>
@@ -668,13 +671,16 @@ CacheConfig
 randomLevel(Rng &rng, const char *name, unsigned line_bytes,
             ReplacementPolicy policy, unsigned max_sets)
 {
+    // Power-of-two and other associativities: the set block of the
+    // current model is sized by assoc, not by a power of two.
+    static constexpr unsigned ways[] = {1, 2, 3, 4, 5, 6, 8, 16, 32};
     CacheConfig c;
     c.name = name;
     c.line_bytes = line_bytes;
-    c.assoc = 1u << rng.below(4);              // 1..8 ways
+    c.assoc = ways[rng.below(std::size(ways))];
     const unsigned sets = 1u << rng.below(max_sets);
     c.size_bytes = sets * c.assoc * line_bytes;
-    c.mshrs = 1 + static_cast<unsigned>(rng.below(16)); // 1..16
+    c.mshrs = 1 + static_cast<unsigned>(rng.below(64)); // 1..64
     c.replacement = policy;
     return c;
 }
@@ -686,6 +692,7 @@ struct Coverage
     std::uint64_t partial_evicted = 0;  ///< combined, line evicted again
     std::uint64_t full = 0;
     std::uint64_t victim_writebacks = 0;
+    std::uint64_t flushes = 0;
 };
 
 void
@@ -718,12 +725,31 @@ runCacheTrial(ReplacementPolicy policy, std::uint64_t seed, Coverage &cov)
     std::vector<Addr> touched;
     std::vector<bool> seen(pool, false);
     Cycles now = 0;
+    // flush() drops a level's in-flight fills, which the parent copy
+    // keeps.  After a flush the stream jumps past every fill issued so
+    // far and never steps back before that point, where the parent's
+    // stale entries could still be seen.
+    Cycles last_ready = 0;
+    Cycles floor = 0;
     for (unsigned step = 0; step < 1500; ++step) {
         // Mostly rising, sometimes stepping back.
         if (rng.chance(0.1))
-            now -= std::min<Cycles>(now, rng.below(200));
+            now -= std::min<Cycles>(now - floor, rng.below(200));
         else
             now += rng.below(12);
+
+        if (rng.chance(0.004)) {
+            const bool l1 = rng.chance(0.5);
+            (l1 ? want.l1 : want.l2).flush();
+            (l1 ? got.l1 : got.l2).flush();
+            now = floor = std::max(now, last_ready);
+            ++cov.flushes;
+        }
+        if (rng.chance(0.004)) {
+            const bool l1 = rng.chance(0.5);
+            (l1 ? want.l1 : want.l2).clearStats();
+            (l1 ? got.l1 : got.l2).clearStats();
+        }
 
         const unsigned idx = static_cast<unsigned>(
             rng.chance(0.5) ? rng.below(hot) : rng.below(pool));
@@ -748,6 +774,7 @@ runCacheTrial(ReplacementPolicy policy, std::uint64_t seed, Coverage &cov)
             ASSERT_EQ(w.ready, g.ready) << "step " << step;
             ASSERT_EQ(w.kind, g.kind) << "step " << step;
             ASSERT_EQ(w.depth, g.depth) << "step " << step;
+            last_ready = std::max(last_ready, g.ready);
             if (g.kind == MissKind::partial)
                 ++(g.depth ? cov.partial_evicted : cov.partial_resident);
             else if (g.kind == MissKind::full)
@@ -778,6 +805,7 @@ TEST_P(CacheOracle, MatchesParentModel)
     EXPECT_GT(cov.partial_evicted, 0u);
     EXPECT_GT(cov.full, 0u);
     EXPECT_GT(cov.victim_writebacks, 0u);
+    EXPECT_GT(cov.flushes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -795,6 +823,79 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return "unknown";
     });
+
+TEST(MshrOracle, MatchesParentFile)
+{
+    // Four groups of three lines, each group sharing one signature bit,
+    // so a lookup often finds its bit set by another line's fill.
+    std::vector<Addr> shared;
+    std::vector<std::vector<Addr>> groups(4);
+    for (Addr line = 0x40000; shared.size() < 12; line += 64) {
+        for (auto &group : groups) {
+            if (group.size() < 3 &&
+                (group.empty() || MshrFile::signatureBit(line) ==
+                                      MshrFile::signatureBit(group[0]))) {
+                group.push_back(line);
+                shared.push_back(line);
+                break;
+            }
+        }
+    }
+
+    std::uint64_t collisions = 0; // absent lines whose bit was set
+    std::uint64_t stalls = 0;     // allocations that waited
+    for (unsigned trial = 0; trial < 200; ++trial) {
+        Rng rng(testSeed(0x35b0000ULL + trial));
+        const unsigned entries = 1 + static_cast<unsigned>(rng.below(64));
+        std::vector<Addr> lines = shared;
+        for (unsigned i = 0; i < entries; ++i)
+            lines.push_back(0x80000 + rng.below(1u << 16) * 64);
+        SCOPED_TRACE(::testing::Message() << "trial " << trial << ": "
+                                          << entries << " entries");
+
+        parent::MshrFile want(entries);
+        MshrFile got(entries);
+        Cycles now = 0;
+        for (unsigned step = 0; step < 2000; ++step) {
+            if (rng.chance(0.1))
+                now -= std::min<Cycles>(now, rng.below(200));
+            else
+                now += rng.below(8);
+            const Addr line = lines[rng.below(lines.size())];
+            const Cycles fill = want.outstandingFill(line, now);
+            ASSERT_EQ(fill, got.outstandingFill(line, now)) << "step " << step;
+            if (fill == 0) {
+                for (Addr other : lines) {
+                    if (other != line &&
+                        MshrFile::signatureBit(other) ==
+                            MshrFile::signatureBit(line) &&
+                        want.outstandingFill(other, now) != 0) {
+                        ++collisions;
+                        break;
+                    }
+                }
+            }
+            // The cache's protocol: a line with a fill in flight
+            // combines with it rather than allocating.
+            if (fill == 0 && rng.chance(0.5)) {
+                if (rng.chance(0.01)) {
+                    // A flushed cache level has no fills in flight: a
+                    // fresh parent file stands for it.
+                    want = parent::MshrFile(entries);
+                    got.clear();
+                }
+                const Cycles start = want.allocate(line, now);
+                ASSERT_EQ(start, got.allocate(line, now)) << "step " << step;
+                stalls += start > now;
+                const Cycles done = start + 1 + rng.below(300);
+                want.complete(line, done);
+                got.complete(done);
+            }
+        }
+    }
+    EXPECT_GT(collisions, 0u);
+    EXPECT_GT(stalls, 0u);
+}
 
 TEST(TlbOracle, PageCacheWithPenaltyMatchesParentTlb)
 {

@@ -101,6 +101,23 @@ TEST(Hierarchy, ResetDropsContents)
     EXPECT_EQ(r.l1, MissKind::full);
 }
 
+TEST(Hierarchy, ResetDropsInFlightFills)
+{
+    // A fill still in flight when the hierarchy is reset belongs to the
+    // old contents: the next access to its line starts a new fill from
+    // memory instead of combining with it.
+    MemoryHierarchy h;
+    const auto first = h.access(0x1000, AccessType::load, 0);
+    ASSERT_EQ(first.l1, MissKind::full);
+    ASSERT_GT(first.ready, 1u);
+    h.reset();
+    const auto r = h.access(0x1000, AccessType::load, 1);
+    EXPECT_EQ(r.l1, MissKind::full);
+    EXPECT_EQ(r.depth, 2u);
+    EXPECT_EQ(h.l1d().stats().load_partial_misses, 0u);
+    EXPECT_EQ(h.l2().stats().load_full_misses, 1u);
+}
+
 TEST(HierarchyDeathTest, MixedLineSizesRejected)
 {
     HierarchyConfig cfg = testConfig();
