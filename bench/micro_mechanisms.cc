@@ -3,9 +3,9 @@
  * google-benchmark microbenches of the simulator's own mechanisms:
  * how fast the host simulates tagged-memory access, forwarding walks,
  * cache accesses, timed and fast-forwarded machine references, ALU
- * retirement in the reorder buffer, and the load/store queue's
- * speculation check.  These measure the simulator (host
- * seconds), not the simulated machine (cycles).
+ * retirement in the reorder buffer, the load/store queue's
+ * speculation check, and heap placement.  These measure the simulator
+ * (host seconds), not the simulated machine (cycles).
  */
 
 #include <benchmark/benchmark.h>
@@ -24,6 +24,7 @@
 #include "mem/tagged_memory.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
+#include "runtime/sim_allocator.hh"
 
 namespace
 {
@@ -239,6 +240,70 @@ BENCHMARK(BM_Relocate64WordsAnalyzed)
     ->Arg(0)
     ->Arg(1)
     ->Iterations(5000);
+
+/** kv_server's arena at scale 1: 2048 resident sessions * 160 bytes. */
+constexpr Addr kv_arena_bytes = 320 << 10;
+
+/**
+ * One free and one scattered allocation of a kv-sized block (24..56
+ * bytes) per iteration, on kv_server's arena held at ~70% occupancy:
+ * the allocator work of a kv put.  Some draws miss and a few fall back
+ * to the lowest fit, as they do in the workload.
+ */
+void
+BM_SimAllocatorScattered(benchmark::State &state)
+{
+    setVerbose(false);
+    Machine m;
+    SimAllocator alloc(m, m.config().heap_base, kv_arena_bytes, 1);
+    Rng rng(2);
+    auto blockBytes = [&rng] { return 24 + 8 * rng.below(5); };
+    std::vector<Addr> live;
+    while (alloc.bytesLive() < kv_arena_bytes * 7 / 10)
+        live.push_back(*alloc.tryAlloc(blockBytes(), Placement::scattered));
+    for (auto _ : state) {
+        const std::size_t i = rng.below(live.size());
+        alloc.free(live[i]);
+        if (const auto a = alloc.tryAlloc(blockBytes(), Placement::scattered)) {
+            live[i] = *a;
+        } else {
+            live[i] = live.back();
+            live.pop_back();
+        }
+    }
+    state.SetLabel("70% occupied");
+}
+BENCHMARK(BM_SimAllocatorScattered);
+
+/**
+ * One failing scattered placement (64 draws, then the lowest fit) on a
+ * full kv-sized arena, answered by tryAlloc's std::nullopt (0) or by
+ * alloc's AllocFailure caught one frame up (1).
+ */
+void
+BM_SimAllocatorFull(benchmark::State &state)
+{
+    setVerbose(false);
+    Machine m;
+    SimAllocator alloc(m, m.config().heap_base, kv_arena_bytes, 1);
+    while (alloc.tryAlloc(40))
+        ;
+    const bool throwing = state.range(0) != 0;
+    for (auto _ : state) {
+        if (!throwing) {
+            benchmark::DoNotOptimize(
+                alloc.tryAlloc(40, Placement::scattered));
+            continue;
+        }
+        try {
+            benchmark::DoNotOptimize(alloc.alloc(40, Placement::scattered));
+        } catch (const AllocFailure &e) {
+            benchmark::DoNotOptimize(e.bytes());
+        }
+    }
+    state.SetLabel(throwing ? "alloc + catch" : "tryAlloc");
+}
+BENCHMARK(BM_SimAllocatorFull)->Arg(0)->Arg(1);
 
 /**
  * Console output as usual, plus each run recorded into the bench

@@ -36,7 +36,12 @@ bool verbose();
     ::memfwd::panicImpl(__FILE__, __LINE__, ::memfwd::strfmt(__VA_ARGS__))
 #define memfwd_fatal(...) \
     ::memfwd::fatalImpl(__FILE__, __LINE__, ::memfwd::strfmt(__VA_ARGS__))
-#define memfwd_warn(...) ::memfwd::warnImpl(::memfwd::strfmt(__VA_ARGS__))
+/** Formats only when warnings are on: a silenced warn() costs a call. */
+#define memfwd_warn(...)                                                    \
+    do {                                                                    \
+        if (::memfwd::verbose())                                            \
+            ::memfwd::warnImpl(::memfwd::strfmt(__VA_ARGS__));              \
+    } while (0)
 
 /** panic() unless the invariant holds. */
 #define memfwd_assert(cond, ...)                                            \

@@ -45,17 +45,29 @@ LayoutBackend::LayoutBackend(Machine &machine, BackendKind kind)
 {
 }
 
+BackendRef
+LayoutBackend::allocate(Addr bytes, Placement placement, Addr align)
+{
+    if (const std::optional<BackendRef> ref =
+            tryAllocate(bytes, placement, align))
+        return *ref;
+    throw AllocFailure(roundUpToWord(bytes),
+                       "no room in the heap or handle table, or an "
+                       "injected allocation failure");
+}
+
 // ---------------------------------------------------------------------
 // ForwardingBackend
 // ---------------------------------------------------------------------
 
-BackendRef
-ForwardingBackend::allocate(Addr bytes, Placement placement, Addr align)
+std::optional<BackendRef>
+ForwardingBackend::tryAllocate(Addr bytes, Placement placement, Addr align)
 {
     memfwd_assert(alloc_ != nullptr,
-                  "ForwardingBackend: allocate() without an allocator");
-    const Addr addr = alloc_->alloc(bytes, placement, align);
-    ++stats_.allocs;
+                  "ForwardingBackend: tryAllocate() without an allocator");
+    const std::optional<Addr> addr = alloc_->tryAlloc(bytes, placement, align);
+    if (addr)
+        ++stats_.allocs;
     return addr;
 }
 
@@ -89,10 +101,8 @@ ForwardingBackend::compactObject(BackendRef ref, Placement placement)
         ++stats_.refusals;
         return false;
     }
-    Addr tgt = 0;
-    try {
-        tgt = alloc_->alloc(bytes, placement);
-    } catch (const AllocFailure &) {
+    const std::optional<Addr> tgt = alloc_->tryAlloc(bytes, placement);
+    if (!tgt) {
         // No placement fits: heap unchanged, caller may evict and retry.
         ++stats_.refusals;
         return false;
@@ -104,14 +114,14 @@ ForwardingBackend::compactObject(BackendRef ref, Placement placement)
         // leaning on relocate()'s anonymous micro-plan fallback.
         RelocationPlan plan("compact_object");
         plan.assume(AliasAssumption::stale_pointers_possible)
-            .move(ref, tgt, static_cast<unsigned>(bytes / wordBytes));
+            .move(ref, *tgt, static_cast<unsigned>(bytes / wordBytes));
         PlanScope scope(machine_.analysisGate(), plan);
-        memfwd::relocate(machine_, ref, tgt,
+        memfwd::relocate(machine_, ref, *tgt,
                          static_cast<unsigned>(bytes / wordBytes));
     } catch (...) {
         // relocate() rolled the heap back; the fresh target block is
         // chain-free, so releasing it undoes the whole compaction.
-        alloc_->free(tgt);
+        alloc_->free(*tgt);
         throw;
     }
     ++stats_.relocations;
@@ -160,8 +170,7 @@ HandleBackend::takeSlot()
         free_slots_.pop_back();
         return slot;
     }
-    if (next_slot_ >= cfg_.capacity)
-        throw AllocFailure(wordBytes, "handle table exhausted");
+    memfwd_assert(next_slot_ < cfg_.capacity, "handle table exhausted");
     return cfg_.table_base + Addr(next_slot_++) * wordBytes;
 }
 
@@ -171,13 +180,18 @@ HandleBackend::releaseSlot(Addr slot)
     free_slots_.push_back(slot);
 }
 
-BackendRef
-HandleBackend::allocate(Addr bytes, Placement placement, Addr align)
+std::optional<BackendRef>
+HandleBackend::tryAllocate(Addr bytes, Placement placement, Addr align)
 {
-    const Addr obj = alloc_.alloc(bytes, placement, align);
+    // The table is checked first: a full one must not place the object.
+    if (tableFull())
+        return std::nullopt;
+    const std::optional<Addr> obj = alloc_.tryAlloc(bytes, placement, align);
+    if (!obj)
+        return std::nullopt;
     const Addr slot = takeSlot();
     // Installing the object address is a real store into the table.
-    machine_.access(Access::store(slot, wordBytes, obj));
+    machine_.access(Access::store(slot, wordBytes, *obj));
     ++stats_.allocs;
     ++live_handles_;
     return slot;
@@ -213,10 +227,8 @@ HandleBackend::compactObject(BackendRef ref, Placement placement)
         ++stats_.refusals;
         return false;
     }
-    Addr tgt = 0;
-    try {
-        tgt = alloc_.alloc(bytes, placement);
-    } catch (const AllocFailure &) {
+    const std::optional<Addr> tgt = alloc_.tryAlloc(bytes, placement);
+    if (!tgt) {
         ++stats_.refusals;
         return false;
     }
@@ -226,9 +238,9 @@ HandleBackend::compactObject(BackendRef ref, Placement placement)
     for (Addr w = 0; w < bytes; w += wordBytes) {
         const AccessResult v =
             machine_.access(Access::load(src + w, wordBytes, cur.ready));
-        machine_.access(Access::store(tgt + w, wordBytes, v.value, v.ready));
+        machine_.access(Access::store(*tgt + w, wordBytes, v.value, v.ready));
     }
-    machine_.access(Access::store(ref, wordBytes, tgt, cur.ready));
+    machine_.access(Access::store(ref, wordBytes, *tgt, cur.ready));
     // Unlike forwarding, the old home is dead the instant the slot is
     // rewritten: reclaim it now.
     alloc_.free(src);
@@ -266,11 +278,12 @@ HandleBackend::objectBytes(BackendRef ref) const
 // NullBackend
 // ---------------------------------------------------------------------
 
-BackendRef
-NullBackend::allocate(Addr bytes, Placement placement, Addr align)
+std::optional<BackendRef>
+NullBackend::tryAllocate(Addr bytes, Placement placement, Addr align)
 {
-    const Addr addr = alloc_.alloc(bytes, placement, align);
-    ++stats_.allocs;
+    const std::optional<Addr> addr = alloc_.tryAlloc(bytes, placement, align);
+    if (addr)
+        ++stats_.allocs;
     return addr;
 }
 

@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -102,12 +103,18 @@ class LayoutBackend
     // ----- allocation ---------------------------------------------------
 
     /**
-     * Allocate @p bytes and return the client's stable reference.
-     * @throws AllocFailure when the heap (or handle table) is exhausted.
+     * Allocate @p bytes and return the client's stable reference, or
+     * std::nullopt when the heap or the handle table has no room or an
+     * armed alloc-site fault fires.  A failed call leaves the heap, the
+     * table and the backend counters unchanged (SimAllocator::tryAlloc).
      */
-    virtual BackendRef allocate(Addr bytes,
-                                Placement placement = Placement::sequential,
-                                Addr align = wordBytes) = 0;
+    virtual std::optional<BackendRef>
+    tryAllocate(Addr bytes, Placement placement = Placement::sequential,
+                Addr align = wordBytes) = 0;
+
+    /** tryAllocate(), throwing AllocFailure where it returns nullopt. */
+    BackendRef allocate(Addr bytes, Placement placement = Placement::sequential,
+                        Addr align = wordBytes);
 
     /** Release @p ref (and, under forwarding, every relocated copy). */
     virtual void free(BackendRef ref) = 0;
@@ -173,7 +180,7 @@ class LayoutBackend
 class ForwardingBackend final : public LayoutBackend
 {
   public:
-    /** Relocation/resolution only (no allocator — allocate() asserts). */
+    /** Relocation/resolution only (no allocator — tryAllocate() asserts). */
     explicit ForwardingBackend(Machine &machine)
         : LayoutBackend(machine, BackendKind::forwarding), alloc_(nullptr)
     {
@@ -187,7 +194,8 @@ class ForwardingBackend final : public LayoutBackend
     bool canRelocate() const override { return true; }
     bool stalePointersSafe() const override { return true; }
 
-    BackendRef allocate(Addr bytes, Placement placement, Addr align) override;
+    std::optional<BackendRef> tryAllocate(Addr bytes, Placement placement,
+                                          Addr align) override;
     void free(BackendRef ref) override;
     bool relocate(Addr src, Addr tgt, unsigned n_words) override;
     bool compactObject(BackendRef ref, Placement placement) override;
@@ -211,8 +219,9 @@ struct HandleTableConfig
 
 /**
  * HandleBackend — objects are reachable only through a handle table in
- * simulated memory.  allocate() installs the object address into a
- * fresh slot (timed store); resolve() is a timed dependent load of the
+ * simulated memory.  tryAllocate() installs the object address into a
+ * fresh slot (timed store), and refuses before placing anything when
+ * the table is full; resolve() is a timed dependent load of the
  * slot; compaction copies the object word-by-word through the cache
  * hierarchy and rewrites one slot.  Raw-range relocate() is refused:
  * the table cannot vouch for pointers it does not mediate.
@@ -226,7 +235,8 @@ class HandleBackend final : public LayoutBackend
     bool canRelocate() const override { return true; }
     bool stalePointersSafe() const override { return false; }
 
-    BackendRef allocate(Addr bytes, Placement placement, Addr align) override;
+    std::optional<BackendRef> tryAllocate(Addr bytes, Placement placement,
+                                          Addr align) override;
     void free(BackendRef ref) override;
     bool relocate(Addr src, Addr tgt, unsigned n_words) override;
     bool compactObject(BackendRef ref, Placement placement) override;
@@ -238,6 +248,10 @@ class HandleBackend final : public LayoutBackend
     std::size_t liveHandles() const { return live_handles_; }
 
   private:
+    bool tableFull() const
+    {
+        return free_slots_.empty() && next_slot_ >= cfg_.capacity;
+    }
     Addr takeSlot();
     void releaseSlot(Addr slot);
 
@@ -263,7 +277,8 @@ class NullBackend final : public LayoutBackend
     bool canRelocate() const override { return false; }
     bool stalePointersSafe() const override { return true; }
 
-    BackendRef allocate(Addr bytes, Placement placement, Addr align) override;
+    std::optional<BackendRef> tryAllocate(Addr bytes, Placement placement,
+                                          Addr align) override;
     void free(BackendRef ref) override;
     bool relocate(Addr src, Addr tgt, unsigned n_words) override;
     bool compactObject(BackendRef ref, Placement placement) override;

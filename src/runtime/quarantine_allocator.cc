@@ -48,11 +48,8 @@ QuarantineAllocator::placeSlot(Addr bytes)
 {
     if (live_bytes_ + bytes > cfg_.capacity_bytes)
         return 0;
-    try {
-        return backend_.allocate(bytes, Placement::sequential, wordBytes);
-    } catch (const AllocFailure &) {
-        return 0;
-    }
+    return backend_.tryAllocate(bytes, Placement::sequential, wordBytes)
+        .value_or(0);
 }
 
 void

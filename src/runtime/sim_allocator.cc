@@ -105,7 +105,7 @@ SimAllocator::rangeFree(Addr start, Addr bytes) const
            scan(start, start + bytes, 0, 0) == start + bytes;
 }
 
-Addr
+std::optional<Addr>
 SimAllocator::lowestFit(Addr from, Addr bytes, Addr align) const
 {
     // Per 64-word chunk, a shift-and over the free bits of the chunk and
@@ -136,10 +136,10 @@ SimAllocator::lowestFit(Addr from, Addr bytes, Addr align) const
         // Resume past the run of occupied words that defeated it.
         a = alignUp(scan(scan(a, a + bytes, 0, 0), limit, ~0ull, 0), align);
     }
-    throw AllocFailure(bytes, "simulated heap exhausted");
+    return std::nullopt;
 }
 
-Addr
+std::optional<Addr>
 SimAllocator::place(Addr bytes, Placement placement, Addr align)
 {
     if (placement == Placement::scattered && bytes < span_) {
@@ -160,10 +160,11 @@ SimAllocator::place(Addr bytes, Placement placement, Addr align)
                     "(heap too full)");
     }
     // Sequential: from the bump pointer.  first_fit: from the base.
-    const Addr addr = lowestFit(
+    const std::optional<Addr> addr = lowestFit(
         placement == Placement::first_fit ? base_ : base_ + bump_, bytes,
         align);
-    bump_ = std::max(bump_, addr + bytes - base_);
+    if (addr)
+        bump_ = std::max(bump_, *addr + bytes - base_);
     return addr;
 }
 
@@ -206,29 +207,31 @@ SimAllocator::setBlock(Addr start, Addr end, bool live)
     }
 }
 
-Addr
-SimAllocator::alloc(Addr bytes, Placement placement, Addr align)
+bool
+SimAllocator::injectedFailure(Addr bytes, Addr align)
 {
     memfwd_assert(bytes > 0, "zero-byte allocation");
     memfwd_assert(align >= wordBytes && (align & (align - 1)) == 0,
                   "alignment must be a power of two >= %u", wordBytes);
-    bytes = roundUpToWord(bytes);
-
     // An armed alloc-site fault fires before any state changes, so a
     // failed call is invisible to later ones (callers can retry).
-    if (FaultInjector *faults = machine_.faultInjector();
-        faults && faults->shouldFail(FaultSite::alloc)) {
-        throw AllocFailure(bytes, "injected allocation failure");
-    }
+    FaultInjector *faults = machine_.faultInjector();
+    return faults && faults->shouldFail(FaultSite::alloc);
+}
 
-    const Addr addr = place(bytes, placement, align);
-    setBlock(addr, addr + bytes, true);
-    live_end_ = std::max(live_end_, addr + bytes);
+std::optional<Addr>
+SimAllocator::claim(Addr bytes, Placement placement, Addr align)
+{
+    const std::optional<Addr> addr = place(bytes, placement, align);
+    if (!addr)
+        return std::nullopt;
+    setBlock(*addr, *addr + bytes, true);
+    live_end_ = std::max(live_end_, *addr + bytes);
 
     // The OS guarantees clear forwarding bits on fresh memory
     // (Section 3.3); the sweep is functional, the allocator's own work
     // is charged as compute.
-    machine_.mem().initializeRegion(addr, bytes);
+    machine_.mem().initializeRegion(*addr, bytes);
     machine_.access(Access::compute(alloc_compute_cost));
 
     ++alloc_calls_;
@@ -236,6 +239,26 @@ SimAllocator::alloc(Addr bytes, Placement placement, Addr align)
     bytes_total_ += bytes;
     bytes_peak_ = std::max(bytes_peak_, bytes_live_);
     return addr;
+}
+
+std::optional<Addr>
+SimAllocator::tryAlloc(Addr bytes, Placement placement, Addr align)
+{
+    if (injectedFailure(bytes, align))
+        return std::nullopt;
+    return claim(roundUpToWord(bytes), placement, align);
+}
+
+Addr
+SimAllocator::alloc(Addr bytes, Placement placement, Addr align)
+{
+    const bool injected = injectedFailure(bytes, align);
+    bytes = roundUpToWord(bytes);
+    if (injected)
+        throw AllocFailure(bytes, "injected allocation failure");
+    if (const std::optional<Addr> addr = claim(bytes, placement, align))
+        return *addr;
+    throw AllocFailure(bytes, "simulated heap exhausted");
 }
 
 bool

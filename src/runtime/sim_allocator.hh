@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -49,7 +50,9 @@ class Machine;
  * Thrown when an allocation cannot be satisfied — the simulated heap is
  * exhausted, or a fault injector armed at the alloc site fired.
  * Recoverable: the allocator's bookkeeping and the heap are unchanged,
- * so the caller may free memory and retry.
+ * so the caller may free memory and retry.  Callers that treat a full
+ * heap as an ordinary answer use SimAllocator::tryAlloc or
+ * LayoutBackend::tryAllocate instead, which return std::nullopt.
  */
 class AllocFailure : public std::runtime_error
 {
@@ -101,9 +104,16 @@ class SimAllocator
     /**
      * Allocate @p bytes (rounded up to whole words) with the given
      * placement.  Alignment is at least a word; pass a larger
-     * power-of-two @p align to line-align blocks.  Throws AllocFailure
-     * when no aligned range fits (docs/API.md, "Allocation").
+     * power-of-two @p align to line-align blocks.  Returns std::nullopt
+     * when no aligned range fits or an armed alloc-site fault fires
+     * (docs/API.md, "Allocation").  A failed call changes nothing but
+     * the placement Rng, which advances exactly as the search drew.
      */
+    std::optional<Addr> tryAlloc(Addr bytes,
+                                 Placement placement = Placement::sequential,
+                                 Addr align = wordBytes);
+
+    /** tryAlloc(), throwing AllocFailure where it returns std::nullopt. */
     Addr alloc(Addr bytes, Placement placement = Placement::sequential,
                Addr align = wordBytes);
 
@@ -158,8 +168,12 @@ class SimAllocator
     static const PageBits free_bits;
     static const PageBits interior_bits;
 
-    Addr place(Addr bytes, Placement placement, Addr align);
-    Addr lowestFit(Addr from, Addr bytes, Addr align) const;
+    /** Check the request; true if an armed alloc-site fault fires. */
+    bool injectedFailure(Addr bytes, Addr align);
+    /** Place and claim a block of @p bytes (whole words). */
+    std::optional<Addr> claim(Addr bytes, Placement placement, Addr align);
+    std::optional<Addr> place(Addr bytes, Placement placement, Addr align);
+    std::optional<Addr> lowestFit(Addr from, Addr bytes, Addr align) const;
     bool rangeFree(Addr start, Addr bytes) const;
     /** Lowest word in [from, to) with (occupied^flip)|(start&starts). */
     Addr scan(Addr from, Addr to, std::uint64_t flip,

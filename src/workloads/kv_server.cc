@@ -16,6 +16,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -146,15 +147,14 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
 
     auto allocOrEvict = [&](Addr bytes) -> BackendRef {
         for (;;) {
-            try {
-                return backend->allocate(bytes, Placement::scattered);
-            } catch (const AllocFailure &) {
-                if (!dropOldest()) {
-                    memfwd_fatal("kv_server: arena exhausted with no "
-                                 "sessions left to evict");
-                }
-                ++kv_.evictions;
+            if (const std::optional<BackendRef> ref =
+                    backend->tryAllocate(bytes, Placement::scattered))
+                return *ref;
+            if (!dropOldest()) {
+                memfwd_fatal("kv_server: arena exhausted with no "
+                             "sessions left to evict");
             }
+            ++kv_.evictions;
         }
     };
 
@@ -249,22 +249,25 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
     // Online compaction: move the highest-addressed sessions into
     // first-fit holes.  Refs stay valid — forwarding leaves chains
     // behind them (later gets pay hops), handles rewrites table slots.
+    // Live headers have distinct addresses, so the batch and its order
+    // are those of a full descending sort.
     auto compactEpoch = [&]() {
-        std::vector<const Session *> live;
+        std::vector<std::pair<Addr, const Session *>> live;
         for (const auto &[key, gen] : fifo) {
             const auto it = directory.find(key);
-            if (it != directory.end() && it->second.gen == gen)
-                live.push_back(&it->second);
+            if (it != directory.end() && it->second.gen == gen) {
+                live.emplace_back(backend->peekAddr(it->second.header),
+                                  &it->second);
+            }
         }
-        std::sort(live.begin(), live.end(),
-                  [&](const Session *a, const Session *b) {
-                      return backend->peekAddr(a->header) >
-                             backend->peekAddr(b->header);
-                  });
-        if (live.size() > compact_batch)
-            live.resize(compact_batch);
+        const std::size_t batch = std::min(live.size(), compact_batch);
+        std::partial_sort(live.begin(), live.begin() + batch, live.end(),
+                          [](const auto &a, const auto &b) {
+                              return a.first > b.first;
+                          });
+        live.resize(batch);
         em.flush();
-        for (const Session *s : live) {
+        for (const auto &[hdr_addr, s] : live) {
             for (const BackendRef b : s->blocks) {
                 if (backend->compactObject(b))
                     ++kv_.compacted_objects;

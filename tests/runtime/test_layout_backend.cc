@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cycle_check.hh"
@@ -57,12 +59,18 @@ struct Rig
 
 /** Fill the object behind @p ref with a ref-independent pattern. */
 void
+fillObject(Machine &m, const LayoutBackend &b, BackendRef ref,
+           std::uint64_t salt)
+{
+    const Addr a = b.peekAddr(ref);
+    for (unsigned w = 0; w < obj_words; ++w)
+        m.access(Access::store(a + w * wordBytes, wordBytes, mix64(salt, w)));
+}
+
+void
 fillObject(Rig &r, BackendRef ref, std::uint64_t salt)
 {
-    const Addr a = r.backend->peekAddr(ref);
-    for (unsigned w = 0; w < obj_words; ++w)
-        r.machine.access(Access::store(a + w * wordBytes, wordBytes,
-                                       mix64(salt, w)));
+    fillObject(r.machine, *r.backend, ref, salt);
 }
 
 /** Fold the object's words (read through resolve()) into a checksum. */
@@ -220,6 +228,63 @@ TEST_P(BackendConformance, MachineKeepsBackendCounters)
     EXPECT_EQ(m.gaugeAt("backend.kind"), double(BackendKind::forwarding));
 }
 
+/** Every word and forwarding bit of [base, base + bytes). */
+std::vector<std::pair<std::uint64_t, bool>>
+memoryImage(const Machine &m, Addr base, Addr bytes)
+{
+    std::vector<std::pair<std::uint64_t, bool>> image;
+    for (Addr a = base; a < base + bytes; a += wordBytes)
+        image.emplace_back(m.mem().rawReadWord(a), m.mem().fbit(a));
+    return image;
+}
+
+TEST_P(BackendConformance, FullHeapIsAnAnswerNotAChange)
+{
+    // On a full heap tryAllocate() answers std::nullopt and allocate()
+    // throws; neither touches the heap, the handle table, the timed
+    // machine or the backend counters.
+    MachineConfig cfg;
+    cfg.backend(GetParam());
+    Machine machine(cfg);
+    const Addr span = 4096;
+    SimAllocator alloc(machine, machine.config().heap_base, span,
+                       testSeed(7));
+    const auto backend = makeLayoutBackend(machine, alloc);
+    std::vector<BackendRef> refs;
+    while (const auto ref = backend->tryAllocate(obj_bytes))
+        refs.push_back(*ref);
+    ASSERT_EQ(refs.size(), span / obj_bytes);
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        fillObject(machine, *backend, refs[i], i);
+
+    const HandleTableConfig table;
+    const auto heap = memoryImage(machine, alloc.base(), span);
+    const auto slots = memoryImage(machine, table.table_base,
+                                   refs.size() * wordBytes + wordBytes);
+    const auto counters = machine.metrics().findChild("backend")->counters();
+    const std::uint64_t timed_refs = machine.refsExecuted();
+    const Addr live = alloc.bytesLive();
+    const std::uint64_t calls = alloc.allocCalls();
+
+    for (const Placement p : {Placement::sequential, Placement::scattered,
+                              Placement::first_fit}) {
+        EXPECT_EQ(backend->tryAllocate(obj_bytes, p), std::nullopt);
+        EXPECT_THROW(backend->allocate(obj_bytes, p), AllocFailure);
+    }
+    EXPECT_EQ(memoryImage(machine, alloc.base(), span), heap);
+    EXPECT_EQ(memoryImage(machine, table.table_base,
+                          refs.size() * wordBytes + wordBytes),
+              slots);
+    EXPECT_EQ(machine.metrics().findChild("backend")->counters(), counters);
+    EXPECT_EQ(machine.refsExecuted(), timed_refs);
+    EXPECT_EQ(alloc.bytesLive(), live);
+    EXPECT_EQ(alloc.allocCalls(), calls);
+
+    // Room again after a free: the failed calls left nothing behind.
+    backend->free(refs.back());
+    EXPECT_TRUE(backend->tryAllocate(obj_bytes, Placement::first_fit));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendConformance,
                          ::testing::Values(BackendKind::forwarding,
                                            BackendKind::handles,
@@ -333,6 +398,25 @@ TEST(HandleBackendContract, CompactionMovesObjectAndRetargetsSlot)
     EXPECT_EQ(readChecksum(r, ref), before);
     EXPECT_FALSE(r.machine.mem().fbit(old_obj));
     EXPECT_EQ(r.machine.forwarding().stats().hops, 0u);
+}
+
+TEST(HandleBackend, FullTableLeavesHeapUnchanged)
+{
+    // A full handle table refuses before the object is placed, so the
+    // failed allocation leaks nothing (AllocFailure: heap unchanged).
+    MachineConfig cfg;
+    cfg.backend(BackendKind::handles);
+    Machine machine(cfg);
+    SimAllocator alloc(machine, 7);
+    HandleTableConfig table;
+    table.capacity = 1;
+    HandleBackend backend(machine, alloc, table);
+    (void)backend.allocate(64);
+    EXPECT_THROW(backend.allocate(64), AllocFailure);
+    EXPECT_EQ(alloc.bytesLive(), 64u);
+    EXPECT_EQ(alloc.allocCalls(), 1u);
+    EXPECT_EQ(backend.stats().allocs, 1u);
+    EXPECT_EQ(backend.liveHandles(), 1u);
 }
 
 TEST(NullBackendContract, RefusesEverythingButStaysFunctional)

@@ -6,11 +6,13 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/cycle_check.hh"
+#include "core/fault_injector.hh"
 #include "runtime/machine.hh"
 #include "runtime/relocation.hh"
 #include "runtime/sim_allocator.hh"
@@ -299,6 +301,83 @@ TEST(SimAllocator, OversizedScatteredRequestFailsWithoutDrawing)
         EXPECT_EQ(a.alloc(64, Placement::scattered) - a.base(),
                   b.alloc(64, Placement::scattered) - b.base());
     }
+}
+
+TEST(SimAllocator, TryAllocMatchesAlloc)
+{
+    // The try form is the throwing form minus the throw.  One random op
+    // stream (every placement, align 8..256, an arena filled past
+    // exhaustion, armed alloc-site faults) runs through alloc + catch
+    // on one allocator and tryAlloc on a twin; every outcome and all
+    // the bookkeeping must agree after every op, and the placements
+    // after the last op pin the Rng streams.
+    const bool was_verbose = verbose();
+    setVerbose(false); // scattered fallbacks warn on every full arena
+    for (const std::uint64_t base_seed : {3ull, 0x7a11ull}) {
+        const std::uint64_t seed = testSeed(base_seed);
+        SCOPED_TRACE(seed);
+        Machine m_throw;
+        Machine m_try;
+        FaultInjector f_throw;
+        FaultInjector f_try;
+        for (FaultInjector *f : {&f_throw, &f_try})
+            f->armSpec("allocfail@alloc:nth=5,count=3;"
+                       "allocfail@alloc:nth=400,count=4");
+        m_throw.setFaultInjector(&f_throw);
+        m_try.setFaultInjector(&f_try);
+        const Addr span = 32 << 10;
+        SimAllocator thrower(m_throw, m_throw.config().heap_base, span, seed);
+        SimAllocator trier(m_try, m_try.config().heap_base, span, seed);
+        Rng pick(seed ^ 0x7a11ULL);
+        std::vector<Addr> live;
+        unsigned injected = 0;
+        unsigned full = 0;
+
+        for (int op = 0; op < 1500 && !HasFailure(); ++op) {
+            if (pick.below(10) < 7 || live.empty()) {
+                Addr bytes = 1 + pick.below(160);
+                if (pick.below(16) == 0)
+                    bytes = 1 + pick.below(3 * 4096);
+                const auto placement = static_cast<Placement>(pick.below(3));
+                const Addr align = Addr(wordBytes) << pick.below(6);
+                std::optional<Addr> want;
+                try {
+                    want = thrower.alloc(bytes, placement, align);
+                } catch (const AllocFailure &e) {
+                    const bool by_fault =
+                        std::string(e.what()).find("injected") !=
+                        std::string::npos;
+                    ++(by_fault ? injected : full);
+                }
+                const std::optional<Addr> got =
+                    trier.tryAlloc(bytes, placement, align);
+                ASSERT_EQ(got, want) << "op " << op << " bytes " << bytes;
+                if (got)
+                    live.push_back(*got);
+            } else {
+                const std::size_t i = pick.below(live.size());
+                thrower.free(live[i]);
+                trier.free(live[i]);
+                live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+            }
+            ASSERT_EQ(trier.bytesLive(), thrower.bytesLive()) << "op " << op;
+            ASSERT_EQ(trier.highestLiveEnd(), thrower.highestLiveEnd())
+                << "op " << op;
+            ASSERT_EQ(trier.allocCalls(), thrower.allocCalls())
+                << "op " << op;
+        }
+        EXPECT_EQ(injected, 3u + 4u) << "each armed fault fires count times";
+        EXPECT_GT(full, 0u) << "the stream never filled the arena";
+        for (const Addr a : live) {
+            thrower.free(a);
+            trier.free(a);
+        }
+        for (int i = 0; i < 8; ++i) {
+            EXPECT_EQ(trier.tryAlloc(64, Placement::scattered),
+                      thrower.alloc(64, Placement::scattered));
+        }
+    }
+    setVerbose(was_verbose);
 }
 
 TEST(SimAllocator, AllocationsAreWordAlignedAndDisjoint)
