@@ -54,11 +54,12 @@ std::uint64_t
 Rng::below(std::uint64_t bound)
 {
     memfwd_assert(bound != 0, "Rng::below(0)");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
+    // Rejection sampling to avoid modulo bias: reject r below
+    // (2^64 - bound) % bound.  That threshold is below bound, so it
+    // needs computing only for the rare r < bound.
     for (;;) {
         const std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= (0 - bound) % bound)
             return r % bound;
     }
 }

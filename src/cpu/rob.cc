@@ -83,133 +83,112 @@ Rob::graduate(Cycles completion, WaitKind kind)
     return grad_cycle_;
 }
 
-void
-Rob::aluBurst(std::uint64_t n)
+bool
+Rob::aluStaircase(std::uint64_t n)
 {
-    // n dispatch()/graduate(d+1, none) pairs, in closed form.  For ALU
-    // work the cursors follow max-plus recurrences,
-    //   d_i = max(d_{i-1}, d_{i-width} + 1, r_{i-window})
-    //   r_i = max(r_{i-1}, r_{i-width} + 1, d_i + 1),
-    // which commute with adding a constant to every cycle.  So once the
-    // state (both cursors, their slot counts, the ring) equals the state
-    // `width` instructions earlier shifted by one cycle, it stays so:
-    // one full fetch group and one full graduation group per cycle.
-    // The groups need not be adjacent.  Fetch and graduation each pace
-    // themselves at `width` per cycle and pull on each other only
-    // through the window and the one-cycle latency, so any gap from 1
-    // to window/width cycles persists: 16 cycles at 4/64 after a
-    // 100-cycle load, for as long as the stream runs.
-    //
-    // The loop steps literally until it sees that state.  `run` counts
-    // trailing retirements one cycle after the one `width` earlier; at
-    // run >= window that covers the ring, the graduation cursor and its
-    // slot count, and the fetch cursor is compared with a snapshot once
-    // per group.  The burst's retirements settle within a group or two:
-    // they come `width` per cycle, paced by the graduation cursor while
-    // fetch is behind it and by fetch otherwise, since the retire times
-    // read through the window are all at or before the graduation
-    // cursor.  Fetch can jump once more, a window into the burst, when
-    // the first of those retirements come back through the window (the
-    // 100-cycle-load case above).  So detection takes one window plus a
-    // few groups; measured over random prior states (misses, store
-    // stalls, earlier bursts) at every geometry with width <= 9 and
-    // window <= 3*width + 12, and at 4/64 and 8/128: at most window +
-    // 3*width literal steps.  The rest is skipped by arithmetic: every
-    // cursor and retire time moves by the cycles skipped, and the ring
-    // rotates by the instructions skipped.
-    //
-    // The step is dispatch() and graduate() specialised to ALU work, on
-    // locals that the ring stores cannot alias.
+    // With w = width, F/fs and G/gs the fetch and graduation cursors
+    // and their slot counts, and e_j the retire time burst instruction j
+    // reads through the window, dispatch() and graduate() are
+    //   P' = max(P, e*w) + 1, d = (P' - 1) / w      with P = F*w + fs
+    //   Q' = max(Q, (d+1)*w) + 1, r = (Q' - 1) / w  with Q = G*w + gs,
+    // the slots stalled being the max's excess over Q.  So
+    //   d_k = max(F + (fs+k)/w, max_{j<=k} (e_j + (k-j)/w)),
+    // and graduation stays on its staircase r_k = G + (gs+k)/w, with no
+    // stall slot, exactly while d_k + 1 <= G + (gs+k)/w.  That holds
+    // for every k when
+    //   (a) F + 1 < G, or F + 1 == G and fs <= gs, and
+    //   (b) e_j + 1 <= G + (gs+j)/w, i.e. e_j*w - j <= Q - w, for every
+    //       read j.
+    // (b) follows from (a) once nothing dispatched is still waiting to
+    // graduate: the reads j < window are then the window's last
+    // retirements in order (or the ring's initial 0s), all at most G,
+    // and only the last gs of them, j >= window - gs, equal G; (a)
+    // gives G >= 1.  So e_j <= G - 1 gives e_j*w - j <= Q - gs - w, and
+    // e_j == G gives G*w - j <= Q - window <= Q - w.  A read j >=
+    // window is the staircase's own r_{j-window}, which satisfies (b)
+    // since window >= w.  On the staircase only the final fetch
+    // position needs the reads,
+    //   P_n = max(P + n, max_{j<n} (e_j*w + n - j)),
+    // a max over at most w + 1 of them (below).
+    if (seq_ != graduated_ || fetch_cycle_ + 1 > grad_cycle_ ||
+        (fetch_cycle_ + 1 == grad_cycle_ && fetch_slots_ > grad_slots_))
+        return false;
+    const Cycles fetch_pos = fetch_cycle_ * width_ + fetch_slots_;
+
+    // reach = max_j (e_j*w + window - j) over the reads, offset by
+    // window to stay unsigned.  The ring holds the last window retire
+    // cycles in order, at most w to a cycle, so a read e_j > 0 is
+    // dominated by read j + w: (e_j + 1)*w - (j + w) = e_j*w - j.  The
+    // maximum is therefore at read 0 (e_j == 0 reads are dominated by
+    // it) or among the last w reads j < min(n, window).  A read
+    // j >= window, the staircase's own r_{j-window}, adds at most Q: no
+    // more than the ring's read of the retirement that opened cycle G,
+    // gs <= window places back (gs >= 1 once anything graduated).
     Cycles *const ring = retire_ring_.data();
-    Cycles fetch = fetch_cycle_, grad = grad_cycle_;
-    unsigned fetch_slots = fetch_slots_, grad_slots = grad_slots_;
-    unsigned dispatch_slot = dispatch_slot_, retire_slot = retire_slot_;
-    unsigned lag_slot = retire_slot >= width_
-                            ? retire_slot - width_
-                            : retire_slot + window_ - width_;
-    std::uint64_t inst_stall = 0;
+    const unsigned reads =
+        static_cast<unsigned>(std::min<std::uint64_t>(n, window_));
+    auto read = [&](unsigned j) {
+        unsigned s = dispatch_slot_ + j;
+        if (s >= window_)
+            s -= window_;
+        return ring[s] * width_ + (window_ - j);
+    };
+    Cycles reach = read(0);
+    for (unsigned j = reads > width_ ? reads - width_ : 1; j < reads; ++j)
+        reach = std::max(reach, read(j));
+    const Cycles fetch_end = std::max(fetch_pos + window_, reach) + n -
+                             window_ - 1;
+    fetch_cycle_ = fetch_end / width_;
+    fetch_slots_ = static_cast<unsigned>(fetch_end % width_) + 1;
 
-    Cycles fetch0 = fetch;
-    unsigned fetch_slots0 = fetch_slots;
-    unsigned since = 0;    // steps since the snapshot above
-    std::uint64_t run = 0; // trailing r_j == r_{j-width} + 1
-
-    for (std::uint64_t left = n; left > 0;) {
-        if (since == width_) {
-            if (left >= width_ && run >= window_ && fetch == fetch0 + 1 &&
-                fetch_slots == fetch_slots0) {
-                const std::uint64_t cycles = left / width_;
-                const unsigned shift =
-                    static_cast<unsigned>(cycles * width_ % window_);
-                std::rotate(ring, ring + (window_ - shift) % window_,
-                            ring + window_);
-                for (unsigned i = 0; i < window_; ++i)
-                    ring[i] += cycles;
-                dispatch_slot = (dispatch_slot + shift) % window_;
-                retire_slot = (retire_slot + shift) % window_;
-                lag_slot = (lag_slot + shift) % window_;
-                fetch += cycles;
-                grad += cycles;
-                left %= width_;
-            }
-            fetch0 = fetch;
-            fetch_slots0 = fetch_slots;
-            since = 0;
-            continue;
-        }
-
-        // dispatch()
-        const Cycles earliest = ring[dispatch_slot];
-        if (++dispatch_slot == window_)
-            dispatch_slot = 0;
-        if (earliest > fetch) {
-            fetch = earliest;
-            fetch_slots = 0;
-        }
-        if (fetch_slots == width_) {
-            ++fetch;
-            fetch_slots = 0;
-        }
-        ++fetch_slots;
-
-        // graduate(fetch + 1, WaitKind::none).  r_{j-width} is read
-        // first: with width == window it shares the slot being written.
-        const Cycles earlier = ring[lag_slot];
-        if (++lag_slot == window_)
-            lag_slot = 0;
-        Cycles target = std::max(fetch + 1, grad);
-        if (target == grad && grad_slots == width_) {
-            ++grad;
-            grad_slots = 0;
-            target = grad;
-        }
-        if (target > grad) {
-            inst_stall += (width_ - grad_slots) +
-                          static_cast<std::uint64_t>(target - grad - 1) *
-                              width_;
-            grad = target;
-            grad_slots = 0;
-        }
-        ++grad_slots;
-        ring[retire_slot] = grad;
-        if (++retire_slot == window_)
-            retire_slot = 0;
-
-        run = grad == earlier + 1 ? run + 1 : 0;
-        ++since;
-        --left;
+    // Write the last min(n, window) retirements into the ring, stepping
+    // graduate()'s cursor (G, gs >= 1) from the first of them.
+    Cycles r = grad_cycle_;
+    unsigned used = grad_slots_;
+    unsigned slot = retire_slot_;
+    if (n > window_) {
+        const std::uint64_t skipped = used + (n - window_) - 1;
+        r += skipped / width_;
+        used = static_cast<unsigned>(skipped % width_) + 1;
+        slot += static_cast<unsigned>(n % window_);
     }
-
-    fetch_cycle_ = fetch;
-    grad_cycle_ = grad;
-    fetch_slots_ = fetch_slots;
-    grad_slots_ = grad_slots;
-    dispatch_slot_ = dispatch_slot;
-    retire_slot_ = retire_slot;
+    if (slot >= window_)
+        slot -= window_;
+    for (unsigned k = 0; k < reads; ++k) {
+        if (used == width_) {
+            ++r;
+            used = 0;
+        }
+        ++used;
+        ring[slot] = r;
+        if (++slot == window_)
+            slot = 0;
+    }
+    grad_cycle_ = r;
+    grad_slots_ = used;
+    dispatch_slot_ = retire_slot_ = slot;
     seq_ += n;
     graduated_ += n;
     stalls_.busy += n;
-    stalls_.inst_stall += inst_stall;
+    return true;
+}
+
+void
+Rob::aluBurst(std::uint64_t n)
+{
+    // Step until graduation is on its staircase, then write the rest in
+    // closed form.  After one step the instruction just graduated
+    // retired at least a cycle after its dispatch, so F + 1 <= G; the
+    // steps that follow keep fs - gs fixed until fetch or graduation
+    // moves on a cycle, which meets (a).  So at most width + 1 steps
+    // precede the staircase.  A burst issued while an instruction is
+    // dispatched but not graduated, which the Machine never does, steps
+    // to the end.
+    for (; n > 0; --n) {
+        if (aluStaircase(n))
+            return;
+        graduate(dispatch() + 1, WaitKind::none);
+    }
 }
 
 } // namespace memfwd

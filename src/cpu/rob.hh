@@ -49,9 +49,12 @@ class Rob
     /**
      * Dispatch + graduate @p n consecutive single-cycle ALU
      * instructions.  Exactly equivalent to n dispatch()/graduate(d+1)
-     * pairs — the definition of OooCpu::alu(n) — in O(window + width)
-     * time: it steps until the stream is periodic, then skips whole
-     * cycles by arithmetic (see rob.cc).
+     * pairs — the definition of OooCpu::alu(n).  Graduation reaches
+     * its staircase, G + (gs+k)/width for the k-th instruction, within
+     * width + 1 literal steps (none after any history the Machine makes
+     * but the empty one), and the rest of the burst is written in
+     * closed form in O(min(n, window)) time (see rob.cc).  With an
+     * instruction dispatched but not yet graduated it steps throughout.
      */
     void aluBurst(std::uint64_t n);
 
@@ -67,6 +70,13 @@ class Rob
     unsigned window() const { return window_; }
 
   private:
+    /**
+     * Retire an ALU burst of @p n > 0 on the graduation staircase, if
+     * the state guarantees it stays there; false, changing nothing,
+     * otherwise.
+     */
+    bool aluStaircase(std::uint64_t n);
+
     unsigned width_;
     unsigned window_;
 

@@ -178,7 +178,10 @@ TaggedMemory::sweepRegion(Addr addr, Addr end)
                                        true);
         }
     };
-    if (last - first < index_.size()) {
+    // Visiting the materialized granules walks every slot of the index,
+    // so look the range's granules up one by one unless there are more
+    // of them than slots (an empty index still has slots to walk).
+    if (last - first < index_.capacity()) {
         for (Addr key = first; key <= last; ++key) {
             const FlatPageIndex::Value id = index_.find(key);
             if (id != FlatPageIndex::no_value)
@@ -186,8 +189,8 @@ TaggedMemory::sweepRegion(Addr addr, Addr end)
         }
         return;
     }
-    // The range spans more granules than are materialized (relocation
-    // pools, whole arenas): visit the materialized ones instead.
+    // The range spans more granules than the index has slots
+    // (relocation pools, whole arenas): visit the materialized ones.
     for (const auto &[key, id] : granulesIn(first, last))
         sweep(key, id);
 }

@@ -62,22 +62,43 @@ class AccessBatch
 {
   public:
     explicit AccessBatch(std::size_t capacity = default_batch_capacity)
-        : capacity_(capacity ? capacity : 1)
+        : refs_(capacity ? capacity : 1), capacity_(refs_.size())
     {
-        refs_.reserve(capacity_);
     }
 
     /** Append @p a; returns its index (for later deps). */
     std::size_t
     push(const Access &a, std::int32_t dep = -1)
     {
-        refs_.push_back(MemRef{a, {}, dep});
-        return refs_.size() - 1;
+        if (size_ == refs_.size())
+            refs_.resize(2 * size_);
+        // Written field by field into a slot that already exists: a
+        // whole-struct copy of an inlined Access::store(...) goes through
+        // a stack temporary, stored in narrow fields and reloaded in
+        // wide words that store forwarding cannot serve, and a fresh
+        // vector element would be zeroed first.  The binding names
+        // every field of Access, so a field added there stops this
+        // compiling until it is copied below as well.
+        [[maybe_unused]] const auto &[addr, value, addr_ready, pointer_slot,
+                                      site, object_id, kind, size, fbit] = a;
+        MemRef &r = refs_[size_];
+        r.acc.addr = a.addr;
+        r.acc.value = a.value;
+        r.acc.addr_ready = a.addr_ready;
+        r.acc.pointer_slot = a.pointer_slot;
+        r.acc.site = a.site;
+        r.acc.object_id = a.object_id;
+        r.acc.kind = a.kind;
+        r.acc.size = a.size;
+        r.acc.fbit = a.fbit;
+        r.res = {};
+        r.dep = dep;
+        return size_++;
     }
 
-    bool full() const { return refs_.size() >= capacity_; }
-    bool empty() const { return refs_.empty(); }
-    std::size_t size() const { return refs_.size(); }
+    bool full() const { return size_ >= capacity_; }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
 
     MemRef &operator[](std::size_t i) { return refs_[i]; }
@@ -86,11 +107,13 @@ class AccessBatch
     MemRef *data() { return refs_.data(); }
 
     /** Drop all refs (capacity and storage are kept). */
-    void clear() { refs_.clear(); }
+    void clear() { size_ = 0; }
 
   private:
+    /** Storage; the first size_ slots hold the batch. */
     std::vector<MemRef> refs_;
     std::size_t capacity_;
+    std::size_t size_ = 0;
 };
 
 /**

@@ -49,30 +49,37 @@ SimAllocator::SimAllocator(Machine &machine, std::uint64_t seed)
 {
 }
 
+FlatPageIndex::Value
+SimAllocator::slotOf(Addr page) const
+{
+    PageMemo &m = memo_[page % std::size(memo_)];
+    if (m.page != page) {
+        const FlatPageIndex::Value v = index_.find(page);
+        if (v == FlatPageIndex::no_value)
+            return v;
+        m = PageMemo{page, v};
+    }
+    return m.slot;
+}
+
 const SimAllocator::PageBits &
 SimAllocator::bits(Addr page) const
 {
-    if (page != cached_page_) {
-        const FlatPageIndex::Value v = index_.find(page);
-        if (v == FlatPageIndex::no_value)
-            return free_bits;
-        cached_page_ = page;
-        cached_slot_ = v;
-    }
-    return *pages_[cached_slot_];
+    const FlatPageIndex::Value v = slotOf(page);
+    return v == FlatPageIndex::no_value ? free_bits : *pages_[v];
 }
 
 const SimAllocator::PageBits *&
 SimAllocator::pageSlot(Addr page)
 {
-    bits(page); // caches the slot of a page already in the index
-    if (page != cached_page_) {
-        cached_page_ = page;
-        cached_slot_ = static_cast<FlatPageIndex::Value>(pages_.size());
+    FlatPageIndex::Value v = slotOf(page);
+    if (v == FlatPageIndex::no_value) {
+        v = static_cast<FlatPageIndex::Value>(pages_.size());
         pages_.push_back(&free_bits);
-        index_.insert(page, cached_slot_);
+        index_.insert(page, v);
+        memo_[page % std::size(memo_)] = PageMemo{page, v};
     }
-    return pages_[cached_slot_];
+    return pages_[v];
 }
 
 Addr
@@ -101,8 +108,16 @@ SimAllocator::scan(Addr from, Addr to, std::uint64_t flip,
 bool
 SimAllocator::rangeFree(Addr start, Addr bytes) const
 {
-    return start >= base_ && start + bytes <= base_ + span_ &&
-           scan(start, start + bytes, 0, 0) == start + bytes;
+    if (start < base_ || start + bytes > base_ + span_)
+        return false;
+    // A range inside one bitmap word (every kv block) is one mask test.
+    const unsigned w = static_cast<unsigned>(start % pageBytes) >> wordShift;
+    const Addr n = bytes >> wordShift;
+    if (w % 64 + n <= 64) {
+        const std::uint64_t mask = ~0ull >> (64 - n) << (w % 64);
+        return (bits(start / pageBytes).occupied[w / 64] & mask) == 0;
+    }
+    return scan(start, start + bytes, 0, 0) == start + bytes;
 }
 
 std::optional<Addr>

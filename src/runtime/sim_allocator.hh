@@ -14,8 +14,9 @@
  *    address space", which fresh bump allocation would not reproduce;
  *  - *first_fit*  — the lowest hole, for compaction.
  *
- * Live blocks sit in a paged bitmap: a placement probe tests one or two
- * words, and the lowest-fit search skips 64 words a step.
+ * Live blocks sit in a paged bitmap: a placement probe inside one
+ * 64-word bitmap word is one mask test, and the lowest-fit search skips
+ * 64 words a step.
  *
  * free() is the forwarding-chain-aware wrapper of Section 3.3: when a
  * block whose first word carries a forwarding address is freed, every
@@ -178,6 +179,8 @@ class SimAllocator
     /** Lowest word in [from, to) with (occupied^flip)|(start&starts). */
     Addr scan(Addr from, Addr to, std::uint64_t flip,
               std::uint64_t starts) const;
+    /** Slot of @p page in pages_, or no_value if it is not indexed. */
+    FlatPageIndex::Value slotOf(Addr page) const;
     const PageBits &bits(Addr page) const;
     const PageBits *&pageSlot(Addr page);
     void setBlock(Addr start, Addr end, bool live);
@@ -197,8 +200,19 @@ class SimAllocator
     std::vector<const PageBits *> pages_;
     std::deque<PageBits> bits_;
     std::vector<PageBits *> spare_bits_;
-    mutable Addr cached_page_ = FlatPageIndex::empty_key;
-    mutable FlatPageIndex::Value cached_slot_ = 0;
+
+    /**
+     * Direct-mapped page -> slot memo in front of index_ (2 KiB): a
+     * scattered probe lands on any page of the arena, and kv_server's
+     * whole arena fits.  Slots never change, since the index never
+     * deletes; absent pages are not memoized.
+     */
+    struct PageMemo
+    {
+        Addr page = FlatPageIndex::empty_key;
+        FlatPageIndex::Value slot = 0;
+    };
+    mutable PageMemo memo_[128];
 
     /** Upper bound on highestLiveEnd(), tightened when it is read. */
     mutable Addr live_end_;

@@ -249,17 +249,14 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
     // Online compaction: move the highest-addressed sessions into
     // first-fit holes.  Refs stay valid — forwarding leaves chains
     // behind them (later gets pay hops), handles rewrites table slots.
-    // Live headers have distinct addresses, so the batch and its order
-    // are those of a full descending sort.
+    // The directory holds exactly the live sessions (the FIFO also
+    // holds stale entries).  Live headers have distinct addresses, so
+    // the batch and its order are those of a full descending sort.
     auto compactEpoch = [&]() {
         std::vector<std::pair<Addr, const Session *>> live;
-        for (const auto &[key, gen] : fifo) {
-            const auto it = directory.find(key);
-            if (it != directory.end() && it->second.gen == gen) {
-                live.emplace_back(backend->peekAddr(it->second.header),
-                                  &it->second);
-            }
-        }
+        live.reserve(directory.size());
+        for (const auto &[key, s] : directory)
+            live.emplace_back(backend->peekAddr(s.header), &s);
         const std::size_t batch = std::min(live.size(), compact_batch);
         std::partial_sort(live.begin(), live.begin() + batch, live.end(),
                           [](const auto &a, const auto &b) {

@@ -167,29 +167,61 @@ randomHistory(Rng &rng, Rob &a, Rob &b)
     }
 }
 
+/**
+ * End @p a and @p b's histories with a long load miss and then a few
+ * hits, the shape of a kv_server alloc's compute after a missed read.
+ */
+void
+longMissHistory(Rng &rng, Rob &a, Rob &b)
+{
+    const Cycles delay = 100 + rng.below(200);
+    const std::uint64_t hits = rng.below(4);
+    for (Rob *rob : {&a, &b}) {
+        rob->graduate(rob->dispatch() + delay, WaitKind::load_miss);
+        for (std::uint64_t i = 0; i < hits; ++i)
+            rob->graduate(rob->dispatch() + 2, WaitKind::none);
+    }
+}
+
 TEST(Rob, AluBurstMatchesSingleOpsExactly)
 {
     // aluBurst(n) is defined as n dispatch()/graduate(d+1) pairs but
-    // skips the periodic part of the stream by arithmetic, so compare
-    // it with the literal composition from random prior states.  After
-    // each burst a probe of 2*window dispatch/graduate pairs exposes
-    // the retire ring and both cursors, which the counters alone
-    // cannot show.
+    // writes the graduation staircase in closed form, so compare it
+    // with the literal composition at every n up to window + 3*width,
+    // and at a few large n, from ten prior states:
+    //   0     none (one literal step, then the staircase);
+    //   1, 2  a long load miss, after nothing or after a random history
+    //         (the staircase, with fetch far behind graduation);
+    //   3     a random history and then one more dispatch, left
+    //         pending (literal steps throughout);
+    //   4-9   a random history of misses, store stalls and earlier
+    //         bursts, which sometimes leaves a dispatch pending.
+    // After each burst a probe of 2*window dispatch/graduate pairs
+    // exposes the retire ring and both cursors, which the counters
+    // alone cannot show.
     Rng rng(testSeed(0xa1b0u));
     for (const auto &[width, window] : {std::pair<unsigned, unsigned>{4, 64},
                                         {1, 1}, {2, 8}, {8, 128},
                                         {3, 10}}) {
-        std::vector<std::uint64_t> sizes = {
-            0, 1, width, window - 1, window, window + width,
-            2 * window + 1};
+        std::vector<std::uint64_t> sizes;
+        for (std::uint64_t n = 0; n <= window + 3 * width; ++n)
+            sizes.push_back(n);
+        sizes.push_back(2 * window + 1);
         for (int i = 0; i < 4; ++i)
             sizes.push_back(rng.below(1000001));
 
         for (const std::uint64_t n : sizes) {
-            for (int state = 0; state < 6; ++state) {
+            for (int state = 0; state < 10; ++state) {
                 Rob burst(width, window);
                 Rob literal(width, window);
-                randomHistory(rng, burst, literal);
+                if (state >= 2)
+                    randomHistory(rng, burst, literal);
+                if (state == 1 || state == 2)
+                    longMissHistory(rng, burst, literal);
+                if (state == 3) {
+                    burst.dispatch();
+                    literal.dispatch();
+                }
 
                 burst.aluBurst(n);
                 literalAluBurst(literal, n);

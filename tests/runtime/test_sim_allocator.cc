@@ -268,6 +268,67 @@ TEST(SimAllocatorOracle, MatchesMapBasedReferenceModel)
     setVerbose(was_verbose);
 }
 
+TEST(SimAllocatorOracle, StraddlingRequestsMatchTheModel)
+{
+    // A range inside one 64-word bitmap word is one mask test; a range
+    // across a bitmap word or a 4 KiB page takes the scan.  Fill a
+    // 4-page arena with one-word blocks, open a hole of 1..4 words
+    // below and 0..2 words above every 64-word boundary (every eighth
+    // is a page boundary), and place 1..10-word requests with every
+    // placement, freeing each again, so every answer turns on ranges
+    // that reach a boundary: free up to it, or blocked just past it.
+    const bool was_verbose = verbose();
+    setVerbose(false); // scattered fallbacks warn on a full arena
+    constexpr Addr boundary = 64 * wordBytes;
+    constexpr Addr page = 4096;
+    for (const Addr base_offset : {Addr(0), Addr(wordBytes)}) {
+        SCOPED_TRACE(base_offset);
+        Machine m;
+        const Addr base = m.config().heap_base + base_offset;
+        const Addr span = 4 * page;
+        const std::uint64_t seed = testSeed(0x57add1e);
+        SimAllocator real(m, base, span, seed);
+        ReferenceAllocator model(base, span, seed);
+        for (Addr a = base; a < base + span; a += wordBytes) {
+            ASSERT_EQ(real.alloc(wordBytes), a);
+            ASSERT_EQ(model.alloc(wordBytes, Placement::sequential,
+                                  wordBytes),
+                      a);
+        }
+        unsigned hole = 0;
+        for (Addr b = alignUp(base + 4 * wordBytes, boundary);
+             b + 2 * wordBytes <= base + span; b += boundary, ++hole) {
+            const Addr below = (1 + hole % 4) * wordBytes;
+            const Addr above = hole % 3 * wordBytes;
+            for (Addr w = b - below; w < b + above; w += wordBytes) {
+                real.free(w);
+                model.free(w, {});
+            }
+        }
+
+        Rng pick(seed ^ 0x5a17ULL);
+        unsigned across_words = 0, across_pages = 0;
+        for (int op = 0; op < 600; ++op) {
+            const Addr bytes = (1 + pick.below(10)) * wordBytes;
+            const auto placement = static_cast<Placement>(pick.below(3));
+            const std::optional<Addr> got = real.tryAlloc(bytes, placement);
+            ASSERT_EQ(got, model.alloc(bytes, placement, wordBytes))
+                << "op " << op << " bytes " << bytes << " placement "
+                << static_cast<int>(placement);
+            if (!got)
+                continue;
+            across_words += *got / boundary != (*got + bytes - 1) / boundary;
+            across_pages += *got / page != (*got + bytes - 1) / page;
+            real.free(*got);
+            model.free(*got, {});
+        }
+        EXPECT_EQ(real.bytesLive(), model.bytesLive());
+        EXPECT_GT(across_words, 0u);
+        EXPECT_GT(across_pages, 0u);
+    }
+    setVerbose(was_verbose);
+}
+
 TEST(SimAllocator, ScatteredPlacementAlignsTheAddress)
 {
     // The arena base is a word, not a line, off alignment: aligning
