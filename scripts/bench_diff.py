@@ -17,10 +17,8 @@ their deterministic simulated cycle counts compared:
 
 Host-speed gauges (the dotted "host.*" family, e.g. host.refs_per_sec)
 are wall-clock measurements and therefore advisory: they are printed
-when both sides carry them but never gate the exit code.  A metric the
-candidate has but the baseline lacks is reported as a migration note
-naming the bench, case, and metric — never a hard failure — so adding
-a new gauge does not invalidate committed baselines mid-migration.
+when both sides carry them but never gate the exit code, and their
+ratio only means something when both sides ran on the same machine.
 `--require-metric M` (repeatable) turns a *candidate-side* gap into a
 structural error: every NEW case must carry metric M (dotted path) or
 the diff exits 2 naming the offending bench/case/metric.  By default
@@ -174,7 +172,6 @@ def main():
     skipped = 0
     checksum_changes = []
     host_notes = []
-    migration_notes = []
 
     for key in common:
         o, n = old[key], new[key]
@@ -184,9 +181,7 @@ def main():
         # comparable across machines), but track them when present.
         o_rps = lookup_metric(o, "host.refs_per_sec")
         n_rps = lookup_metric(n, "host.refs_per_sec")
-        if n_rps is not None and o_rps is None:
-            migration_notes.append((key, "host.refs_per_sec"))
-        elif o_rps and n_rps:
+        if o_rps and n_rps:
             ratio = float(n_rps) / float(o_rps)
             host_notes.append((key, float(o_rps), float(n_rps), ratio))
 
@@ -217,10 +212,6 @@ def main():
         print(f"  note: case gone in new results: {key[0]}:{key[1]}")
     for key in only_new:
         print(f"  note: new case (no baseline): {key[0]}:{key[1]}")
-    for key, metric in migration_notes:
-        print(f"  note: bench '{key[0]}' case '{key[1]}': baseline "
-              f"lacks metric '{metric}' carried by the candidate "
-              f"(advisory; refresh the baseline to start tracking it)")
     if args.verbose:
         for key, o_rps, n_rps, ratio in host_notes:
             print(f"  host      {key[0]}:{key[1]}: "
@@ -234,8 +225,10 @@ def main():
     if host_notes:
         gm = math.exp(sum(math.log(r) for *_, r in host_notes) /
                       len(host_notes))
-        print(f"bench_diff: host.refs_per_sec geometric-mean "
-              f"{gm:.2f}x over {len(host_notes)} cases (advisory)")
+        print(f"bench_diff: host.refs_per_sec wall-clock ratio of the "
+              f"two builds, geometric mean {gm:.2f}x over "
+              f"{len(host_notes)} cases (advisory: only meaningful when "
+              f"both sides ran on the same machine)")
 
     return EXIT_REGRESSION if regressions else EXIT_OK
 

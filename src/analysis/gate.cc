@@ -62,8 +62,6 @@ AnalysisGate::submit(const RelocationPlan &plan)
 
     if (retain_reports_)
         reports_.push_back(report);
-    if (retain_plans_)
-        plans_.push_back(plan);
 
     if (!report.verified()) {
         ++stats_.plans_rejected;

@@ -132,13 +132,6 @@ class AnalysisGate
     /** Retain every submitted plan's report (the lint tool reads them). */
     void setRetainReports(bool retain) { retain_reports_ = retain; }
 
-    /** Retain a copy of every submitted plan (interference passes
-     *  cross-check them pairwise after the run). */
-    void setRetainPlans(bool retain) { retain_plans_ = retain; }
-
-    /** Plans retained under setRetainPlans(true), oldest first. */
-    const std::vector<RelocationPlan> &plans() const { return plans_; }
-
     /**
      * Submit a plan: analyze it, account its diagnostics, and — in any
      * active mode — activate it for enforcement until planDone().
@@ -207,13 +200,11 @@ class AnalysisGate
     AnalyzeMode mode_;
     bool keep_going_ = false;
     bool retain_reports_ = false;
-    bool retain_plans_ = false;
     unsigned annotate_depth_ = 0;
 
     PlanAnalyzer analyzer_;
     GateStats stats_;
     std::vector<AnalysisReport> reports_;
-    std::vector<RelocationPlan> plans_;
     obs::Tracer *tracer_ = nullptr;
     std::function<Cycles()> clock_;
 

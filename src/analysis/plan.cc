@@ -43,18 +43,6 @@ diagCodeName(DiagCode code)
         return "W103";
       case DiagCode::N201_site_demoted:
         return "N201";
-      case DiagCode::E101_shared_move_source:
-        return "E101";
-      case DiagCode::E102_shared_move_dest:
-        return "E102";
-      case DiagCode::E103_composed_cycle:
-        return "E103";
-      case DiagCode::E104_site_invalidated:
-        return "E104";
-      case DiagCode::W201_ordered_dest_drain:
-        return "W201";
-      case DiagCode::W202_shared_root_slot:
-        return "W202";
     }
     return "?";
 }
@@ -70,18 +58,6 @@ diagCodeSeverity(DiagCode code)
       default:
         return Severity::note;
     }
-}
-
-const char *
-aliasAssumptionName(AliasAssumption assumption)
-{
-    switch (assumption) {
-      case AliasAssumption::roots_complete:
-        return "roots_complete";
-      case AliasAssumption::stale_pointers_possible:
-        return "stale_pointers_possible";
-    }
-    return "?";
 }
 
 const char *
@@ -131,45 +107,6 @@ RelocationPlan::totalWords() const
     for (const PlanMove &m : moves_)
         words += m.n_words;
     return words;
-}
-
-obs::Json
-RelocationPlan::toJson() const
-{
-    obs::Json j = obs::Json::object();
-    j["optimizer"] = obs::Json::string(optimizer_);
-    j["assumption"] = obs::Json::string(aliasAssumptionName(assumption_));
-
-    obs::Json moves = obs::Json::array();
-    for (const PlanMove &m : moves_) {
-        obs::Json jm = obs::Json::object();
-        jm["src"] = obs::Json::number(m.src);
-        jm["dst"] = obs::Json::number(m.dst);
-        jm["n_words"] = obs::Json::number(m.n_words);
-        moves.push(std::move(jm));
-    }
-    j["moves"] = std::move(moves);
-
-    obs::Json roots = obs::Json::array();
-    for (const RootDecl &r : roots_) {
-        obs::Json jr = obs::Json::object();
-        jr["slot"] = obs::Json::number(r.slot);
-        jr["points_to"] = obs::Json::number(r.points_to);
-        roots.push(std::move(jr));
-    }
-    j["roots"] = std::move(roots);
-
-    obs::Json sites = obs::Json::array();
-    for (const AccessSite &s : sites_) {
-        obs::Json js = obs::Json::object();
-        js["site"] = obs::Json::number(s.site);
-        js["base"] = obs::Json::number(s.base);
-        js["bytes"] = obs::Json::number(s.bytes);
-        js["intent"] = obs::Json::string(accessIntentName(s.intent));
-        sites.push(std::move(js));
-    }
-    j["sites"] = std::move(sites);
-    return j;
 }
 
 namespace

@@ -61,15 +61,7 @@ enum class DiagCode
     W102_empty_plan,          ///< plan declares no moves
     W103_root_outside_plan,   ///< root slot points at nothing the plan moves
     N201_site_demoted,        ///< access site classified must_forward
-    // Interference codes (analysis/interference.hh): pairwise findings
-    // about two plans running concurrently, not defects of either plan
-    // alone.
-    E101_shared_move_source,  ///< both plans append to the same chain heads
-    E102_shared_move_dest,    ///< both plans copy into overlapping words
-    E103_composed_cycle,      ///< cycle only in the composed plans / ordering loop
-    E104_site_invalidated,    ///< one plan's raw access site overlaps the other's moves
-    W201_ordered_dest_drain,  ///< one plan drains the other's destination: order fixed
-    W202_shared_root_slot,    ///< both plans rewrite the same root slot: order decides
+    // E101-E104 and W201-W202 are retired: never reuse those names.
 };
 
 /** The stable "E001"-style code string. */
@@ -120,8 +112,6 @@ enum class AliasAssumption
     roots_complete,
     stale_pointers_possible
 };
-
-const char *aliasAssumptionName(AliasAssumption assumption);
 
 /**
  * A declared root: @p slot is the address of a pointer word the
@@ -213,9 +203,6 @@ class RelocationPlan
 
     /** Total words the plan relocates. */
     std::uint64_t totalWords() const;
-
-    /** The plan as a JSON object (the lint tool's exchange format). */
-    obs::Json toJson() const;
 
   private:
     std::string optimizer_;

@@ -69,20 +69,6 @@ TEST(DiagCodes, SeverityFollowsPrefix)
               Severity::note);
 }
 
-TEST(RelocationPlan, JsonCarriesEverything)
-{
-    RelocationPlan plan("json_check");
-    plan.move(0x10, 0x20, 1).root(0x8, 0x10).access(
-        3, 0x20, 8, AccessIntent::unforwarded_read);
-
-    std::ostringstream os;
-    plan.toJson().write(os, 0);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("json_check"), std::string::npos);
-    EXPECT_NE(text.find("stale_pointers_possible"), std::string::npos);
-    EXPECT_NE(text.find("unforwarded_read"), std::string::npos);
-}
-
 TEST(Diagnostic, JsonOmitsUnsetIndices)
 {
     Diagnostic d{DiagCode::W102_empty_plan, Severity::warning,

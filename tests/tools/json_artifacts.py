@@ -9,7 +9,8 @@ check reads them with python3's json module instead:
   - memfwd_sim --json - stdout (with --opt --audit), memfwd_lint
     --json - stdout and memfwd_lint --selftest --json - stdout must each
     be exactly one JSON document, with the human-readable report on
-    stderr;
+    stderr; both lint documents are schema version 3, which dropped
+    the keys of the removed pairwise-plan sweep;
   - fig10_smv_forwarding's BENCH_*.json report and its MEMFWD_TRACE_OUT
     chrome trace, written into OUT_DIR.
 
@@ -72,11 +73,20 @@ def main():
     doc = load("memfwd_lint --json - stdout", proc.stdout)
     expect(doc.get("schema") == "memfwd.lint",
            "memfwd_lint document has no memfwd.lint schema")
+    expect(doc.get("version") == 3, "memfwd_lint document is not version 3")
+    expect("interference_window" not in doc,
+           "memfwd_lint v3 document carries interference_window")
+    expect(all("interference" not in wl for wl in doc["workloads"]),
+           "memfwd_lint v3 workload carries an interference block")
     expect("total" in proc.stderr, "memfwd_lint report did not go to stderr")
 
     proc = run([lint, "--selftest", "--json", "-"])
     doc = load("memfwd_lint --selftest --json - stdout", proc.stdout)
     expect(doc.get("ok") is True, "memfwd_lint selftest document is not ok")
+    expect(doc.get("version") == 3,
+           "memfwd_lint selftest document is not version 3")
+    expect("pair_cases" not in doc,
+           "memfwd_lint v3 selftest document carries pair_cases")
 
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir)

@@ -12,19 +12,9 @@
  *
  *   memfwd_lint                          # lint all workloads
  *   memfwd_lint --workload health --json lint.json
- *   memfwd_lint --interference           # pairwise plan interference
  *   memfwd_lint --selftest               # seeded negative plans
- *
- * With `--interference` every workload run also retains the plans it
- * submitted and feeds each sliding window of them (size `--window`,
- * default 8) through the InterferenceAnalyzer, reporting how many
- * pairs commute, need an order, or conflict.  The matrix is
- * informational — plans a sequential run emits back-to-back routinely
- * touch the same objects, and the runtime executes them in program
- * order — so it never affects the exit status.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,7 +25,6 @@
 
 #include "analysis/analyzer.hh"
 #include "analysis/gate.hh"
-#include "analysis/interference.hh"
 #include "analysis/plan.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
@@ -64,10 +53,6 @@ usage(std::FILE *out, const char *argv0)
         "  --scale X         workload size multiplier (default 0.25)\n"
         "  --seed N          workload seed (default 42)\n"
         "  --enforce         also cross-check raw accesses dynamically\n"
-        "  --interference    retain every submitted plan and run the\n"
-        "                    pairwise InterferenceAnalyzer over a sliding\n"
-        "                    window of them (informational: never fails)\n"
-        "  --window N        interference window size (default 8)\n"
         "  --json FILE       write the lint summary as JSON ('-': stdout,\n"
         "                    with the report on stderr)\n"
         "  --selftest        verify the analyzer detects every seeded\n"
@@ -88,22 +73,6 @@ badValue(const char *argv0, const std::string &option, const char *text,
     return exit_usage;
 }
 
-/** Windowed pairwise interference summary for one workload's plans. */
-struct InterferenceLint
-{
-    unsigned window = 0;
-    std::size_t plans = 0;
-    std::size_t pairs_checked = 0;
-    std::size_t pairs_commute = 0;
-    std::size_t pairs_ordered = 0;
-    std::size_t pairs_conflict = 0;
-    /** Non-commuting findings, capped for readability. */
-    std::vector<PairFinding> noncommute;
-};
-
-/** Non-commuting pairs listed per workload before truncation. */
-constexpr std::size_t max_noncommute_listed = 25;
-
 struct WorkloadLint
 {
     std::string name;
@@ -112,12 +81,11 @@ struct WorkloadLint
     GateStats stats;
     /** (optimizer, diagnostic) pairs harvested from retained reports. */
     std::vector<std::pair<std::string, Diagnostic>> diags;
-    InterferenceLint interference;
 };
 
 WorkloadLint
 lintWorkload(const std::string &name, double scale, std::uint64_t seed,
-             bool enforce, unsigned window)
+             bool enforce)
 {
     WorkloadLint out;
     out.name = name;
@@ -132,7 +100,6 @@ lintWorkload(const std::string &name, double scale, std::uint64_t seed,
     AnalysisGate gate(enforce ? AnalyzeMode::enforce : AnalyzeMode::plan);
     gate.setKeepGoing(true);
     gate.setRetainReports(true);
-    gate.setRetainPlans(window > 0);
     machine.setAnalysisGate(&gate);
 
     try {
@@ -149,39 +116,6 @@ lintWorkload(const std::string &name, double scale, std::uint64_t seed,
             out.diags.emplace_back(report.optimizer(), d);
     }
 
-    if (window > 0) {
-        // Slide a window over the submission order: plan i is paired
-        // with the next `window` plans — the set a sharded runtime
-        // would plausibly have in flight together.
-        const std::vector<RelocationPlan> &plans = gate.plans();
-        InterferenceAnalyzer analyzer;
-        out.interference.window = window;
-        out.interference.plans = plans.size();
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-            const std::size_t stop =
-                std::min(plans.size(), i + 1 + window);
-            for (std::size_t j = i + 1; j < stop; ++j) {
-                const PairFinding f =
-                    analyzer.analyzePair(plans[i], plans[j], i, j);
-                ++out.interference.pairs_checked;
-                switch (f.verdict) {
-                  case InterferenceVerdict::commute:
-                    ++out.interference.pairs_commute;
-                    break;
-                  case InterferenceVerdict::ordered:
-                    ++out.interference.pairs_ordered;
-                    break;
-                  case InterferenceVerdict::conflict:
-                    ++out.interference.pairs_conflict;
-                    break;
-                }
-                if (f.verdict != InterferenceVerdict::commute &&
-                    out.interference.noncommute.size() <
-                        max_noncommute_listed)
-                    out.interference.noncommute.push_back(f);
-            }
-        }
-    }
     return out;
 }
 
@@ -218,25 +152,6 @@ lintJson(const WorkloadLint &wl)
         j["diagnostics_truncated"] =
             obs::Json::number(wl.diags.size() - max_json_diags);
 
-    if (wl.interference.window > 0) {
-        const InterferenceLint &il = wl.interference;
-        obs::Json ji = obs::Json::object();
-        ji["window"] = obs::Json::number(il.window);
-        ji["plans"] = obs::Json::number(il.plans);
-        ji["pairs_checked"] = obs::Json::number(il.pairs_checked);
-        ji["commute"] = obs::Json::number(il.pairs_commute);
-        ji["ordered"] = obs::Json::number(il.pairs_ordered);
-        ji["conflict"] = obs::Json::number(il.pairs_conflict);
-        obs::Json jp = obs::Json::array();
-        for (const PairFinding &f : il.noncommute)
-            jp.push(f.toJson());
-        ji["noncommute"] = std::move(jp);
-        const std::size_t skipped =
-            il.pairs_ordered + il.pairs_conflict - il.noncommute.size();
-        if (skipped)
-            ji["noncommute_truncated"] = obs::Json::number(skipped);
-        j["interference"] = std::move(ji);
-    }
     return j;
 }
 
@@ -332,81 +247,6 @@ seededNegativePlans()
     return seeds;
 }
 
-/** One seeded negative plan *pair* with its pairwise verdict + code. */
-struct SeededPair
-{
-    const char *what;
-    DiagCode expect;
-    InterferenceVerdict verdict;
-    RelocationPlan a;
-    RelocationPlan b;
-};
-
-RelocationPlan
-seedMove(const char *name, Addr src, Addr dst, unsigned n_words)
-{
-    RelocationPlan p(name);
-    p.assume(AliasAssumption::stale_pointers_possible)
-        .move(src, dst, n_words);
-    return p;
-}
-
-std::vector<SeededPair>
-seededNegativePairs()
-{
-    std::vector<SeededPair> seeds;
-
-    // 1. Both plans append to the chain rooted at the same source.
-    seeds.push_back({"pair: shared move source",
-                     DiagCode::E101_shared_move_source,
-                     InterferenceVerdict::conflict,
-                     seedMove("pair_src_a", 0x1000, 0x2000, 4),
-                     seedMove("pair_src_b", 0x1000, 0x3000, 4)});
-
-    // 2. Overlapping destination ranges: the copies race.
-    seeds.push_back({"pair: shared move dest",
-                     DiagCode::E102_shared_move_dest,
-                     InterferenceVerdict::conflict,
-                     seedMove("pair_dst_a", 0x1000, 0x5000, 4),
-                     seedMove("pair_dst_b", 0x3000, 0x5010, 4)});
-
-    // 3. Each plan drains the other's destination: the happens-before
-    //    edges form a cycle (and the composed graph is a->b->a).
-    seeds.push_back({"pair: composed cycle",
-                     DiagCode::E103_composed_cycle,
-                     InterferenceVerdict::conflict,
-                     seedMove("pair_cyc_a", 0x1000, 0x2000, 2),
-                     seedMove("pair_cyc_b", 0x2000, 0x1000, 2)});
-
-    // 4. One plan's proven raw site dies under the other's moves.
-    RelocationPlan site_a = seedMove("pair_site_a", 0x1000, 0x2000, 4);
-    site_a.access(SiteId(7), 0x3000, 4 * wordBytes,
-                  AccessIntent::unforwarded_read);
-    seeds.push_back({"pair: invalidated raw site",
-                     DiagCode::E104_site_invalidated,
-                     InterferenceVerdict::conflict, std::move(site_a),
-                     seedMove("pair_site_b", 0x3000, 0x4000, 4)});
-
-    // 5. b drains a's destination: legal, but only with a first.
-    seeds.push_back({"pair: destination drain",
-                     DiagCode::W201_ordered_dest_drain,
-                     InterferenceVerdict::ordered,
-                     seedMove("pair_drain_a", 0x1000, 0x2000, 4),
-                     seedMove("pair_drain_b", 0x2000, 0x3000, 4)});
-
-    // 6. Both plans rewrite the same root slot: last writer wins.
-    RelocationPlan root_a = seedMove("pair_root_a", 0x1000, 0x2000, 2);
-    root_a.root(0x100, 0x1000);
-    RelocationPlan root_b = seedMove("pair_root_b", 0x3000, 0x4000, 2);
-    root_b.root(0x100, 0x3000);
-    seeds.push_back({"pair: shared root slot",
-                     DiagCode::W202_shared_root_slot,
-                     InterferenceVerdict::ordered, std::move(root_a),
-                     std::move(root_b)});
-
-    return seeds;
-}
-
 /** Write @p doc to @p path ('-': stdout); false if it cannot be
  *  opened. */
 bool
@@ -428,8 +268,7 @@ writeJson(const char *argv0, const obs::Json &doc, const std::string &path)
     return true;
 }
 
-/** --selftest: check every seeded negative plan and pair, reporting
- *  on @p out. */
+/** --selftest: check every seeded negative plan, reporting on @p out. */
 int
 runSelftest(const char *argv0, const std::string &json_path,
             std::FILE *out)
@@ -465,45 +304,12 @@ runSelftest(const char *argv0, const std::string &json_path,
         cases.push(std::move(jc));
     }
 
-    const InterferenceAnalyzer pairwise;
-    obs::Json pair_cases = obs::Json::array();
-    for (const SeededPair &seed : seededNegativePairs()) {
-        const PairFinding finding = pairwise.analyzePair(seed.a, seed.b);
-        // The code must be reported *and* yield the right verdict:
-        // a conflict demoted to ordered would admit an unserializable
-        // pair, and an ordered promoted to conflict starves the
-        // scheduler.
-        const bool detected = finding.hasCode(seed.expect) &&
-                              finding.verdict == seed.verdict;
-        all_detected = all_detected && detected;
-        std::fprintf(out, "selftest %-28s [%s] %s\n", seed.what,
-                     diagCodeName(seed.expect),
-                     detected ? "detected" : "MISSED");
-        if (!detected) {
-            std::fprintf(out, "  got verdict %s\n",
-                         interferenceVerdictName(finding.verdict));
-            for (const Diagnostic &d : finding.diags)
-                std::fprintf(out, "  got [%s] %s\n", diagCodeName(d.code),
-                             d.message.c_str());
-        }
-
-        obs::Json jc = obs::Json::object();
-        jc["what"] = obs::Json::string(seed.what);
-        jc["expect"] = obs::Json::string(diagCodeName(seed.expect));
-        jc["expect_verdict"] =
-            obs::Json::string(interferenceVerdictName(seed.verdict));
-        jc["detected"] = obs::Json::boolean(detected);
-        jc["finding"] = finding.toJson();
-        pair_cases.push(std::move(jc));
-    }
-
     if (!json_path.empty()) {
         obs::Json doc = obs::Json::object();
         doc["schema"] = obs::Json::string("memfwd.lint.selftest");
-        doc["version"] = obs::Json::number(2);
+        doc["version"] = obs::Json::number(3);
         doc["ok"] = obs::Json::boolean(all_detected);
         doc["cases"] = std::move(cases);
-        doc["pair_cases"] = std::move(pair_cases);
         if (!writeJson(argv0, doc, json_path))
             return 1;
     }
@@ -522,8 +328,6 @@ main(int argc, char **argv)
     std::uint64_t seed = 42;
     bool enforce = false;
     bool selftest = false;
-    bool interference = false;
-    unsigned window = 8;
     std::string json_path;
 
     for (int i = 1; i < argc; ++i) {
@@ -555,15 +359,6 @@ main(int argc, char **argv)
             seed = *parsed;
         } else if (arg == "--enforce") {
             enforce = true;
-        } else if (arg == "--interference") {
-            interference = true;
-        } else if (arg == "--window") {
-            const char *text = next();
-            const std::optional<unsigned> parsed =
-                parseUnsigned<unsigned>(text);
-            if (!parsed || *parsed == 0)
-                return badValue(argv[0], arg, text, "an integer >= 1");
-            window = *parsed;
         } else if (arg == "--json") {
             json_path = next();
         } else if (arg == "--selftest") {
@@ -592,8 +387,7 @@ main(int argc, char **argv)
     GateStats totals;
     bool any_run_failed = false;
     for (const std::string &name : workloads) {
-        WorkloadLint wl = lintWorkload(name, scale, seed, enforce,
-                                       interference ? window : 0);
+        WorkloadLint wl = lintWorkload(name, scale, seed, enforce);
 
         std::fprintf(out, "%-10s %llu plans (%llu verified, %llu rejected), "
                      "%llu sites proven, E:%llu W:%llu N:%llu%s%s\n",
@@ -619,15 +413,6 @@ main(int argc, char **argv)
                          diagCodeName(d.code), optimizer.c_str(),
                          d.message.c_str());
         }
-        if (interference) {
-            const InterferenceLint &il = wl.interference;
-            std::fprintf(out, "  interference(window %u): %zu plans, %zu "
-                         "pairs: %zu commute, %zu ordered, %zu "
-                         "conflict\n",
-                         il.window, il.plans, il.pairs_checked,
-                         il.pairs_commute, il.pairs_ordered,
-                         il.pairs_conflict);
-        }
 
         totals.plans_submitted += wl.stats.plans_submitted;
         totals.plans_verified += wl.stats.plans_verified;
@@ -652,10 +437,8 @@ main(int argc, char **argv)
     if (!json_path.empty()) {
         obs::Json doc = obs::Json::object();
         doc["schema"] = obs::Json::string("memfwd.lint");
-        doc["version"] = obs::Json::number(2);
+        doc["version"] = obs::Json::number(3);
         doc["mode"] = obs::Json::string(enforce ? "enforce" : "plan");
-        if (interference)
-            doc["interference_window"] = obs::Json::number(window);
         doc["scale"] = obs::Json::real(scale);
         doc["seed"] = obs::Json::number(seed);
         obs::Json jw = obs::Json::array();
