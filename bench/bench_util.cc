@@ -16,20 +16,6 @@ namespace
 
 Report *current_report = nullptr;
 
-/** Whole-number knob @p name: @p fallback when unset or empty; junk,
- *  or a value below @p least, is fatal. */
-unsigned
-envCount(const char *name, unsigned fallback, unsigned least)
-{
-    const char *env = std::getenv(name);
-    if (!env || !*env)
-        return fallback;
-    const std::optional<unsigned> n = parseUnsigned<unsigned>(env);
-    if (!n || *n < least)
-        memfwd_fatal("%s='%s' is not a whole number >= %u", name, env, least);
-    return *n;
-}
-
 std::string
 variantLabel(const WorkloadVariant &v)
 {
@@ -40,13 +26,17 @@ variantLabel(const WorkloadVariant &v)
 }
 
 /**
- * Host-speed gauges for one case (docs/METRICS.md "host" family).
- * Wall time varies across machines, so scripts/bench_diff.py treats
- * these as advisory — present-and-tracked, never a pass/fail gate.
+ * Host-speed gauges for one case (docs/METRICS.md "host" family): the
+ * references come from the case's own metrics tree (`refs.executed`),
+ * 0 when it records no machine tree.  Wall time varies across
+ * machines, so scripts/bench_diff.py treats these as advisory —
+ * present-and-tracked, never a pass/fail gate.
  */
 obs::Json
-hostJson(std::uint64_t refs, double wall_ms)
+hostJson(const obs::MetricsNode &metrics, double wall_ms)
 {
+    const obs::MetricsNode *counts = metrics.findChild("refs");
+    const std::uint64_t refs = counts ? counts->counterValue("executed") : 0;
     obs::Json h = obs::Json::object();
     h["refs"] = obs::Json::number(refs);
     h["wall_ms"] = obs::Json::real(wall_ms);
@@ -61,8 +51,7 @@ obs::Json
 caseJson(const std::string &label, const std::string &workload,
          const std::string &variant, std::uint64_t cycles,
          std::uint64_t instructions, std::uint64_t checksum,
-         const obs::MetricsNode &metrics, double wall_ms, unsigned reps,
-         std::uint64_t refs)
+         const obs::MetricsNode &metrics, double wall_ms, unsigned reps)
 {
     obs::Json c = obs::Json::object();
     c["label"] = obs::Json::string(label);
@@ -73,7 +62,7 @@ caseJson(const std::string &label, const std::string &workload,
     c["checksum"] = obs::Json::number(checksum);
     c["wall_ms"] = obs::Json::real(wall_ms);
     c["reps"] = obs::Json::number(reps);
-    c["host"] = hostJson(refs, wall_ms);
+    c["host"] = hostJson(metrics, wall_ms);
     c["metrics"] = metrics.toJson();
     return c;
 }
@@ -84,7 +73,7 @@ double
 benchScale()
 {
     // MEMFWD_BENCH_SCALE lets CI run the full harness quickly.  Empty
-    // counts as unset, as for the other MEMFWD_BENCH_* variables.
+    // counts as unset.
     const char *env = std::getenv("MEMFWD_BENCH_SCALE");
     if (!env || !*env)
         return 1.0;
@@ -93,18 +82,6 @@ benchScale()
         memfwd_fatal("MEMFWD_BENCH_SCALE='%s' is not a positive number",
                      env);
     return *scale;
-}
-
-unsigned
-benchReps()
-{
-    return envCount("MEMFWD_BENCH_REPS", 1, 1);
-}
-
-unsigned
-benchWarmup()
-{
-    return envCount("MEMFWD_BENCH_WARMUP", 0, 0);
 }
 
 MachineConfig
@@ -138,27 +115,24 @@ Report::current()
 }
 
 void
-Report::add(const std::string &label, const RunResult &r, double wall_ms,
-            unsigned reps)
+Report::add(const std::string &label, const RunResult &r, double wall_ms)
 {
     cases_.push_back(caseJson(label, r.workload, variantLabel(r.variant),
                               r.metrics.counterAt("cycles"),
                               r.metrics.counterAt("instructions"),
-                              r.checksum, r.metrics, wall_ms, reps,
-                              r.refs));
+                              r.checksum, r.metrics, wall_ms, 1));
 }
 
 void
 Report::addCase(const std::string &label, std::uint64_t cycles,
                 std::uint64_t instructions, std::uint64_t checksum,
                 const obs::MetricsNode &metrics, double wall_ms,
-                unsigned reps, std::uint64_t refs,
+                unsigned reps,
                 const std::vector<std::pair<std::string, double>>
                     &extra_fields)
 {
     obs::Json c = caseJson(label, std::string(), std::string(), cycles,
-                           instructions, checksum, metrics, wall_ms, reps,
-                           refs);
+                           instructions, checksum, metrics, wall_ms, reps);
     for (const auto &[key, val] : extra_fields)
         c[key] = obs::Json::real(val);
     cases_.push_back(std::move(c));
@@ -172,8 +146,9 @@ Report::toJson() const
     doc["version"] = obs::Json::number(1);
     doc["bench"] = obs::Json::string(name_);
     doc["scale"] = obs::Json::real(benchScale());
-    doc["reps"] = obs::Json::number(benchReps());
-    doc["warmup"] = obs::Json::number(benchWarmup());
+    // Every case is one timed run; both fields stay for schema-v1 readers.
+    doc["reps"] = obs::Json::number(1);
+    doc["warmup"] = obs::Json::number(0);
     obs::Json arr = obs::Json::array();
     for (const auto &c : cases_)
         arr.push(c);
@@ -208,21 +183,13 @@ RunResult
 runCase(const std::string &label, const RunConfig &cfg)
 {
     setVerbose(false);
-    for (unsigned i = 0; i < benchWarmup(); ++i)
-        runWorkload(cfg);
-
-    const unsigned reps = benchReps();
-    RunResult r;
     const auto t0 = std::chrono::steady_clock::now();
-    for (unsigned i = 0; i < reps; ++i)
-        r = runWorkload(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count() /
-        double(reps);
-
+    RunResult r = runWorkload(cfg);
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
     if (Report *rep = Report::current())
-        rep->add(label, r, wall_ms, reps);
+        rep->add(label, r, wall_ms);
     return r;
 }
 

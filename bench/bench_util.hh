@@ -6,11 +6,10 @@
  * paper-style bar printing), every bench now runs through a small
  * measurement harness:
  *
- *  - each case gets `benchWarmup()` untimed warmup runs and
- *    `benchReps()` timed repetitions (MEMFWD_BENCH_WARMUP /
- *    MEMFWD_BENCH_REPS; the simulator is deterministic, so the
- *    defaults are 0 and 1);
- *  - each case's full hierarchical metrics tree is captured;
+ *  - each case is one timed run (the simulator is deterministic, so
+ *    there is nothing to warm up or repeat);
+ *  - each case's full hierarchical metrics tree is captured, and its
+ *    `refs.executed` counter is the case's host.refs;
  *  - a `Report` declared in main() writes a schema-tagged
  *    `BENCH_<name>.json` (docs/METRICS.md) into MEMFWD_BENCH_OUT (or
  *    the working directory) when it goes out of scope.  The simulated
@@ -40,13 +39,6 @@ namespace memfwd::bench
  * fatal).
  */
 double benchScale();
-
-/** Timed repetitions per case (MEMFWD_BENCH_REPS, default 1; as for
- *  the scale, empty means unset and a value below 1 is fatal). */
-unsigned benchReps();
-
-/** Untimed warmup runs per case (MEMFWD_BENCH_WARMUP, default 0). */
-unsigned benchWarmup();
 
 /** Default machine config at the given line size. */
 MachineConfig machineAt(unsigned line_bytes);
@@ -78,12 +70,14 @@ class Report
 
     /** Record one case measured as a full workload run. */
     void add(const std::string &label, const RunResult &r,
-             double wall_ms = 0.0, unsigned reps = 1);
+             double wall_ms = 0.0);
 
     /**
      * Record a case for benches built on custom machinery.  Pass the
-     * machine's refsExecuted() as @p refs when available so the
-     * host.refs_per_sec gauge is meaningful; 0 records the gauge as 0.
+     * machine's metrics() as @p metrics when there is a machine: its
+     * `refs.executed` counter is the case's host.refs, and an empty
+     * tree records the host.refs_per_sec gauge as 0.  @p reps is the
+     * iteration count of a case timed by repetition (google-benchmark).
      * @p extra_fields become top-level numeric fields on the case, where
      * scripts/bench_diff.py --require-metric can see them (e.g. a
      * detection_rate the diff gate asserts on).
@@ -91,7 +85,7 @@ class Report
     void addCase(const std::string &label, std::uint64_t cycles,
                  std::uint64_t instructions, std::uint64_t checksum,
                  const obs::MetricsNode &metrics, double wall_ms = 0.0,
-                 unsigned reps = 1, std::uint64_t refs = 0,
+                 unsigned reps = 1,
                  const std::vector<std::pair<std::string, double>>
                      &extra_fields = {});
 
@@ -119,9 +113,8 @@ class Report
 };
 
 /**
- * Run one configuration through the harness: warmup, timed reps, record
- * into the current Report (if any) under @p label.  Returns the last
- * repetition's result.
+ * Run one configuration through the harness: one timed run, recorded
+ * into the current Report (if any) under @p label.
  */
 RunResult runCase(const std::string &label, const RunConfig &cfg);
 

@@ -43,12 +43,9 @@ namespace
 struct CaseResult
 {
     std::string label;
-    Cycles cycles = 0;
-    std::uint64_t instructions = 0;
     std::uint64_t checksum = 0;
-    std::uint64_t refs = 0;
     KvStats kv;
-    std::uint64_t refusals = 0;
+    obs::MetricsNode metrics;
     double hops_or_derefs_per_ref = 0.0;
     double wall_ms = 0.0;
 };
@@ -77,13 +74,9 @@ runKv(const std::string &label, BackendKind kind, bool ftc)
                       std::chrono::steady_clock::now() - t0)
                       .count();
 
-    res.cycles = machine.cycles();
-    res.instructions = machine.cpu().instructions();
     res.checksum = kv.checksum();
-    res.refs = machine.refsExecuted();
     res.kv = kv.kvStats();
-    const obs::MetricsNode metrics = machine.metrics();
-    res.refusals = metrics.counterAt("backend.refusals");
+    res.metrics = machine.metrics();
 
     // The locality tax of each mechanism, per mediated get reference:
     // forwarding pays chain hops on refs made stale by compaction,
@@ -91,7 +84,7 @@ runKv(const std::string &label, BackendKind kind, bool ftc)
     if (kind == BackendKind::handles) {
         res.hops_or_derefs_per_ref =
             res.kv.get_refs
-                ? double(metrics.counterAt("backend.handle_derefs")) /
+                ? double(res.metrics.counterAt("backend.handle_derefs")) /
                       double(res.kv.get_refs)
                 : 0.0;
     } else {
@@ -126,8 +119,9 @@ main()
                 "cyc/op", "hit%", "tax/ref", "frag%", "moved");
     bool ok = true;
     for (const CaseResult &r : results) {
+        const std::uint64_t cycles = r.metrics.counterAt("cycles");
         const double cyc_per_op =
-            r.kv.ops ? double(r.cycles) / double(r.kv.ops) : 0.0;
+            r.kv.ops ? double(cycles) / double(r.kv.ops) : 0.0;
         const double hit_rate =
             r.kv.gets ? double(r.kv.hits) / double(r.kv.gets) : 0.0;
         const double frag_avg =
@@ -135,7 +129,7 @@ main()
                               : 0.0;
 
         std::printf("%-15s %14s %9.1f %7.1f%% %10.4f %6.1f%% %6llu\n",
-                    r.label.c_str(), withCommas(r.cycles).c_str(),
+                    r.label.c_str(), withCommas(cycles).c_str(),
                     cyc_per_op, 100.0 * hit_rate,
                     r.hops_or_derefs_per_ref, 100.0 * frag_avg,
                     static_cast<unsigned long long>(
@@ -144,8 +138,8 @@ main()
         ok = ok && r.checksum == results.front().checksum;
 
         report.addCase(
-            r.label, r.cycles, r.instructions, r.checksum,
-            obs::MetricsNode{}, r.wall_ms, 1, r.refs,
+            r.label, cycles, r.metrics.counterAt("instructions"), r.checksum,
+            r.metrics, r.wall_ms, 1,
             {{"cycles_per_op", cyc_per_op},
              {"hops_or_derefs_per_ref", r.hops_or_derefs_per_ref},
              {"fragmentation", frag_avg},
@@ -153,7 +147,8 @@ main()
              {"hit_rate", hit_rate},
              {"evictions", double(r.kv.evictions)},
              {"compacted_objects", double(r.kv.compacted_objects)},
-             {"relocation_refusals", double(r.refusals)}});
+             {"relocation_refusals",
+              double(r.metrics.counterAt("backend.refusals"))}});
     }
 
     std::printf("\ntakeaway: the three safety mechanisms answer "

@@ -65,8 +65,7 @@ struct CorpusResult
     unsigned uaf_probes = 0, uaf_detected = 0;
     unsigned oob_probes = 0, oob_detected = 0;
     std::uint64_t false_violations = 0;
-    Cycles cycles = 0;
-    std::uint64_t refs = 0;
+    obs::MetricsNode metrics;
     bool audit_clean = false;
     std::uint64_t quarantined_chains = 0;
 };
@@ -151,8 +150,7 @@ runCorpus(unsigned n_pairs)
 
     res.uaf_probes = static_cast<unsigned>(uaf_probes.size());
     res.oob_probes = static_cast<unsigned>(oob_probes.size());
-    res.cycles = machine.cycles();
-    res.refs = machine.refsExecuted();
+    res.metrics = machine.metrics();
 
     // The quarantined heap must still audit clean: every quarantine
     // chain is expected state, not corruption.
@@ -223,9 +221,9 @@ main()
     ok = ok && uaf_rate >= 1.0 && oob_rate >= 0.95 &&
          corpus.false_violations == 0 && corpus.audit_clean;
 
-    report.addCase("injected_corpus", corpus.cycles, 0,
+    report.addCase("injected_corpus", corpus.metrics.counterAt("cycles"), 0,
                    corpus.uaf_detected + corpus.oob_detected,
-                   obs::MetricsNode{}, corpus_ms, 1, corpus.refs,
+                   corpus.metrics, corpus_ms, 1,
                    {{"detection_rate", rate},
                     {"uaf_detection_rate", uaf_rate},
                     {"oob_detection_rate", oob_rate},
@@ -239,9 +237,10 @@ main()
         RunConfig cfg = benchConfig(name, machineAt(64));
         cfg.variant.layout_opt = true; // forwarded path exercised
 
-        const auto wl_t0 = std::chrono::steady_clock::now();
         const RunResult off = runWorkload(cfg);
         cfg.machine.metadataPlane(true);
+        // Only the plane-on run is recorded, so only it is timed.
+        const auto wl_t0 = std::chrono::steady_clock::now();
         const RunResult on = runWorkload(cfg);
         const double wl_ms =
             std::chrono::duration<double, std::milli>(
@@ -269,7 +268,7 @@ main()
 
         report.addCase("clean_" + name, on_cycles,
                        on.metrics.counterAt("instructions"), on.checksum,
-                       obs::MetricsNode{}, wl_ms, 1, on.refs,
+                       on.metrics, wl_ms, 1,
                        {{"detection_rate", 1.0},
                         {"false_positives", double(violations)},
                         {"cycle_overhead_pct", overhead_pct}});

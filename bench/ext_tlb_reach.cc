@@ -13,44 +13,9 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 
 using namespace memfwd;
 using namespace memfwd::bench;
-
-namespace
-{
-
-struct TlbRun
-{
-    Cycles cycles;
-    std::uint64_t tlb_misses;
-    std::uint64_t checksum;
-};
-
-TlbRun
-runWithTlb(const std::string &workload, bool layout_opt)
-{
-    setVerbose(false);
-    RunConfig cfg = benchConfig(workload, machineAt(64));
-    cfg.machine.tlb.enabled = true;
-    cfg.machine.tlb.entries = 64;
-    cfg.machine.tlb.miss_penalty = 30;
-    cfg.variant.layout_opt = layout_opt;
-
-    Machine machine(cfg.machine);
-    auto w = makeWorkload(cfg.workload, cfg.params);
-    w->run(machine, cfg.variant);
-
-    if (auto *rep = Report::current()) {
-        rep->addCase(workload + "/tlb/" + (layout_opt ? "L" : "N"),
-                     machine.cycles(), machine.cpu().instructions(),
-                     w->checksum(), machine.metrics());
-    }
-    return {machine.cycles(), machine.tlb().faults(), w->checksum()};
-}
-
-} // namespace
 
 int
 main()
@@ -66,17 +31,17 @@ main()
 
     for (const std::string name :
          {"health", "mst", "radiosity", "vis"}) {
-        const TlbRun n = runWithTlb(name, false);
-        const TlbRun l = runWithTlb(name, true);
-        if (n.checksum != l.checksum) {
-            std::printf("CHECKSUM MISMATCH for %s\n", name.c_str());
-            return 1;
-        }
+        RunConfig cfg = benchConfig(name, machineAt(64));
+        cfg.machine.tlb.enabled = true;
+        cfg.machine.tlb.entries = 64;
+        cfg.machine.tlb.miss_penalty = 30;
+        const RunPair p = runPair(name + "/tlb", cfg);
+        const std::uint64_t n_misses = p.n.metrics.counterAt("tlb.misses");
+        const std::uint64_t l_misses = p.l.metrics.counterAt("tlb.misses");
         std::printf("%-10s %16s %16s %11.1fx %15.2fx\n", name.c_str(),
-                    withCommas(n.tlb_misses).c_str(),
-                    withCommas(l.tlb_misses).c_str(),
-                    double(n.tlb_misses) / double(l.tlb_misses),
-                    double(n.cycles) / double(l.cycles));
+                    withCommas(n_misses).c_str(),
+                    withCommas(l_misses).c_str(),
+                    double(n_misses) / double(l_misses), p.speedup());
     }
 
     std::printf("\ntakeaway: scattered nodes cost a page-table walk "

@@ -80,8 +80,6 @@ class SnoopBus
         return n;
     }
 
-    unsigned ports() const { return static_cast<unsigned>(caches_.size()); }
-
   private:
     std::vector<CoherentCache *> caches_;
     BusStats stats_;

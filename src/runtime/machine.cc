@@ -224,25 +224,13 @@ Machine::access(const Access &a)
 
 template <Machine::Exec E>
 void
-Machine::runRefs(MemRef *refs, std::size_t n)
+Machine::runRefs(const Access *refs, std::size_t n)
 {
     // Fast-forward hands the whole batch's ALU count to the CPU in one
-    // alu() call, which retires it at the CPU's next observer; `ready`
-    // is 0 while timing is skipped, per call and in batches
-    // (docs/API.md).
+    // alu() call, which retires it at the CPU's next observer.
     std::uint64_t alu_acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        MemRef &r = refs[i];
-        if (E != Exec::functional && r.dep >= 0) {
-            Access a = r.acc;
-            a.addr_ready = std::max(
-                a.addr_ready,
-                refs[static_cast<std::size_t>(r.dep)].res.ready);
-            r.res = exec<E>(a, alu_acc);
-        } else {
-            r.res = exec<E>(r.acc, alu_acc);
-        }
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        exec<E>(refs[i], alu_acc);
     if constexpr (E == Exec::functional)
         cpu_->alu(alu_acc);
 }
@@ -252,7 +240,7 @@ Machine::run(AccessBatch &batch)
 {
     // The dispatch (fast-forward? tracer?) is decided once per batch —
     // this is the branch hoisting the batched API exists for.
-    MemRef *refs = batch.data();
+    const Access *refs = batch.data();
     const std::size_t n = batch.size();
     if (ff_active_)
         runRefs<Exec::functional>(refs, n);
@@ -314,6 +302,7 @@ Machine::metrics() const
     prefetcher_->fillMetrics(root.child("prefetch"));
 
     auto &refs = root.child("refs");
+    refs.counter("executed", refs_);
     refs.counter("loads", loads_);
     refs.counter("stores", stores_);
     refs.counter("loads_forwarded", loads_forwarded_);

@@ -378,7 +378,6 @@ struct AccessResult
 
 class AccessBatch;
 class RefStream;
-struct MemRef;
 
 /** One simulated CPU + forwarding memory system. */
 class Machine
@@ -399,7 +398,8 @@ class Machine
     AccessResult access(const Access &a);
 
     /**
-     * Drain @p batch in order, filling each MemRef's result.  The
+     * Execute @p batch's references in order (their results are
+     * dropped: anything that needs one goes through access()).  The
      * tracer/fast-forward dispatch is hoisted out of the per-reference
      * loop, so large batches pay one branch per batch instead of
      * several per reference.
@@ -421,9 +421,6 @@ class Machine
      */
     void enterRegion(std::string_view name);
     void exitRegion(std::string_view name);
-
-    /** True while references are being fast-forwarded. */
-    bool fastForwardActive() const { return ff_active_; }
 
     // ----- untimed (debug/test) access ---------------------------------
 
@@ -525,8 +522,8 @@ class Machine
 
     /**
      * References executed through the unified entry point (every kind,
-     * including compute).  The host.refs_per_sec gauge divides the delta
-     * of this counter by host wall time.
+     * including compute), exported as the `refs.executed` counter.  The
+     * host.refs_per_sec gauge divides it by host wall time.
      */
     std::uint64_t refsExecuted() const { return refs_; }
 
@@ -570,7 +567,7 @@ class Machine
      */
     AccessResult accessFast(const Access &a);
 
-    template <Exec E> void runRefs(MemRef *refs, std::size_t n);
+    template <Exec E> void runRefs(const Access *refs, std::size_t n);
 
     /** Final address of @p addr for peek/poke (see peek()). */
     Addr untimedFinal(Addr addr) const;

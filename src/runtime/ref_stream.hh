@@ -7,14 +7,12 @@
  * and the result plumbing all sit inside the hottest loop of the
  * simulator.  The batched API amortizes them:
  *
- *  - an AccessBatch is a flat array of MemRef{Access, AccessResult,
- *    dep}; the workload appends references and hands the whole batch to
+ *  - an AccessBatch is a flat array of Access requests; the workload
+ *    appends references and hands the whole batch to
  *    Machine::run(AccessBatch&), which hoists the tracer/fast-forward
- *    dispatch out of the loop and drains the refs back-to-back;
- *  - intra-batch dependences are expressed by index: a MemRef with
- *    `dep = i` has its addr_ready raised to the completion cycle of the
- *    batch's i-th reference, preserving the pointer-chasing
- *    serialization the per-call API threads by hand;
+ *    dispatch out of the loop and drains the refs back-to-back.  No
+ *    result comes back: a reference whose value or completion cycle
+ *    matters goes through Machine::access();
  *  - a RefStream is a pull source of batches for Machine::run(RefStream&)
  *    — the natural shape for trace replay and generated streams;
  *  - a BatchEmitter is the drop-in convenience for workload inner loops:
@@ -40,24 +38,10 @@
 namespace memfwd
 {
 
-/** One reference in a batch: the request, its result, and a dep link. */
-struct MemRef
-{
-    Access acc{};
-    AccessResult res{};
-    /**
-     * Index of an earlier reference in the same batch whose completion
-     * cycle gates this reference's address (load-to-load dependence),
-     * or -1 for none.  At run time addr_ready is raised to
-     * max(acc.addr_ready, refs[dep].res.ready).
-     */
-    std::int32_t dep = -1;
-};
-
 /** Capacity of a batch built without an explicit one. */
 constexpr std::size_t default_batch_capacity = 256;
 
-/** A flat, bounded, reusable array of MemRefs. */
+/** A flat, bounded, reusable array of Access requests. */
 class AccessBatch
 {
   public:
@@ -66,9 +50,9 @@ class AccessBatch
     {
     }
 
-    /** Append @p a; returns its index (for later deps). */
-    std::size_t
-    push(const Access &a, std::int32_t dep = -1)
+    /** Append @p a. */
+    void
+    push(const Access &a)
     {
         if (size_ == refs_.size())
             refs_.resize(2 * size_);
@@ -81,19 +65,16 @@ class AccessBatch
         // compiling until it is copied below as well.
         [[maybe_unused]] const auto &[addr, value, addr_ready, pointer_slot,
                                       site, object_id, kind, size, fbit] = a;
-        MemRef &r = refs_[size_];
-        r.acc.addr = a.addr;
-        r.acc.value = a.value;
-        r.acc.addr_ready = a.addr_ready;
-        r.acc.pointer_slot = a.pointer_slot;
-        r.acc.site = a.site;
-        r.acc.object_id = a.object_id;
-        r.acc.kind = a.kind;
-        r.acc.size = a.size;
-        r.acc.fbit = a.fbit;
-        r.res = {};
-        r.dep = dep;
-        return size_++;
+        Access &r = refs_[size_++];
+        r.addr = a.addr;
+        r.value = a.value;
+        r.addr_ready = a.addr_ready;
+        r.pointer_slot = a.pointer_slot;
+        r.site = a.site;
+        r.object_id = a.object_id;
+        r.kind = a.kind;
+        r.size = a.size;
+        r.fbit = a.fbit;
     }
 
     bool full() const { return size_ >= capacity_; }
@@ -101,17 +82,14 @@ class AccessBatch
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
 
-    MemRef &operator[](std::size_t i) { return refs_[i]; }
-    const MemRef &operator[](std::size_t i) const { return refs_[i]; }
-
-    MemRef *data() { return refs_.data(); }
+    const Access *data() const { return refs_.data(); }
 
     /** Drop all refs (capacity and storage are kept). */
     void clear() { size_ = 0; }
 
   private:
     /** Storage; the first size_ slots hold the batch. */
-    std::vector<MemRef> refs_;
+    std::vector<Access> refs_;
     std::size_t capacity_;
     std::size_t size_ = 0;
 };

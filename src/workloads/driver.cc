@@ -19,7 +19,6 @@ runWorkload(const RunConfig &cfg)
     r.variant = cfg.variant;
     r.checksum = workload->checksum();
     r.space_overhead_bytes = workload->spaceOverheadBytes();
-    r.refs = machine.refsExecuted();
     r.metrics = machine.metrics();
     return r;
 }

@@ -48,8 +48,6 @@ struct RunResult
     std::uint64_t checksum = 0;
     /** Virtual memory consumed by relocation targets (Table 1). */
     Addr space_overhead_bytes = 0;
-    /** Simulated references executed, for host-speed gauges. */
-    std::uint64_t refs = 0;
 
     /** The machine's full hierarchical metrics tree at run end. */
     obs::MetricsNode metrics;

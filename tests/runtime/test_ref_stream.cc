@@ -290,42 +290,6 @@ INSTANTIATE_TEST_SUITE_P(
 // AccessBatch mechanics
 // ---------------------------------------------------------------------
 
-TEST(AccessBatch, RunFillsEveryResult)
-{
-    Machine m;
-    AccessBatch batch(8);
-    batch.push(Access::store(0x1000, wordBytes, 41));
-    batch.push(Access::store(0x2000, wordBytes, 42));
-    batch.push(Access::load(0x1000, wordBytes));
-    batch.push(Access::load(0x2000, wordBytes));
-    m.run(batch);
-
-    EXPECT_EQ(batch[2].res.value, 41u);
-    EXPECT_EQ(batch[3].res.value, 42u);
-    EXPECT_EQ(batch[2].res.final_addr, 0x1000u);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        EXPECT_GT(batch[i].res.ready, 0u) << "ref " << i;
-}
-
-TEST(AccessBatch, DepLinkGatesAddressReadiness)
-{
-    // refs[1] chases the pointer loaded by refs[0]: its address cannot
-    // be ready before the first load completes.
-    Machine m;
-    m.poke(0x3000, wordBytes, 0x4000);
-    m.poke(0x4000, wordBytes, 777);
-
-    AccessBatch batch(4);
-    const std::size_t head = batch.push(Access::load(0x3000, wordBytes));
-    batch.push(Access::load(0x4000, wordBytes),
-               std::int32_t(head));
-    m.run(batch);
-
-    EXPECT_EQ(batch[0].res.value, 0x4000u);
-    EXPECT_EQ(batch[1].res.value, 777u);
-    EXPECT_GE(batch[1].res.ready, batch[0].res.ready);
-}
-
 TEST(AccessBatch, ClearKeepsCapacity)
 {
     AccessBatch batch(2);

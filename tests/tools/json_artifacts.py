@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Load the JSON artifacts the tools ship with an independent parser.
 
-usage: json_artifacts.py MEMFWD_SIM MEMFWD_LINT FIG10_BENCH OUT_DIR
+usage: json_artifacts.py MEMFWD_SIM MEMFWD_LINT FIG10_BENCH TLB_BENCH OUT_DIR
 
 The simulator writes its artifacts and never reads them back, so this
 check reads them with python3's json module instead:
@@ -12,7 +12,10 @@ check reads them with python3's json module instead:
     stderr; both lint documents are schema version 3, which dropped
     the keys of the removed pairwise-plan sweep;
   - fig10_smv_forwarding's BENCH_*.json report and its MEMFWD_TRACE_OUT
-    chrome trace, written into OUT_DIR.
+    chrome trace, written into OUT_DIR;
+  - the host gauges of fig10's and ext_tlb_reach's reports: every
+    case's host.refs is its metrics tree's refs.executed counter, and
+    every ext_tlb_reach case has a nonzero host.refs_per_sec.
 
 NaN and Infinity are rejected: they are not JSON.  Exits nonzero with a
 message on the first failure.
@@ -53,10 +56,38 @@ def expect(cond, message):
         fail(message)
 
 
+def tree_refs(case):
+    """The case's refs.executed counter, 0 when it records no tree."""
+    refs = case["metrics"].get("children", {}).get("refs", {})
+    return refs.get("counters", {}).get("executed", 0)
+
+
+def check_host_refs(path, doc):
+    for case in doc["cases"]:
+        expect(case["host"]["refs"] == tree_refs(case),
+               f"{path} case {case['label']}: host.refs "
+               f"{case['host']['refs']} is not its tree's refs.executed "
+               f"{tree_refs(case)}")
+
+
+def run_bench(bench, out_dir, extra_env=None):
+    """Run @bench at the smoke scale; return its report's path and doc."""
+    env = dict(os.environ, MEMFWD_BENCH_SCALE="0.05",
+               MEMFWD_BENCH_OUT=out_dir, **(extra_env or {}))
+    run([bench], env=env)
+    reports = glob.glob(os.path.join(out_dir, "BENCH_*.json"))
+    expect(len(reports) == 1,
+           f"{bench} wrote {len(reports)} BENCH_*.json into {out_dir}")
+    with open(reports[0]) as f:
+        doc = load(reports[0], f.read())
+    expect(doc.get("cases"), f"{reports[0]} has no cases")
+    return reports[0], doc
+
+
 def main():
-    if len(sys.argv) != 5:
+    if len(sys.argv) != 6:
         sys.exit(__doc__)
-    sim, lint, fig10, out_dir = sys.argv[1:]
+    sim, lint, fig10, tlb, out_dir = sys.argv[1:]
 
     proc = run([sim, "--workload=mst", "--scale=0.05", "--opt", "--audit",
                 "--json", "-"])
@@ -89,17 +120,20 @@ def main():
            "memfwd_lint v3 selftest document carries pair_cases")
 
     shutil.rmtree(out_dir, ignore_errors=True)
-    os.makedirs(out_dir)
+    fig10_dir = os.path.join(out_dir, "fig10")
+    os.makedirs(fig10_dir)
     trace_path = os.path.join(out_dir, "fig10_trace.json")
-    env = dict(os.environ, MEMFWD_BENCH_SCALE="0.05",
-               MEMFWD_BENCH_OUT=out_dir, MEMFWD_TRACE_OUT=trace_path)
-    run([fig10], env=env)
-    reports = glob.glob(os.path.join(out_dir, "BENCH_*.json"))
-    expect(reports, f"fig10 wrote no BENCH_*.json into {out_dir}")
-    for path in reports:
-        with open(path) as f:
-            doc = load(path, f.read())
-        expect(doc.get("cases"), f"{path} has no cases")
+    path, doc = run_bench(fig10, fig10_dir, {"MEMFWD_TRACE_OUT": trace_path})
+    check_host_refs(path, doc)
+
+    tlb_dir = os.path.join(out_dir, "tlb")
+    os.makedirs(tlb_dir)
+    path, doc = run_bench(tlb, tlb_dir)
+    check_host_refs(path, doc)
+    for case in doc["cases"]:
+        expect(case["host"]["refs_per_sec"] > 0,
+               f"{path} case {case['label']} has no host.refs_per_sec")
+
     with open(trace_path) as f:
         doc = load(trace_path, f.read())
     stamps = [e["ts"] for e in doc["traceEvents"] if "ts" in e]

@@ -108,6 +108,20 @@ TEST(Driver, BestPrefetchPicksFastest)
     EXPECT_TRUE(best.variant.prefetch);
 }
 
+TEST(Driver, TreeCountsEveryExecutedReference)
+{
+    // The tree's refs.executed is the run's reference count (the bench
+    // harness reads host.refs from it), and runWorkload records it.
+    setVerbose(false);
+    const RunConfig cfg = tinyConfig("mst");
+    Machine machine(cfg.machine);
+    makeWorkload(cfg.workload, cfg.params)->run(machine, cfg.variant);
+    const std::uint64_t refs = machine.refsExecuted();
+    EXPECT_GT(refs, 0u);
+    EXPECT_EQ(machine.metrics().counterAt("refs.executed"), refs);
+    EXPECT_EQ(runWorkload(cfg).metrics.counterAt("refs.executed"), refs);
+}
+
 TEST(Driver, AverageLatenciesAreSane)
 {
     setVerbose(false);
