@@ -45,6 +45,7 @@ runSmv(const std::string &label, bool fixup)
 {
     setVerbose(false);
     MachineConfig mc = machineAt(32);
+    const Stopwatch clock;
     Machine machine(mc);
 
     // Declared after the machine so it unregisters before the machine's
@@ -60,12 +61,13 @@ runSmv(const std::string &label, bool fixup)
     WorkloadVariant v;
     v.layout_opt = true;
     w->run(machine, v);
+    const double wall_ms = clock.ms();
 
     if (!label.empty()) {
         if (auto *rep = Report::current()) {
             rep->addCase(label, machine.cycles(),
                          machine.cpu().instructions(), w->checksum(),
-                         machine.metrics());
+                         machine.metrics(), wall_ms);
         }
     }
 

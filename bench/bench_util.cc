@@ -1,5 +1,6 @@
 #include "bench_util.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -166,12 +167,15 @@ Report::write()
         dir = env;
     const std::string path = dir + "/BENCH_" + name_ + ".json";
     std::ofstream os(path);
+    if (os) {
+        toJson().write(os, 2);
+        os << "\n";
+        os.close();
+    }
     if (!os) {
         std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-        return;
+        std::exit(1);
     }
-    toJson().write(os, 2);
-    os << "\n";
     written_ = true;
 }
 
@@ -179,18 +183,45 @@ Report::write()
 // Harnessed runs
 // ---------------------------------------------------------------------
 
+double
+Stopwatch::ms() const
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+}
+
 RunResult
 runCase(const std::string &label, const RunConfig &cfg)
 {
     setVerbose(false);
-    const auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch clock;
     RunResult r = runWorkload(cfg);
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
+    const double wall_ms = clock.ms();
     if (Report *rep = Report::current())
         rep->add(label, r, wall_ms);
     return r;
+}
+
+RunResult
+runBestCase(const std::string &label, const RunConfig &cfg)
+{
+    // Every block size's run is timed; the case keeps the winner's.
+    std::vector<double> wall_ms;
+    const RunResult best =
+        runBestPrefetch(cfg, prefetchBlocks(), [&](const RunConfig &c) {
+            const Stopwatch clock;
+            RunResult r = runWorkload(c);
+            wall_ms.push_back(clock.ms());
+            return r;
+        });
+    const std::vector<unsigned> &blocks = prefetchBlocks();
+    const std::size_t winner =
+        std::find(blocks.begin(), blocks.end(), best.variant.prefetch_block) -
+        blocks.begin();
+    if (Report *rep = Report::current())
+        rep->add(label, best, wall_ms.at(winner));
+    return best;
 }
 
 RunConfig

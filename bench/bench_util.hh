@@ -21,6 +21,7 @@
 #ifndef MEMFWD_BENCH_BENCH_UTIL_HH
 #define MEMFWD_BENCH_BENCH_UTIL_HH
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -69,8 +70,7 @@ class Report
     Report &operator=(const Report &) = delete;
 
     /** Record one case measured as a full workload run. */
-    void add(const std::string &label, const RunResult &r,
-             double wall_ms = 0.0);
+    void add(const std::string &label, const RunResult &r, double wall_ms);
 
     /**
      * Record a case for benches built on custom machinery.  Pass the
@@ -97,7 +97,8 @@ class Report
 
     /**
      * Write BENCH_<name>.json into $MEMFWD_BENCH_OUT (or the working
-     * directory).  Idempotent; the destructor calls it.
+     * directory).  Idempotent; the destructor calls it.  A report that
+     * cannot be written ends the process with exit status 1.
      */
     void write();
 
@@ -113,10 +114,35 @@ class Report
 };
 
 /**
+ * Host wall clock of one case, running from construction.  Start it
+ * just before the first simulated work the case's tree counts (for a
+ * whole machine's tree, before the machine is built) and read ms() just
+ * after the last, so the case's host.refs_per_sec divides exactly that
+ * work's references by exactly its time.
+ */
+class Stopwatch
+{
+  public:
+    /** Milliseconds since construction. */
+    double ms() const;
+
+  private:
+    std::chrono::steady_clock::time_point start_ =
+        std::chrono::steady_clock::now();
+};
+
+/**
  * Run one configuration through the harness: one timed run, recorded
  * into the current Report (if any) under @p label.
  */
 RunResult runCase(const std::string &label, const RunConfig &cfg);
+
+/**
+ * runBestPrefetch() of @p cfg over prefetchBlocks(), recorded into the
+ * current Report (if any) under @p label with the wall time of the
+ * winning block size's run alone.
+ */
+RunResult runBestCase(const std::string &label, const RunConfig &cfg);
 
 /** The unoptimized (N) and layout-optimized (L) runs of one config. */
 struct RunPair

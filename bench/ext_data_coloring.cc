@@ -69,6 +69,7 @@ main()
 
     // ----- part 1: data coloring ---------------------------------------
     {
+        const Stopwatch clock;
         Machine m(conflictProneMachine());
         SimAllocator alloc(m);
         RelocationPool pool(alloc, 64 << 20);
@@ -101,10 +102,12 @@ main()
         for (unsigned i = 0; i < 8; ++i)
             m.access(Access::store(cr.new_addrs[i], 8, cr.new_addrs[(i + 1) % 8]));
         const Cycles updated = chase(m, cr.new_addrs[0], hops);
+        const double wall_ms = clock.ms();
 
         report.addCase("coloring/original", before, 0, 0, obs::MetricsNode{});
         report.addCase("coloring/stale", stale, 0, 0, obs::MetricsNode{});
-        report.addCase("coloring/updated", updated, 0, 0, m.metrics());
+        report.addCase("coloring/updated", updated, 0, 0, m.metrics(),
+                       wall_ms);
 
         std::printf("\npart 1: chasing a ring of 8 conflict-mapped "
                     "nodes, %u hops\n", hops);
@@ -121,6 +124,7 @@ main()
 
     // ----- part 2: data copying for a tile ------------------------------
     {
+        const Stopwatch clock;
         Machine m(conflictProneMachine());
         SimAllocator alloc(m);
         RelocationPool pool(alloc, 64 << 20);
@@ -159,9 +163,10 @@ main()
         const Addr buffer =
             copyTile(fwd, matrix, rows, row_bytes, cache, pool);
         const Cycles after = reuse(buffer, row_bytes, passes);
+        const double wall_ms = clock.ms();
 
         report.addCase("copying/strided", before, 0, 0, obs::MetricsNode{});
-        report.addCase("copying/dense", after, 0, 0, m.metrics());
+        report.addCase("copying/dense", after, 0, 0, m.metrics(), wall_ms);
 
         // Functional check through the original (now forwarded) rows.
         bool ok = true;

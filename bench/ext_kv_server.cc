@@ -24,7 +24,6 @@
  * lane gates on host.refs_per_sec via bench_diff --require-metric.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -64,15 +63,13 @@ runKv(const std::string &label, BackendKind kind, bool ftc)
     WorkloadParams params;
     params.scale = benchScale();
 
-    const auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch clock;
     Machine machine(mc);
     KvServer kv(params);
     WorkloadVariant variant;
     variant.layout_opt = true; // online compaction where supported
     kv.run(machine, variant);
-    res.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    res.wall_ms = clock.ms();
 
     res.checksum = kv.checksum();
     res.kv = kv.kvStats();

@@ -73,6 +73,7 @@ main()
            "page faults for a full list traversal, before and after "
            "linearization");
 
+    const Stopwatch clock;
     Machine m;
     SimAllocator alloc(m);
     RelocationPool pool(alloc, 64 << 20);
@@ -109,6 +110,7 @@ main()
     paging.clearStats();
     m.tracer().addSink(&sink);
     const std::uint64_t sum_after = traverse(m, head);
+    const double wall_ms = clock.ms();
     const std::uint64_t faults_after = paging.faults();
     const std::uint64_t pages_after = paging.pagesTouched();
     m.tracer().removeSink(&sink);
@@ -121,7 +123,7 @@ main()
     report.addCase("scattered/page_faults", faults_before, 0, sum_before,
                    obs::MetricsNode{});
     report.addCase("linearized/page_faults", faults_after, 0, sum_after,
-                   m.metrics());
+                   m.metrics(), wall_ms);
 
     std::printf("\n%u-node list, %s bytes of payload data\n", n,
                 withCommas(std::uint64_t(n) * node_bytes).c_str());

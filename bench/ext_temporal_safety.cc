@@ -29,7 +29,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -185,12 +184,9 @@ main()
     // ----- part 1: injected-bug corpus ---------------------------------
     const unsigned n_pairs =
         std::max(16u, static_cast<unsigned>(600 * benchScale()));
-    const auto host_t0 = std::chrono::steady_clock::now();
+    const Stopwatch corpus_clock;
     const CorpusResult corpus = runCorpus(n_pairs);
-    const double corpus_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - host_t0)
-            .count();
+    const double corpus_ms = corpus_clock.ms();
 
     const double uaf_rate =
         corpus.uaf_probes
@@ -240,12 +236,9 @@ main()
         const RunResult off = runWorkload(cfg);
         cfg.machine.metadataPlane(true);
         // Only the plane-on run is recorded, so only it is timed.
-        const auto wl_t0 = std::chrono::steady_clock::now();
+        const Stopwatch wl_clock;
         const RunResult on = runWorkload(cfg);
-        const double wl_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - wl_t0)
-                .count();
+        const double wl_ms = wl_clock.ms();
 
         const std::uint64_t violations = violationCount(on);
         const std::uint64_t off_cycles = off.metrics.counterAt("cycles");

@@ -28,11 +28,9 @@ main()
     for (const auto &name : figure5Workloads()) {
         RunConfig cfg = benchConfig(name, machineAt(32));
         const auto [n, l] = runPair(name + "/32B", cfg);
-        const RunResult np = runBestPrefetch(cfg, prefetchBlocks());
+        const RunResult np = runBestCase(name + "/32B/NP_best", cfg);
         cfg.variant.layout_opt = true;
-        const RunResult lp = runBestPrefetch(cfg, prefetchBlocks());
-        report.add(name + "/32B/NP_best", np);
-        report.add(name + "/32B/LP_best", lp);
+        const RunResult lp = runBestCase(name + "/32B/LP_best", cfg);
 
         const auto cycles = [](const RunResult &r) {
             return r.metrics.counterAt("cycles");

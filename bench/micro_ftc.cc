@@ -59,6 +59,7 @@ CaseResult
 runChains(const std::string &label, const MachineConfig &mc,
           unsigned objects)
 {
+    const Stopwatch clock;
     Machine m(mc);
 
     // Build the chains: each object relocated chain_depth times, so a
@@ -88,6 +89,7 @@ runChains(const std::string &label, const MachineConfig &mc,
             checksum = checksum * 31 + lr.value;
         }
     }
+    const double wall_ms = clock.ms();
 
     const ForwardingStats &st = m.forwarding().stats();
     const std::uint64_t forwarded = st.walks + st.ftc_hits;
@@ -103,7 +105,7 @@ runChains(const std::string &label, const MachineConfig &mc,
 
     if (auto *rep = Report::current()) {
         rep->addCase(label, res.cycles, m.cpu().instructions(), checksum,
-                     m.metrics());
+                     m.metrics(), wall_ms);
     }
     return res;
 }

@@ -72,12 +72,25 @@ Machine::translate(Addr addr, Cycles now)
     return now;
 }
 
+void
+Machine::traceRef(const Access &a, AccessType type, Cycles issue,
+                  const WalkResult &w, bool l1_missed)
+{
+    tracer_.emit({obs::EventKind::reference, type, issue, a.addr,
+                  w.final_addr, w.hops, a.size});
+    if (w.hops > 0)
+        tracer_.emit({obs::EventKind::chain_walk, type, issue, a.addr,
+                      w.final_addr, w.hops, a.size});
+    if (l1_missed)
+        tracer_.emit({obs::EventKind::cache_miss, type, issue, a.addr,
+                      w.final_addr, 0, a.size});
+}
+
 template <Machine::Exec E>
 Cycles
-Machine::rawAccess(const Access &a, bool is_load, std::uint64_t &alu_acc)
+Machine::rawAccess(const Access &a, bool is_load)
 {
     if constexpr (E == Exec::functional) {
-        ++alu_acc;
         return 0;
     } else {
         // The ISA extensions never follow forwarding; the forwarding bit
@@ -96,7 +109,7 @@ Machine::rawAccess(const Access &a, bool is_load, std::uint64_t &alu_acc)
 
 template <Machine::Exec E>
 AccessResult
-Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
+Machine::exec(const Access &a)
 {
     ++refs_;
     switch (a.kind) {
@@ -128,23 +141,11 @@ Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
         }
 
         Cycles done = 0;
-        if constexpr (E == Exec::functional) {
-            ++alu_acc;
-        } else {
+        if constexpr (E == Exec::timed) {
             const HierarchyResult r = hierarchy_->access(
                 w.final_addr, type, translate(w.final_addr, w.ready));
-            if constexpr (E == Exec::traced) {
-                tracer_.emit({obs::EventKind::reference, type, mi.issue,
-                              a.addr, w.final_addr, w.hops, a.size});
-                if (w.hops > 0)
-                    tracer_.emit({obs::EventKind::chain_walk, type,
-                                  mi.issue, a.addr, w.final_addr, w.hops,
-                                  a.size});
-                if (r.l1 != MissKind::hit)
-                    tracer_.emit({obs::EventKind::cache_miss, type,
-                                  mi.issue, a.addr, w.final_addr, 0,
-                                  a.size});
-            }
+            if (tracer_.active()) [[unlikely]]
+                traceRef(a, type, mi.issue, w, r.l1 != MissKind::hit);
             const bool missed = (r.l1 != MissKind::hit) || w.hop_missed_l1;
             const Addr w0 = wordAlign(a.addr);
             const Addr w1 = wordAlign(w.final_addr);
@@ -159,21 +160,21 @@ Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
       }
 
       case RefKind::read_fbit: {
-        const Cycles done = rawAccess<E>(a, true, alu_acc);
+        const Cycles done = rawAccess<E>(a, true);
         return {mem_.fbit(a.addr) ? 1u : 0u, done, 0, a.addr, false};
       }
 
       case RefKind::unforwarded_read: {
         if (gate_ && gate_->enforcing())
             gate_->checkUnforwardedRead(a.addr, mem_);
-        const Cycles done = rawAccess<E>(a, true, alu_acc);
+        const Cycles done = rawAccess<E>(a, true);
         return {mem_.rawReadWord(a.addr), done, 0, a.addr, false};
       }
 
       case RefKind::unforwarded_write: {
         if (gate_ && gate_->enforcing())
             gate_->checkUnforwardedWrite(a.addr, a.fbit, mem_);
-        const Cycles done = rawAccess<E>(a, false, alu_acc);
+        const Cycles done = rawAccess<E>(a, false);
         mem_.unforwardedWrite(a.addr, a.value, a.fbit);
         return {a.value, done, 0, a.addr, false};
       }
@@ -183,9 +184,7 @@ Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
         // prefetch of a forwarded word harmlessly pulls in the forwarding
         // word itself), never block graduation, and are timing-only — a
         // no-op when timing is skipped.
-        if constexpr (E == Exec::functional) {
-            ++alu_acc;
-        } else {
+        if constexpr (E == Exec::timed) {
             const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
             prefetcher_->issue(a.addr, static_cast<unsigned>(a.value),
                                mi.issue);
@@ -194,9 +193,7 @@ Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
         return {0, 0, 0, a.addr, false};
 
       case RefKind::compute:
-        if constexpr (E == Exec::functional)
-            alu_acc += a.value;
-        else
+        if constexpr (E == Exec::timed)
             cpu_->alu(a.value);
         return {0, 0, 0, 0, false};
     }
@@ -206,9 +203,8 @@ Machine::exec(const Access &a, [[maybe_unused]] std::uint64_t &alu_acc)
 AccessResult
 Machine::accessFast(const Access &a)
 {
-    std::uint64_t alu_acc = 0;
-    AccessResult r = exec<Exec::functional>(a, alu_acc);
-    cpu_->alu(alu_acc);
+    const AccessResult r = exec<Exec::functional>(a);
+    cpu_->alu(a.kind == RefKind::compute ? a.value : 1);
     return r;
 }
 
@@ -217,37 +213,14 @@ Machine::access(const Access &a)
 {
     if (ff_active_)
         return accessFast(a);
-    std::uint64_t unused = 0;
-    return tracer_.active() ? exec<Exec::traced>(a, unused)
-                            : exec<Exec::timed>(a, unused);
-}
-
-template <Machine::Exec E>
-void
-Machine::runRefs(const Access *refs, std::size_t n)
-{
-    // Fast-forward hands the whole batch's ALU count to the CPU in one
-    // alu() call, which retires it at the CPU's next observer.
-    std::uint64_t alu_acc = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        exec<E>(refs[i], alu_acc);
-    if constexpr (E == Exec::functional)
-        cpu_->alu(alu_acc);
+    return exec<Exec::timed>(a);
 }
 
 void
 Machine::run(AccessBatch &batch)
 {
-    // The dispatch (fast-forward? tracer?) is decided once per batch —
-    // this is the branch hoisting the batched API exists for.
-    const Access *refs = batch.data();
-    const std::size_t n = batch.size();
-    if (ff_active_)
-        runRefs<Exec::functional>(refs, n);
-    else if (tracer_.active())
-        runRefs<Exec::traced>(refs, n);
-    else
-        runRefs<Exec::timed>(refs, n);
+    for (const Access &a : batch)
+        access(a);
 }
 
 void

@@ -239,8 +239,8 @@ enum class RefKind : std::uint8_t
 
 /**
  * One reference in the unified access API.  Build instances with the
- * named constructors (Access::load, Access::store, ...); every kind
- * goes through the one entry point that the batched loop shares.
+ * named constructors (Access::load, Access::store, ...) and execute
+ * them with Machine::access(), the one entry point for every kind.
  */
 struct Access
 {
@@ -392,21 +392,20 @@ class Machine
     // ----- unified access entry point ----------------------------------
 
     /**
-     * Execute one reference of any kind (runtime/ref_stream.hh has the
-     * batched form).  This is the single timed entry point.
+     * Execute one reference of any kind, in program order.  This is the
+     * machine's only dispatcher: every reference, timed or
+     * fast-forwarded, traced or not, enters here.
      */
     AccessResult access(const Access &a);
 
     /**
-     * Execute @p batch's references in order (their results are
-     * dropped: anything that needs one goes through access()).  The
-     * tracer/fast-forward dispatch is hoisted out of the per-reference
-     * loop, so large batches pay one branch per batch instead of
-     * several per reference.
+     * Replay @p batch through access(), one call per reference, in
+     * order (results are dropped: anything that needs one calls
+     * access() itself).
      */
     void run(AccessBatch &batch);
 
-    /** Pull batches from @p stream until it is exhausted. */
+    /** Pull batches from @p stream and run them until it is exhausted. */
     void run(RefStream &stream);
 
     // ----- fast-forward regions ----------------------------------------
@@ -542,32 +541,32 @@ class Machine
     enum class Exec
     {
         functional, ///< fast-forward: forwarding exact, no cache/CPU time
-        timed,      ///< full timing
-        traced      ///< full timing plus tracer events
+        timed       ///< full timing, plus tracer events if a sink listens
     };
 
     /**
-     * Execute one reference of any kind.  Functional execution counts
-     * each reference as ALU work in @p alu_acc instead of touching the
-     * CPU, and returns `ready` 0.  Consecutive ALU instructions retire
-     * the same one at a time or all at once, so a batch hands its whole
-     * count to one OooCpu::alu() with bit-identical cycle results.
-     * Timed execution leaves @p alu_acc alone.
+     * Execute one reference of any kind.  Functional execution touches
+     * neither the cache nor the CPU and returns `ready` 0; accessFast()
+     * charges its ALU work.
      */
-    template <Exec E> AccessResult exec(const Access &a, std::uint64_t &alu_acc);
-
-    /** Timing of an ISA extension (no forwarding); returns its ready cycle. */
-    template <Exec E>
-    Cycles rawAccess(const Access &a, bool is_load, std::uint64_t &alu_acc);
+    template <Exec E> AccessResult exec(const Access &a);
 
     /**
-     * exec<Exec::functional>() plus one OooCpu::alu() call for its ALU
-     * work, which the CPU retires at its next observer (the per-call
-     * path; kept out of line so access() stays small).
+     * The tracer events of one timed load or store; out of line so the
+     * untraced timed path stays compact.
+     */
+    void traceRef(const Access &a, AccessType type, Cycles issue,
+                  const WalkResult &w, bool l1_missed);
+
+    /** Timing of an ISA extension (no forwarding); returns its ready cycle. */
+    template <Exec E> Cycles rawAccess(const Access &a, bool is_load);
+
+    /**
+     * exec<Exec::functional>() plus one OooCpu::alu() call: a compute
+     * bundle retires its own count, any other reference one ALU
+     * instruction, at the CPU's next observer.
      */
     AccessResult accessFast(const Access &a);
-
-    template <Exec E> void runRefs(const Access *refs, std::size_t n);
 
     /** Final address of @p addr for peek/poke (see peek()). */
     Addr untimedFinal(Addr addr) const;

@@ -21,7 +21,6 @@
 
 #include "common/logging.hh"
 #include "runtime/machine.hh"
-#include "runtime/ref_stream.hh"
 #include "runtime/sim_allocator.hh"
 #include "runtime/layout_backend.hh"
 #include "runtime/subtree_cluster.hh"
@@ -139,35 +138,29 @@ Bh::run(Machine &machine, const WorkloadVariant &variant)
         backend = makeLayoutBackend(machine, alloc);
 
     // ----- create bodies (scattered) and the body list -----------------
-    // Store-dominated: emit through a BatchEmitter, flushing before
-    // each alloc so program order (and hence timing) is unchanged.
     machine.enterRegion("build");
     const Addr body_list_head = alloc.alloc(wordBytes);
 
     std::vector<Addr> bodies(n_bodies);
     std::vector<std::uint64_t> body_pos_native(n_bodies);
-    {
-        BatchEmitter em(machine);
-        em.store(body_list_head, wordBytes, 0);
-        for (unsigned i = 0; i < n_bodies; ++i) {
-            em.flush();
-            const Addr b = alloc.alloc(body_bytes, Placement::scattered);
-            bodies[i] = b;
-            const std::uint64_t pos =
-                packPos(mix64(params_.seed, i * 3 + 0) & coord_mask,
-                        mix64(params_.seed, i * 3 + 1) & coord_mask,
-                        mix64(params_.seed, i * 3 + 2) & coord_mask);
-            body_pos_native[i] = pos;
-            em.store(b + body_tag, wordBytes, tag_body);
-            em.store(b + body_mass, wordBytes,
-                     1 + mix64(i, params_.seed) % 97);
-            em.store(b + body_pos, wordBytes, pos);
-            em.store(b + body_acc, wordBytes, 0);
-            const AccessResult head = em.load(body_list_head, wordBytes);
-            em.store(b + body_next, wordBytes, head.value);
-            em.store(body_list_head, wordBytes, b);
-        }
-        em.flush();
+    machine.access(Access::store(body_list_head, wordBytes, 0));
+    for (unsigned i = 0; i < n_bodies; ++i) {
+        const Addr b = alloc.alloc(body_bytes, Placement::scattered);
+        bodies[i] = b;
+        const std::uint64_t pos =
+            packPos(mix64(params_.seed, i * 3 + 0) & coord_mask,
+                    mix64(params_.seed, i * 3 + 1) & coord_mask,
+                    mix64(params_.seed, i * 3 + 2) & coord_mask);
+        body_pos_native[i] = pos;
+        machine.access(Access::store(b + body_tag, wordBytes, tag_body));
+        machine.access(Access::store(b + body_mass, wordBytes,
+                                     1 + mix64(i, params_.seed) % 97));
+        machine.access(Access::store(b + body_pos, wordBytes, pos));
+        machine.access(Access::store(b + body_acc, wordBytes, 0));
+        const AccessResult head =
+            machine.access(Access::load(body_list_head, wordBytes));
+        machine.access(Access::store(b + body_next, wordBytes, head.value));
+        machine.access(Access::store(body_list_head, wordBytes, b));
     }
 
     const Addr root_handle = alloc.alloc(wordBytes);
@@ -177,11 +170,9 @@ Bh::run(Machine &machine, const WorkloadVariant &variant)
     for (unsigned step = 0; step < n_steps; ++step) {
         // ----- build the octree depth-first --------------------------
         // Construction and the aggregate pass are bracketed as the
-        // "build" fast-forward region; stores go through a BatchEmitter
-        // (loads flush through it, so program order is exact).
+        // "build" fast-forward region.
         machine.enterRegion("build");
-        BatchEmitter em(machine);
-        em.store(root_handle, wordBytes, 0);
+        machine.access(Access::store(root_handle, wordBytes, 0));
 
         // insert(body): descend from the root by octant until an empty
         // slot is found; when a body collides, split the cell.
@@ -196,13 +187,14 @@ Bh::run(Machine &machine, const WorkloadVariant &variant)
         };
 
         auto newCell = [&](unsigned level, std::uint64_t anchor) {
-            em.flush();
             const Addr c = alloc.alloc(cell_bytes, Placement::scattered);
-            em.store(c + cell_tag, wordBytes, tag_cell);
-            em.store(c + cell_mass, wordBytes, 0);
-            em.store(c + cell_pos, wordBytes, anchor);
-            for (unsigned k = 0; k < cell_children; ++k)
-                em.store(c + cell_child0 + k * wordBytes, wordBytes, 0);
+            machine.access(Access::store(c + cell_tag, wordBytes, tag_cell));
+            machine.access(Access::store(c + cell_mass, wordBytes, 0));
+            machine.access(Access::store(c + cell_pos, wordBytes, anchor));
+            for (unsigned k = 0; k < cell_children; ++k) {
+                machine.access(Access::store(
+                    c + cell_child0 + k * wordBytes, wordBytes, 0));
+            }
             (void)level;
             return c;
         };
@@ -211,40 +203,42 @@ Bh::run(Machine &machine, const WorkloadVariant &variant)
             const std::uint64_t pos = body_pos_native[i];
             Addr slot = root_handle;
             unsigned level = 0;
-            AccessResult cur = em.load(slot, wordBytes);
+            AccessResult cur = machine.access(Access::load(slot, wordBytes));
             for (;;) {
                 if (cur.value == 0) {
-                    em.store(slot, wordBytes, bodies[i]);
+                    machine.access(
+                        Access::store(slot, wordBytes, bodies[i]));
                     break;
                 }
                 const Addr node = static_cast<Addr>(cur.value);
-                const AccessResult tag =
-                    em.load(node + cell_tag, wordBytes, cur.ready);
+                const AccessResult tag = machine.access(
+                    Access::load(node + cell_tag, wordBytes, cur.ready));
                 if (tag.value == tag_cell) {
                     // Descend into the matching octant.
                     const unsigned o = octant(pos, level);
                     slot = node + cell_child0 + o * wordBytes;
                     ++level;
-                    cur = em.load(slot, wordBytes, tag.ready);
+                    cur = machine.access(
+                        Access::load(slot, wordBytes, tag.ready));
                     continue;
                 }
                 // Collision with a body: split.
-                const AccessResult other_pos =
-                    em.load(node + body_pos, wordBytes, tag.ready);
+                const AccessResult other_pos = machine.access(
+                    Access::load(node + body_pos, wordBytes, tag.ready));
                 const Addr cell = newCell(level, pos);
-                em.store(slot, wordBytes, cell);
+                machine.access(Access::store(slot, wordBytes, cell));
                 const unsigned oo = octant(other_pos.value, level);
-                em.store(cell + cell_child0 + oo * wordBytes, wordBytes,
-                         node);
+                machine.access(Access::store(
+                    cell + cell_child0 + oo * wordBytes, wordBytes, node));
                 slot = cell + cell_child0 +
                        octant(pos, level) * wordBytes;
                 ++level;
                 memfwd_assert(level < coord_bits + 8,
                               "bh: insertion depth overflow "
                               "(coincident bodies?)");
-                cur = em.load(slot, wordBytes);
+                cur = machine.access(Access::load(slot, wordBytes));
             }
-            em.compute(8);
+            machine.access(Access::compute(8));
         }
 
         // ----- compute cell aggregates (post-order, depth-first) ------
@@ -258,7 +252,8 @@ Bh::run(Machine &machine, const WorkloadVariant &variant)
         std::vector<std::pair<Addr, Cycles>> stack;
         std::vector<Addr> postorder;
         {
-            const AccessResult root = em.load(root_handle, wordBytes);
+            const AccessResult root =
+                machine.access(Access::load(root_handle, wordBytes));
             if (root.value != 0)
                 stack.emplace_back(static_cast<Addr>(root.value),
                                    root.ready);
@@ -267,15 +262,15 @@ Bh::run(Machine &machine, const WorkloadVariant &variant)
         while (!stack.empty()) {
             auto [node, dep] = stack.back();
             stack.pop_back();
-            const AccessResult tag =
-                em.load(node + cell_tag, wordBytes, dep);
+            const AccessResult tag = machine.access(
+                Access::load(node + cell_tag, wordBytes, dep));
             if (tag.value != tag_cell)
                 continue;
             postorder.push_back(node);
             for (unsigned k = 0; k < cell_children; ++k) {
-                const AccessResult ch = em.load(
+                const AccessResult ch = machine.access(Access::load(
                     node + cell_child0 + k * wordBytes, wordBytes,
-                    tag.ready);
+                    tag.ready));
                 if (ch.value != 0)
                     stack.emplace_back(static_cast<Addr>(ch.value),
                                        ch.ready);
@@ -289,29 +284,28 @@ Bh::run(Machine &machine, const WorkloadVariant &variant)
             std::uint64_t pos_sum[3] = {0, 0, 0};
             std::uint64_t count = 0;
             for (unsigned k = 0; k < cell_children; ++k) {
-                const AccessResult ch = em.load(
-                    node + cell_child0 + k * wordBytes, wordBytes);
+                const AccessResult ch = machine.access(Access::load(
+                    node + cell_child0 + k * wordBytes, wordBytes));
                 if (ch.value == 0)
                     continue;
                 const Addr c = static_cast<Addr>(ch.value);
-                const AccessResult m =
-                    em.load(c + cell_mass, wordBytes, ch.ready);
-                const AccessResult p =
-                    em.load(c + cell_pos, wordBytes, ch.ready);
+                const AccessResult m = machine.access(
+                    Access::load(c + cell_mass, wordBytes, ch.ready));
+                const AccessResult p = machine.access(
+                    Access::load(c + cell_pos, wordBytes, ch.ready));
                 mass += m.value;
                 for (unsigned axis = 0; axis < 3; ++axis)
                     pos_sum[axis] += coordOf(p.value, axis);
                 ++count;
             }
-            em.compute(16);
+            machine.access(Access::compute(16));
             const std::uint64_t com =
                 count ? packPos(pos_sum[0] / count, pos_sum[1] / count,
                                 pos_sum[2] / count)
                       : 0;
-            em.store(node + cell_mass, wordBytes, mass);
-            em.store(node + cell_pos, wordBytes, com);
+            machine.access(Access::store(node + cell_mass, wordBytes, mass));
+            machine.access(Access::store(node + cell_pos, wordBytes, com));
         }
-        em.flush();
         machine.exitRegion("build");
 
         // ----- layout optimization ------------------------------------

@@ -29,7 +29,6 @@
 #include "common/logging.hh"
 #include "runtime/layout_backend.hh"
 #include "runtime/machine.hh"
-#include "runtime/ref_stream.hh"
 #include "runtime/sim_allocator.hh"
 #include "workloads/workload_util.hh"
 
@@ -137,16 +136,14 @@ Compress::run(Machine &machine, const WorkloadVariant &variant)
     // cl_hash(): sequential reset of htab alone — the htab-only scan
     // whose locality the merged layout dilutes.
     const unsigned line_bytes = machine.config().hierarchy.l1d.line_bytes;
-    // Store-only scan: emit through a batch so the reset sweeps run at
-    // host speed without changing program order.
     auto clHash = [&] {
-        BatchEmitter em(machine);
         for (unsigned i = 0; i < hsize; ++i) {
             if (variant.prefetch && (i & 7) == 0) {
-                em.prefetch(htabAddr(i) + line_bytes,
-                            variant.prefetch_block);
+                machine.access(Access::prefetch(htabAddr(i) + line_bytes,
+                                                variant.prefetch_block));
             }
-            em.store(htabAddr(i), wordBytes, ~std::uint64_t(0));
+            machine.access(
+                Access::store(htabAddr(i), wordBytes, ~std::uint64_t(0)));
         }
     };
     machine.enterRegion("build");

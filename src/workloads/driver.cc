@@ -24,7 +24,8 @@ runWorkload(const RunConfig &cfg)
 }
 
 RunResult
-runBestPrefetch(RunConfig cfg, const std::vector<unsigned> &block_sizes)
+runBestPrefetch(RunConfig cfg, const std::vector<unsigned> &block_sizes,
+                const std::function<RunResult(const RunConfig &)> &run)
 {
     memfwd_assert(!block_sizes.empty(), "need at least one block size");
     RunResult best;
@@ -32,7 +33,7 @@ runBestPrefetch(RunConfig cfg, const std::vector<unsigned> &block_sizes)
     for (unsigned b : block_sizes) {
         cfg.variant.prefetch = true;
         cfg.variant.prefetch_block = b;
-        RunResult r = runWorkload(cfg);
+        RunResult r = run(cfg);
         if (first || r.metrics.counterAt("cycles") <
                          best.metrics.counterAt("cycles")) {
             best = r;

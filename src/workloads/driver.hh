@@ -8,7 +8,9 @@
 #define MEMFWD_WORKLOADS_DRIVER_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "obs/metrics.hh"
@@ -60,10 +62,12 @@ RunResult runWorkload(const RunConfig &cfg);
  * Run the prefetch variant across prefetch block sizes in
  * @p block_sizes and return the best-performing result, as the paper
  * reports "the block size that performed the best for each case"
- * (Section 5.2).
+ * (Section 5.2).  Each size runs through @p run (a bench passes one
+ * that also times the run).
  */
-RunResult runBestPrefetch(RunConfig cfg,
-                          const std::vector<unsigned> &block_sizes);
+RunResult runBestPrefetch(
+    RunConfig cfg, const std::vector<unsigned> &block_sizes,
+    const std::function<RunResult(const RunConfig &)> &run = runWorkload);
 
 } // namespace memfwd
 

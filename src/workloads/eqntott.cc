@@ -23,7 +23,6 @@
 #include "common/logging.hh"
 #include "runtime/layout_backend.hh"
 #include "runtime/machine.hh"
-#include "runtime/ref_stream.hh"
 #include "runtime/sim_allocator.hh"
 #include "workloads/workload_util.hh"
 
@@ -95,35 +94,28 @@ Eqntott::run(Machine &machine, const WorkloadVariant &variant)
     // The table itself is a dense array of pointers (that part is
     // already contiguous); the records and arrays it points to are
     // scattered, interleaved by construction order.
-    // Store-dominated: emit through a BatchEmitter, flushing before
-    // each alloc so program order (and hence timing) is unchanged.
     machine.enterRegion("build");
     const Addr table = alloc.alloc(Addr(n_pterms) * wordBytes);
 
-    {
-        BatchEmitter em(machine);
-        for (unsigned i = 0; i < n_pterms; ++i) {
-            em.flush();
-            const Addr rec = alloc.alloc(pt_bytes, Placement::scattered);
-            em.flush();
-            const Addr arr =
-                alloc.alloc(array_bytes, Placement::scattered);
-            em.store(rec + pt_array, wordBytes, arr);
-            em.store(rec + pt_nvars, wordBytes, n_vars);
-            em.store(rec + pt_index, wordBytes, i);
-            for (unsigned v = 0; v < n_vars; ++v) {
-                // 2-bit literal values packed in shorts, as in eqntott.
-                // Mostly a shared pattern with sparse per-PTERM
-                // deviations, so comparisons walk deep into the arrays
-                // (as cmppt does on the mostly-similar PTERMs of real
-                // inputs).
-                std::uint64_t val = mix64(params_.seed, v) % 3;
-                if (hashChance(mix64(i, v ^ params_.seed), 50, 1000))
-                    val = (val + 1) % 3;
-                em.store(arr + v * 2, 2, val);
-            }
-            em.store(table + Addr(i) * wordBytes, wordBytes, rec);
+    for (unsigned i = 0; i < n_pterms; ++i) {
+        const Addr rec = alloc.alloc(pt_bytes, Placement::scattered);
+        const Addr arr = alloc.alloc(array_bytes, Placement::scattered);
+        machine.access(Access::store(rec + pt_array, wordBytes, arr));
+        machine.access(Access::store(rec + pt_nvars, wordBytes, n_vars));
+        machine.access(Access::store(rec + pt_index, wordBytes, i));
+        for (unsigned v = 0; v < n_vars; ++v) {
+            // 2-bit literal values packed in shorts, as in eqntott.
+            // Mostly a shared pattern with sparse per-PTERM
+            // deviations, so comparisons walk deep into the arrays
+            // (as cmppt does on the mostly-similar PTERMs of real
+            // inputs).
+            std::uint64_t val = mix64(params_.seed, v) % 3;
+            if (hashChance(mix64(i, v ^ params_.seed), 50, 1000))
+                val = (val + 1) % 3;
+            machine.access(Access::store(arr + v * 2, 2, val));
         }
+        machine.access(
+            Access::store(table + Addr(i) * wordBytes, wordBytes, rec));
     }
     machine.exitRegion("build");
 

@@ -30,7 +30,6 @@
 #include "runtime/layout_backend.hh"
 #include "runtime/list_linearize.hh"
 #include "runtime/machine.hh"
-#include "runtime/ref_stream.hh"
 #include "runtime/sim_allocator.hh"
 #include "workloads/workload_util.hh"
 
@@ -125,16 +124,13 @@ Health::run(Machine &machine, const WorkloadVariant &variant)
     std::vector<VillageInfo> villages;
 
     // Breadth-first construction so the leaf range is easy to track.
-    // Store-dominated: emit through a BatchEmitter, flushing before
-    // each alloc so program order (and hence timing) is unchanged.
     machine.enterRegion("build");
     std::size_t leaf_count = 0;
     {
-        BatchEmitter em(machine);
         const Addr root = alloc.alloc(vil_bytes, Placement::scattered);
-        em.store(root + vil_parent, wordBytes, 0);
-        em.store(root + vil_waiting, wordBytes, 0);
-        em.store(root + vil_label, wordBytes, 0);
+        machine.access(Access::store(root + vil_parent, wordBytes, 0));
+        machine.access(Access::store(root + vil_waiting, wordBytes, 0));
+        machine.access(Access::store(root + vil_label, wordBytes, 0));
         villages.push_back({root, 0, 0});
 
         std::uint64_t label = 1;
@@ -144,14 +140,16 @@ Health::run(Machine &machine, const WorkloadVariant &variant)
             for (std::size_t pi : current_idx) {
                 const Addr parent = villages[pi].addr;
                 for (unsigned c = 0; c < branching; ++c) {
-                    em.flush();
                     const Addr v =
                         alloc.alloc(vil_bytes, Placement::scattered);
-                    em.store(v + vil_parent, wordBytes, parent);
-                    em.store(v + vil_waiting, wordBytes, 0);
-                    em.store(v + vil_label, wordBytes, label++);
-                    em.store(parent + vil_child0 + c * wordBytes,
-                             wordBytes, v);
+                    machine.access(
+                        Access::store(v + vil_parent, wordBytes, parent));
+                    machine.access(
+                        Access::store(v + vil_waiting, wordBytes, 0));
+                    machine.access(
+                        Access::store(v + vil_label, wordBytes, label++));
+                    machine.access(Access::store(
+                        parent + vil_child0 + c * wordBytes, wordBytes, v));
                     next_level.push_back(villages.size());
                     villages.push_back({v, level, pi});
                 }

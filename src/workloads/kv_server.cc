@@ -23,7 +23,6 @@
 #include "common/logging.hh"
 #include "runtime/layout_backend.hh"
 #include "runtime/machine.hh"
-#include "runtime/ref_stream.hh"
 #include "runtime/sim_allocator.hh"
 #include "workloads/workload_util.hh"
 
@@ -121,10 +120,8 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
     std::deque<std::pair<std::uint64_t, std::uint64_t>> fifo;
     std::uint64_t next_gen = 1;
 
-    BatchEmitter em(machine);
 
     auto freeSession = [&](const Session &s) {
-        em.flush();
         for (const BackendRef b : s.blocks)
             backend->free(b);
         backend->free(s.header);
@@ -159,9 +156,7 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
     };
 
     // Build the record for @p key: blocks tail-first so each link word
-    // is written at creation, then the header.  All stores are batched;
-    // the flushes keep program order exact around the backend's own
-    // timed work (alloc compute, handle-table stores).
+    // is written at creation, then the header.
     auto buildSession = [&](std::uint64_t key) {
         while (directory.size() >= max_resident) {
             if (!dropOldest())
@@ -175,25 +170,27 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
         s.blocks.resize(nb);
         BackendRef next = 0;
         for (unsigned bi = nb; bi-- > 0;) {
-            em.flush();
             const BackendRef ref = allocOrEvict(blk_bytes);
             s.blocks[bi] = ref;
             const ResolvedRef r = backend->resolve(ref);
-            em.store(r.addr + blk_link, wordBytes, next, r.ready);
+            machine.access(
+                Access::store(r.addr + blk_link, wordBytes, next, r.ready));
             for (unsigned j = 0; j < dw; ++j) {
-                em.store(r.addr + (1 + j) * wordBytes, wordBytes,
-                         valueWord(key, bi, j), r.ready);
+                machine.access(Access::store(r.addr + (1 + j) * wordBytes,
+                                             wordBytes, valueWord(key, bi, j),
+                                             r.ready));
             }
             next = ref;
         }
-        em.flush();
         s.header = allocOrEvict(hdr_bytes);
         const ResolvedRef h = backend->resolve(s.header);
-        em.store(h.addr + hdr_key, wordBytes, key, h.ready);
-        em.store(h.addr + hdr_nblocks, wordBytes, nb, h.ready);
-        em.store(h.addr + hdr_head, wordBytes, next, h.ready);
-        em.store(h.addr + 24, wordBytes, 0, h.ready);
-        em.flush();
+        machine.access(
+            Access::store(h.addr + hdr_key, wordBytes, key, h.ready));
+        machine.access(
+            Access::store(h.addr + hdr_nblocks, wordBytes, nb, h.ready));
+        machine.access(
+            Access::store(h.addr + hdr_head, wordBytes, next, h.ready));
+        machine.access(Access::store(h.addr + 24, wordBytes, 0, h.ready));
         s.gen = next_gen++;
         fifo.emplace_back(key, s.gen);
         directory[key] = std::move(s);
@@ -205,7 +202,6 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
     // compaction, handles pays one dependent table load per resolve.
     auto readSession = [&](std::uint64_t key) {
         const Session &s = directory.at(key);
-        em.flush();
         const ResolvedRef h = backend->resolve(s.header);
         const AccessResult nb_r = machine.access(
             Access::load(h.addr + hdr_nblocks, wordBytes, h.ready));
@@ -263,7 +259,6 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
                               return a.first > b.first;
                           });
         live.resize(batch);
-        em.flush();
         for (const auto &[hdr_addr, s] : live) {
             for (const BackendRef b : s->blocks) {
                 if (backend->compactObject(b))
@@ -293,7 +288,6 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
          ++key) {
         buildSession(key);
     }
-    em.flush();
     machine.exitRegion("build");
 
     // ----- serving loop ---------------------------------------------------
@@ -347,7 +341,6 @@ KvServer::run(Machine &machine, const WorkloadVariant &variant)
             }
         }
     }
-    em.flush();
     machine.exitRegion("kernel");
 
     kv_.frag_final = fragNow();

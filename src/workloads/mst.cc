@@ -25,7 +25,6 @@
 #include "runtime/layout_backend.hh"
 #include "runtime/list_linearize.hh"
 #include "runtime/machine.hh"
-#include "runtime/ref_stream.hh"
 #include "runtime/sim_allocator.hh"
 #include "workloads/workload_util.hh"
 
@@ -100,29 +99,27 @@ Mst::run(Machine &machine, const WorkloadVariant &variant)
 
     // ----- build the graph ---------------------------------------------
     // Vertices go on a list (head kept in simulated memory so the list
-    // head handle can be passed to listLinearize).  Construction is
-    // store-dominated, so it emits through a BatchEmitter; the explicit
-    // flush before every alloc keeps program order exact (the allocator
-    // times the machine directly).
+    // head handle can be passed to listLinearize).
     machine.enterRegion("build");
-    BatchEmitter em(machine);
 
     const Addr vlist_head = alloc.alloc(wordBytes);
-    em.store(vlist_head, wordBytes, 0);
+    machine.access(Access::store(vlist_head, wordBytes, 0));
 
     std::vector<Addr> vertex_addr(n_vertices);
     for (unsigned i = 0; i < n_vertices; ++i) {
-        em.flush();
         const Addr v = alloc.alloc(vtx_bytes, Placement::scattered);
         vertex_addr[i] = v;
-        em.store(v + vtx_id, wordBytes, i);
-        em.store(v + vtx_dist, wordBytes, infinite_dist);
-        for (unsigned b = 0; b < n_buckets; ++b)
-            em.store(v + vtx_buckets + b * wordBytes, wordBytes, 0);
+        machine.access(Access::store(v + vtx_id, wordBytes, i));
+        machine.access(Access::store(v + vtx_dist, wordBytes, infinite_dist));
+        for (unsigned b = 0; b < n_buckets; ++b) {
+            machine.access(
+                Access::store(v + vtx_buckets + b * wordBytes, wordBytes, 0));
+        }
         // Prepend to the vertex list.
-        const AccessResult head = em.load(vlist_head, wordBytes);
-        em.store(v + vtx_next, wordBytes, head.value);
-        em.store(vlist_head, wordBytes, v);
+        const AccessResult head =
+            machine.access(Access::load(vlist_head, wordBytes));
+        machine.access(Access::store(v + vtx_next, wordBytes, head.value));
+        machine.access(Access::store(vlist_head, wordBytes, v));
     }
 
     // Undirected edges: vertex i connects to `degree` earlier vertices;
@@ -134,13 +131,13 @@ Mst::run(Machine &machine, const WorkloadVariant &variant)
         const Addr v = vertex_addr[from];
         const Addr bucket =
             v + vtx_buckets + (to % n_buckets) * wordBytes;
-        em.flush();
         const Addr e = alloc.alloc(ent_bytes, Placement::scattered);
-        const AccessResult head = em.load(bucket, wordBytes);
-        em.store(e + ent_next, wordBytes, head.value);
-        em.store(e + ent_key, wordBytes, to);
-        em.store(e + ent_weight, wordBytes, weight);
-        em.store(bucket, wordBytes, e);
+        const AccessResult head =
+            machine.access(Access::load(bucket, wordBytes));
+        machine.access(Access::store(e + ent_next, wordBytes, head.value));
+        machine.access(Access::store(e + ent_key, wordBytes, to));
+        machine.access(Access::store(e + ent_weight, wordBytes, weight));
+        machine.access(Access::store(bucket, wordBytes, e));
     };
 
     for (unsigned i = 1; i < n_vertices; ++i) {
@@ -153,7 +150,6 @@ Mst::run(Machine &machine, const WorkloadVariant &variant)
             insertEdge(j, i, w);
         }
     }
-    em.flush();
     machine.exitRegion("build");
     machine.enterRegion("opt");
 

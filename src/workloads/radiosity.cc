@@ -24,7 +24,6 @@
 #include "runtime/layout_backend.hh"
 #include "runtime/list_linearize.hh"
 #include "runtime/machine.hh"
-#include "runtime/ref_stream.hh"
 #include "runtime/sim_allocator.hh"
 #include "workloads/workload_util.hh"
 
@@ -107,23 +106,18 @@ Radiosity::run(Machine &machine, const WorkloadVariant &variant)
         backend = makeLayoutBackend(machine, alloc);
 
     // ----- build elements and initial interaction lists ----------------
-    // Store-dominated: emit through a BatchEmitter, flushing before
-    // each alloc so program order (and hence timing) is unchanged.
     machine.enterRegion("build");
     std::vector<Addr> elems(n_elems);
     std::vector<std::uint64_t> churn(n_elems, 0);
-    {
-        BatchEmitter em(machine);
-        for (unsigned i = 0; i < n_elems; ++i) {
-            em.flush();
-            const Addr e = alloc.alloc(elem_bytes, Placement::scattered);
-            elems[i] = e;
-            em.store(e + elem_rad, wordBytes,
-                     1000 + mix64(params_.seed, i) % 1000);
-            em.store(e + elem_gather, wordBytes, 0);
-            em.store(e + elem_id, wordBytes, i);
-            em.store(e + elem_ilist, wordBytes, 0);
-        }
+    for (unsigned i = 0; i < n_elems; ++i) {
+        const Addr e = alloc.alloc(elem_bytes, Placement::scattered);
+        elems[i] = e;
+        machine.access(
+            Access::store(e + elem_rad, wordBytes,
+                          1000 + mix64(params_.seed, i) % 1000));
+        machine.access(Access::store(e + elem_gather, wordBytes, 0));
+        machine.access(Access::store(e + elem_id, wordBytes, i));
+        machine.access(Access::store(e + elem_ilist, wordBytes, 0));
     }
 
     std::uint64_t interaction_id = 1;

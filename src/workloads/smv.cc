@@ -27,7 +27,6 @@
 #include "runtime/layout_backend.hh"
 #include "runtime/list_linearize.hh"
 #include "runtime/machine.hh"
-#include "runtime/ref_stream.hh"
 #include "runtime/sim_allocator.hh"
 #include "workloads/smv_hooks.hh"
 #include "workloads/workload_util.hh"
@@ -131,14 +130,11 @@ Smv::run(Machine &machine, const WorkloadVariant &variant)
         backend = makeLayoutBackend(machine, alloc);
 
     // ----- unique table --------------------------------------------------
-    // Construction is store-dominated: emit through a BatchEmitter,
-    // flushing before each alloc so program order (and hence timing) is
-    // unchanged.
     machine.enterRegion("build");
     const Addr buckets = alloc.alloc(Addr(n_buckets) * wordBytes);
-    BatchEmitter em(machine);
     for (unsigned b = 0; b < n_buckets; ++b)
-        em.store(buckets + Addr(b) * wordBytes, wordBytes, 0);
+        machine.access(
+            Access::store(buckets + Addr(b) * wordBytes, wordBytes, 0));
 
     // Bucket choice hashes functional node ids, never addresses, so
     // the N and L variants populate identical chains.
@@ -157,18 +153,18 @@ Smv::run(Machine &machine, const WorkloadVariant &variant)
 
     auto addNode = [&](std::uint64_t var, std::uint64_t lo_id,
                        std::uint64_t hi_id) {
-        em.flush();
         const Addr n = alloc.alloc(bdd_bytes, Placement::scattered);
-        em.store(n + bdd_var, wordBytes, var);
-        em.store(n + bdd_low, wordBytes,
-                 lo_id < nodes.size() ? nodes[lo_id] : 0);
-        em.store(n + bdd_high, wordBytes,
-                 hi_id < nodes.size() ? nodes[hi_id] : 0);
+        machine.access(Access::store(n + bdd_var, wordBytes, var));
+        machine.access(Access::store(
+            n + bdd_low, wordBytes, lo_id < nodes.size() ? nodes[lo_id] : 0));
+        machine.access(Access::store(
+            n + bdd_high, wordBytes, hi_id < nodes.size() ? nodes[hi_id] : 0));
         const Addr bslot =
             buckets + bucketOf(var, lo_id, hi_id) * wordBytes;
-        const AccessResult head = em.load(bslot, wordBytes);
-        em.store(n + bdd_next, wordBytes, head.value);
-        em.store(bslot, wordBytes, n);
+        const AccessResult head =
+            machine.access(Access::load(bslot, wordBytes));
+        machine.access(Access::store(n + bdd_next, wordBytes, head.value));
+        machine.access(Access::store(bslot, wordBytes, n));
         nodes.push_back(n);
         return n;
     };
@@ -187,7 +183,6 @@ Smv::run(Machine &machine, const WorkloadVariant &variant)
             mix64(nodes.size(), 0x123456) % nodes.size();
         addNode(var, lo_id, hi_id);
     }
-    em.flush();
     machine.exitRegion("build");
 
     checksum_ = 0;

@@ -1,22 +1,16 @@
 /**
  * @file
- * Batched reference-stream API tests.
+ * Reference replay (runtime/ref_stream.hh) and fast-forward tests.
  *
- * The contract under test (runtime/ref_stream.hh): batch size never
- * changes simulated timing or architectural results.  A program driven
- * through BatchEmitter at any capacity — including 1 — must produce
- * cycle counts, forwarding statistics, trap sequences, loaded values
- * and heap state identical to the same program issued through the
- * per-call Machine::access() API.  Forwarded words and user traps are
- * deliberately placed so references resolve chains *inside* a drained
- * batch, and relocations land between batches under the documented
- * flush discipline.
+ * A fixed program of mixed references over forwarded words and user
+ * traps must give the same loaded values, final addresses, trap
+ * sequence and heap state timed and fast-forwarded; AccessBatch and
+ * RefStream replay references through Machine::access() in order.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/random.hh"
@@ -41,98 +35,10 @@ objAddr(unsigned i)
     return obj_base + Addr(i) * 0x100;
 }
 
-/**
- * Issue surface the synthetic program runs against, so the identical
- * sequence can be driven per-call and batched at several capacities.
- */
-class Ops
-{
-  public:
-    virtual ~Ops() = default;
-    virtual void store(Addr a, std::uint64_t v, SiteId s = no_site) = 0;
-    virtual AccessResult load(Addr a, SiteId s = no_site) = 0;
-    virtual bool readFBit(Addr a) = 0;
-    virtual std::uint64_t unforwardedRead(Addr a) = 0;
-    virtual void compute(std::uint64_t n) = 0;
-    virtual void prefetch(Addr a, unsigned lines) = 0;
-    /** Drain pending work (required before relocation, like allocs). */
-    virtual void flush() {}
-};
-
-class DirectOps : public Ops
-{
-  public:
-    explicit DirectOps(Machine &m) : m_(m) {}
-
-    void
-    store(Addr a, std::uint64_t v, SiteId s) override
-    {
-        m_.access(Access::store(a, wordBytes, v, 0, s));
-    }
-    AccessResult
-    load(Addr a, SiteId s) override
-    {
-        return m_.access(Access::load(a, wordBytes, 0, s));
-    }
-    bool
-    readFBit(Addr a) override
-    {
-        return m_.access(Access::readFBit(a)).value != 0;
-    }
-    std::uint64_t
-    unforwardedRead(Addr a) override
-    {
-        return m_.access(Access::unforwardedRead(a)).value;
-    }
-    void compute(std::uint64_t n) override { m_.access(Access::compute(n)); }
-    void
-    prefetch(Addr a, unsigned lines) override
-    {
-        m_.access(Access::prefetch(a, lines));
-    }
-
-  private:
-    Machine &m_;
-};
-
-class EmitterOps : public Ops
-{
-  public:
-    EmitterOps(Machine &m, std::size_t cap) : em_(m, cap) {}
-
-    void
-    store(Addr a, std::uint64_t v, SiteId s) override
-    {
-        em_.store(a, wordBytes, v, 0, s);
-    }
-    AccessResult
-    load(Addr a, SiteId s) override
-    {
-        return em_.load(a, wordBytes, 0, s);
-    }
-    bool readFBit(Addr a) override { return em_.readFBit(a); }
-    std::uint64_t
-    unforwardedRead(Addr a) override
-    {
-        return em_.unforwardedRead(a);
-    }
-    void compute(std::uint64_t n) override { em_.compute(n); }
-    void
-    prefetch(Addr a, unsigned lines) override
-    {
-        em_.prefetch(a, lines);
-    }
-    void flush() override { em_.flush(); }
-
-  private:
-    BatchEmitter em_;
-};
-
-/** Everything an execution strategy may not change. */
+/** Everything fast-forward may not change, plus cycles. */
 struct Outcome
 {
     std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
     std::uint64_t refs = 0;
     std::uint64_t loads_forwarded = 0;
     std::uint64_t stores_forwarded = 0;
@@ -146,10 +52,10 @@ struct Outcome
 /**
  * A fixed mixed program: build objects, relocate a third of them
  * (creating chains), then hammer loads/stores/raw ops over the mix so
- * forwarded references and user traps land inside drained batches.
+ * references resolve chains and deliver user traps.
  */
 Outcome
-runProgram(Machine &m, Ops &ops)
+runProgram(Machine &m)
 {
     Outcome out;
     m.forwarding().traps().install([&](const TrapInfo &t) {
@@ -161,11 +67,11 @@ runProgram(Machine &m, Ops &ops)
 
     for (unsigned i = 0; i < obj_count; ++i)
         for (unsigned w = 0; w < obj_words; ++w)
-            ops.store(objAddr(i) + w * wordBytes, i * 977 + w);
+            m.access(Access::store(objAddr(i) + w * wordBytes, wordBytes,
+                                   i * 977 + w));
 
     // Relocate every third object; the forwarding words these leave
-    // behind are what later batched references must chase.
-    ops.flush();
+    // behind are what later references must chase.
     Addr bump = reloc_base;
     for (unsigned i = 0; i < obj_count; i += 3) {
         relocate(m, objAddr(i), bump, obj_words);
@@ -179,29 +85,29 @@ runProgram(Machine &m, Ops &ops)
             objAddr(obj) + rng.below(obj_words) * wordBytes;
         const std::uint64_t pick = rng.below(100);
         if (pick < 40) {
-            const AccessResult r = ops.load(addr, SiteId(op));
+            const AccessResult r =
+                m.access(Access::load(addr, wordBytes, 0, SiteId(op)));
             out.log.push_back(r.value);
             out.log.push_back(r.final_addr);
         } else if (pick < 70) {
-            ops.store(addr, rng.next(), SiteId(op));
+            m.access(Access::store(addr, wordBytes, rng.next(), 0,
+                                   SiteId(op)));
         } else if (pick < 80) {
-            out.log.push_back(ops.readFBit(addr) ? 1 : 0);
+            out.log.push_back(m.access(Access::readFBit(addr)).value);
         } else if (pick < 88) {
-            out.log.push_back(ops.unforwardedRead(addr));
+            out.log.push_back(m.access(Access::unforwardedRead(addr)).value);
         } else if (pick < 94) {
-            ops.compute(rng.below(4) + 1);
+            m.access(Access::compute(rng.below(4) + 1));
         } else {
-            ops.prefetch(addr, unsigned(rng.below(2)) + 1);
+            m.access(Access::prefetch(addr, unsigned(rng.below(2)) + 1));
         }
     }
-    ops.flush();
 
     for (unsigned i = 0; i < obj_count; ++i)
         for (unsigned w = 0; w < obj_words; ++w)
             out.heap_sum += m.peek(objAddr(i) + w * wordBytes, wordBytes);
 
     out.cycles = m.cycles();
-    out.instructions = m.cpu().instructions();
     out.refs = m.refsExecuted();
     out.loads_forwarded = m.loadsForwarded();
     out.stores_forwarded = m.storesForwarded();
@@ -212,51 +118,13 @@ Outcome
 runPerCall(const MachineConfig &cfg)
 {
     Machine m(cfg);
-    DirectOps ops(m);
-    return runProgram(m, ops);
-}
-
-Outcome
-runBatched(const MachineConfig &cfg, std::size_t cap)
-{
-    Machine m(cfg);
-    EmitterOps ops(m, cap);
-    return runProgram(m, ops);
-}
-
-void
-expectSameOutcome(const Outcome &a, const Outcome &b, const char *what)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.refs, b.refs) << what;
-    EXPECT_EQ(a.loads_forwarded, b.loads_forwarded) << what;
-    EXPECT_EQ(a.stores_forwarded, b.stores_forwarded) << what;
-    EXPECT_EQ(a.traps, b.traps) << what;
-    EXPECT_EQ(a.log, b.log) << what;
-    EXPECT_EQ(a.heap_sum, b.heap_sum) << what;
+    return runProgram(m);
 }
 
 class BatchInvariance
     : public ::testing::TestWithParam<MachineConfig::Mode>
 {
 };
-
-TEST_P(BatchInvariance, AnyCapacityMatchesPerCallExactly)
-{
-    const MachineConfig cfg = MachineConfig{}.forwardingMode(GetParam());
-    const Outcome per_call = runPerCall(cfg);
-
-    // The program must actually exercise forwarding inside batches.
-    EXPECT_GT(per_call.loads_forwarded + per_call.stores_forwarded, 0u);
-
-    for (std::size_t cap : {std::size_t(1), std::size_t(3),
-                            std::size_t(7), std::size_t(256)}) {
-        const Outcome batched = runBatched(cfg, cap);
-        expectSameOutcome(per_call, batched,
-                          ("capacity " + std::to_string(cap)).c_str());
-    }
-}
 
 TEST_P(BatchInvariance, FastForwardKeepsArchitecturalLog)
 {
@@ -267,9 +135,11 @@ TEST_P(BatchInvariance, FastForwardKeepsArchitecturalLog)
     const MachineConfig ff_cfg =
         MachineConfig{}.forwardingMode(GetParam()).fastForward();
 
-    const Outcome timed = runBatched(timed_cfg, 64);
-    const Outcome ff = runBatched(ff_cfg, 64);
+    const Outcome timed = runPerCall(timed_cfg);
+    const Outcome ff = runPerCall(ff_cfg);
 
+    // The program must actually exercise forwarding.
+    EXPECT_GT(timed.loads_forwarded + timed.stores_forwarded, 0u);
     EXPECT_EQ(timed.log, ff.log);
     EXPECT_EQ(timed.traps, ff.traps);
     EXPECT_EQ(timed.heap_sum, ff.heap_sum);
@@ -306,55 +176,6 @@ TEST(RefStreamApi, DefaultCapacityIsPositive)
 {
     EXPECT_GE(default_batch_capacity, 1u);
     EXPECT_EQ(AccessBatch().capacity(), default_batch_capacity);
-}
-
-// ---------------------------------------------------------------------
-// BatchEmitter semantics
-// ---------------------------------------------------------------------
-
-TEST(BatchEmitter, DefersStoresUntilFlush)
-{
-    Machine m;
-    BatchEmitter em(m, 16);
-    em.store(0x1000, wordBytes, 5);
-    em.store(0x1000, wordBytes, 6); // later store wins after the drain
-    EXPECT_EQ(m.peek(0x1000, wordBytes), 0u) << "store ran before flush";
-    em.flush();
-    EXPECT_EQ(m.peek(0x1000, wordBytes), 6u);
-}
-
-TEST(BatchEmitter, ValueOpsFlushPendingWork)
-{
-    // load/readFBit/unforwardedRead are flush-through: the deferred
-    // store must be visible to the load that follows it, unprompted.
-    Machine m;
-    BatchEmitter em(m, 16);
-    em.store(0x2000, wordBytes, 99);
-    EXPECT_EQ(em.load(0x2000, wordBytes).value, 99u);
-
-    em.unforwardedWrite(0x3000, 0x4000, true);
-    EXPECT_TRUE(em.readFBit(0x3000));
-    EXPECT_EQ(em.unforwardedRead(0x3000), 0x4000u);
-}
-
-TEST(BatchEmitter, AutoFlushesAtCapacity)
-{
-    Machine m;
-    BatchEmitter em(m, 2);
-    em.store(0x1000, wordBytes, 1);
-    em.store(0x1008, wordBytes, 2); // second defer fills cap=2: drains
-    EXPECT_EQ(m.peek(0x1000, wordBytes), 1u);
-    EXPECT_EQ(m.peek(0x1008, wordBytes), 2u);
-}
-
-TEST(BatchEmitter, DestructorFlushes)
-{
-    Machine m;
-    {
-        BatchEmitter em(m, 16);
-        em.store(0x5000, wordBytes, 123);
-    }
-    EXPECT_EQ(m.peek(0x5000, wordBytes), 123u);
 }
 
 // ---------------------------------------------------------------------

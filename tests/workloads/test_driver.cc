@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/logging.hh"
+#include "obs/trace.hh"
 #include "workloads/driver.hh"
 
 namespace memfwd
@@ -130,6 +134,48 @@ TEST(Driver, AverageLatenciesAreSane)
     EXPECT_LT(m.gaugeAt("latency.avg_load_cycles"), 200.0);
     EXPECT_GE(m.gaugeAt("latency.avg_store_cycles"), 1.0);
 }
+
+/**
+ * Tracing observes a run and never changes it: the same configuration
+ * run with and without a trace sink gives the same checksum and the
+ * same metrics tree, and the sink sees the timed references.
+ */
+class TraceInvariance
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>>
+{
+};
+
+TEST_P(TraceInvariance, SinkChangesNothing)
+{
+    setVerbose(false);
+    RunConfig cfg = tinyConfig(std::get<0>(GetParam()));
+    cfg.variant.layout_opt = std::get<1>(GetParam());
+    const RunResult plain = runWorkload(cfg);
+
+    obs::RingBufferSink sink;
+    cfg.trace_sink = &sink;
+    const RunResult traced = runWorkload(cfg);
+
+    EXPECT_EQ(traced.checksum, plain.checksum);
+    EXPECT_EQ(traced.metrics.toJson().str(), plain.metrics.toJson().str());
+
+    // Every timed load and store emits one reference event.
+    EXPECT_GE(sink.total(), plain.metrics.counterAt("refs.loads") +
+                                plain.metrics.counterAt("refs.stores"));
+    const std::vector<obs::TraceEvent> held = sink.events();
+    EXPECT_TRUE(std::any_of(held.begin(), held.end(), [](const auto &e) {
+        return e.kind == obs::EventKind::reference;
+    }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, TraceInvariance,
+    ::testing::Combine(::testing::ValuesIn(extendedWorkloadNames()),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return std::get<0>(info.param) +
+               (std::get<1>(info.param) ? "_L" : "_N");
+    });
 
 } // namespace
 } // namespace memfwd
