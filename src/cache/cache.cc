@@ -4,37 +4,12 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "mem/main_memory.hh"
 
 namespace memfwd
 {
 
-// ---------------------------------------------------------------------
-// MemoryLevel
-// ---------------------------------------------------------------------
-
-MemLevel::Result
-MemoryLevel::access(Addr addr, AccessType type, Cycles now)
-{
-    (void)addr;
-    (void)type;
-    const Cycles ready = mem_.access(now, line_bytes_);
-    return {ready, MissKind::full, 0};
-}
-
-void
-MemoryLevel::writeback(Addr line_addr, Cycles now)
-{
-    (void)line_addr;
-    mem_.access(now, line_bytes_);
-}
-
-// ---------------------------------------------------------------------
-// Cache
-// ---------------------------------------------------------------------
-
-Cache::Cache(const CacheConfig &cfg, MemLevel &below)
-    : cfg_(cfg), below_(below), mshrs_(cfg.mshrs)
+Cache::Cache(const CacheConfig &cfg, MainMemory &mem, Cache *next)
+    : cfg_(cfg), mem_(mem), next_(next), mshrs_(cfg.mshrs)
 {
     memfwd_assert(cfg_.validGeometry(),
                   "%s: bad geometry (%u B, %u-way, %u B lines): line and "
@@ -143,7 +118,10 @@ Cache::install(Addr line_addr, std::uint8_t line_flags, Cycles victim_time)
     if (*w.tag != invalid_tag && (*w.flags & dirty_bit)) {
         ++stats_.writebacks;
         stats_.bytes_out += cfg_.line_bytes;
-        below_.writeback(*w.tag, victim_time);
+        if (next_)
+            next_->writeback(*w.tag, victim_time);
+        else
+            mem_.access(victim_time, cfg_.line_bytes);
     }
     *w.tag = line_addr;
     *w.flags = line_flags;
@@ -152,7 +130,7 @@ Cache::install(Addr line_addr, std::uint8_t line_flags, Cycles victim_time)
     mru_ = w;
 }
 
-MemLevel::Result
+HierarchyResult
 Cache::access(Addr addr, AccessType type, Cycles now)
 {
     const Addr line_addr = lineAlign(addr);
@@ -187,8 +165,11 @@ Cache::access(Addr addr, AccessType type, Cycles now)
     // state is eager; timing is carried by the returned ready cycle and
     // the MSHR entry), and a dirty victim leaves when the fill arrives.
     const Cycles start = mshrs_.allocate(line_addr, now);
-    const Result below = below_.access(line_addr, type,
-                                       start + cfg_.hit_latency);
+    const Cycles request = start + cfg_.hit_latency;
+    const HierarchyResult below =
+        next_ ? next_->access(line_addr, type, request)
+              : HierarchyResult{mem_.access(request, cfg_.line_bytes),
+                                MissKind::full, 0};
     mshrs_.complete(below.ready);
     count(type, MissKind::full);
     stats_.bytes_in += cfg_.line_bytes;

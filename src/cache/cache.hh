@@ -23,9 +23,12 @@
  * at the default geometry the nine workloads, with and without --opt,
  * do so twice in all (one store each in mst and radiosity with --opt).
  *
- * Each cache counts the bytes it exchanges with the level below it
- * (fills in, writebacks out); the hierarchy sums these into per-link
- * traffic for Figure 6(b).
+ * The level below is concrete: a cache sends its misses and dirty
+ * victims to the next Cache, or, at the last level, straight to
+ * MainMemory as one line transfer each.  The hierarchy wires them as
+ * L1 -> L2 -> DRAM.  Each cache counts the bytes it exchanges with the
+ * level below it (fills in, writebacks out); the hierarchy sums these
+ * into per-link traffic for Figure 6(b).
  *
  * Host layout.  A set is one block, aligned to a host cache line: its
  * assoc tags, then its assoc stamps, so probing a set of up to four
@@ -48,49 +51,18 @@
 #include "cache/cache_config.hh"
 #include "cache/mshr.hh"
 #include "common/types.hh"
+#include "mem/main_memory.hh"
 #include "obs/metrics.hh"
 
 namespace memfwd
 {
 
-/** Abstract "level below" a cache: another cache or main memory. */
-class MemLevel
+/** Outcome of a timed access at one cache level and the levels below. */
+struct HierarchyResult
 {
-  public:
-    virtual ~MemLevel() = default;
-
-    /** Result of a timed access at this level. */
-    struct Result
-    {
-        Cycles ready;     ///< cycle at which the data is available
-        MissKind kind;    ///< how this level satisfied the access
-        unsigned depth;   ///< levels below that were touched (0 = here)
-    };
-
-    /**
-     * Access @p line-aligned address at @p now.  @p type distinguishes
-     * demand loads/stores from prefetches for the statistics.
-     */
-    virtual Result access(Addr addr, AccessType type, Cycles now) = 0;
-
-    /** Accept a dirty line evicted by the level above at @p now. */
-    virtual void writeback(Addr line_addr, Cycles now) = 0;
-};
-
-/** Adapts MainMemory to the MemLevel interface (always a "full miss"). */
-class MemoryLevel : public MemLevel
-{
-  public:
-    MemoryLevel(class MainMemory &mem, unsigned line_bytes)
-        : mem_(mem), line_bytes_(line_bytes)
-    {}
-
-    Result access(Addr addr, AccessType type, Cycles now) override;
-    void writeback(Addr line_addr, Cycles now) override;
-
-  private:
-    class MainMemory &mem_;
-    unsigned line_bytes_;
+    Cycles ready;   ///< cycle at which the data is available
+    MissKind kind;  ///< how this level satisfied the access
+    unsigned depth; ///< levels below that were touched (0 = here)
 };
 
 /** Per-cache statistics, split by access type and miss kind. */
@@ -130,16 +102,26 @@ struct CacheStats
 };
 
 /** A single set-associative, write-back, write-allocate cache level. */
-class Cache final : public MemLevel
+class Cache
 {
   public:
-    Cache(const CacheConfig &cfg, MemLevel &below);
+    /**
+     * A level whose misses and dirty victims go to @p next, or to
+     * @p mem when @p next is null (the last level).
+     */
+    Cache(const CacheConfig &cfg, MainMemory &mem, Cache *next = nullptr);
 
     Cache(const Cache &) = delete;
     Cache &operator=(const Cache &) = delete;
 
-    Result access(Addr addr, AccessType type, Cycles now) override;
-    void writeback(Addr line_addr, Cycles now) override;
+    /**
+     * Access @p addr at @p now.  @p type distinguishes demand
+     * loads/stores from prefetches for the statistics.
+     */
+    HierarchyResult access(Addr addr, AccessType type, Cycles now);
+
+    /** Accept a dirty line evicted by the level above at @p now. */
+    void writeback(Addr line_addr, Cycles now);
 
     /** True if the line containing @p addr is currently resident. */
     bool contains(Addr addr) const;
@@ -149,15 +131,6 @@ class Cache final : public MemLevel
 
     /** Add this cache's counters/gauges to @p into (obs layer). */
     void fillMetrics(obs::MetricsNode &into) const;
-
-    /** This cache's metrics as a standalone tree. */
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
 
     /** Zero the statistics (contents and LRU state are preserved). */
     void clearStats() { stats_ = CacheStats(); }
@@ -185,7 +158,8 @@ class Cache final : public MemLevel
 
     static constexpr Addr invalid_tag = ~Addr(0);
     static constexpr std::uint8_t dirty_bit = 1;
-    static constexpr std::uint8_t prefetched_bit = 2; ///< not yet used
+    /** Filled by a prefetch and not yet demand-hit (useful_prefetches). */
+    static constexpr std::uint8_t prefetched_bit = 2;
 
     unsigned setIndex(Addr line_addr) const;
     /** The set's assoc tags; its assoc stamps follow them. */
@@ -230,7 +204,8 @@ class Cache final : public MemLevel
                  Cycles victim_time);
 
     CacheConfig cfg_;
-    MemLevel &below_;
+    MainMemory &mem_;
+    Cache *next_; ///< the level below, or null to go to mem_
     MshrFile mshrs_;
     CacheStats stats_;
     /** Per set, assoc tags then assoc stamps, padded to host lines. */

@@ -6,29 +6,24 @@ namespace memfwd
 {
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg)
-    : cfg_(cfg)
+    : cfg_(cfg), mem_(cfg_.memory), l2_(cfg_.l2, mem_),
+      l1d_(cfg_.l1d, mem_, &l2_)
 {
     memfwd_assert(cfg_.l1d.line_bytes == cfg_.l2.line_bytes,
                   "mixed line sizes between levels are not supported");
-    mem_ = std::make_unique<MainMemory>(cfg_.memory);
-    mem_level_ =
-        std::make_unique<MemoryLevel>(*mem_, cfg_.l2.line_bytes);
-    l2_ = std::make_unique<Cache>(cfg_.l2, *mem_level_);
-    l1d_ = std::make_unique<Cache>(cfg_.l1d, *l2_);
 }
 
 HierarchyResult
 MemoryHierarchy::access(Addr addr, AccessType type, Cycles now)
 {
-    const MemLevel::Result r = l1d_->access(addr, type, now);
-    return {r.ready, r.kind, r.depth};
+    return l1d_.access(addr, type, now);
 }
 
 void
 MemoryHierarchy::fillMetrics(obs::MetricsNode &into) const
 {
-    l1d_->fillMetrics(into.child("l1d"));
-    l2_->fillMetrics(into.child("l2"));
+    l1d_.fillMetrics(into.child("l1d"));
+    l2_.fillMetrics(into.child("l2"));
     auto &traffic = into.child("traffic");
     traffic.counter("l1_l2_bytes", l1L2Bytes());
     traffic.counter("l2_mem_bytes", l2MemBytes());
@@ -37,16 +32,16 @@ MemoryHierarchy::fillMetrics(obs::MetricsNode &into) const
 void
 MemoryHierarchy::clearStats()
 {
-    l1d_->clearStats();
-    l2_->clearStats();
-    mem_->clearStats();
+    l1d_.clearStats();
+    l2_.clearStats();
+    mem_.clearStats();
 }
 
 void
 MemoryHierarchy::reset()
 {
-    l1d_->flush();
-    l2_->flush();
+    l1d_.flush();
+    l2_.flush();
     clearStats();
 }
 

@@ -4,16 +4,17 @@
  *
  * The hierarchy is the single timing entry point for all data
  * references: the CPU model asks it "if this reference starts at cycle
- * N, when is the data ready and what kind of miss was it?".  It also
- * owns the Figure 6(b) traffic accounting: bytes moved on the L1<->L2
- * link and on the L2<->memory link.
+ * N, when is the data ready and what kind of miss was it?".  It holds
+ * one fixed chain by value, L1D -> L2 -> MainMemory, each level calling
+ * the next directly, and answers with the L1's HierarchyResult.  It
+ * also owns the Figure 6(b) traffic accounting: bytes moved on the
+ * L1<->L2 link and on the L2<->memory link.
  */
 
 #ifndef MEMFWD_CACHE_HIERARCHY_HH
 #define MEMFWD_CACHE_HIERARCHY_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "cache/cache.hh"
 #include "cache/cache_config.hh"
@@ -49,14 +50,6 @@ struct HierarchyConfig
     }
 };
 
-/** Outcome of a timed data reference through the hierarchy. */
-struct HierarchyResult
-{
-    Cycles ready;   ///< cycle at which the reference's data is available
-    MissKind l1;    ///< L1 outcome (hit/partial/full)
-    unsigned depth; ///< 0 = L1 hit, 1 = L2 hit, 2 = memory
-};
-
 /** L1D + L2 + DRAM with per-link traffic counters. */
 class MemoryHierarchy
 {
@@ -66,18 +59,22 @@ class MemoryHierarchy
     MemoryHierarchy(const MemoryHierarchy &) = delete;
     MemoryHierarchy &operator=(const MemoryHierarchy &) = delete;
 
-    /** Timed access for a demand load/store or a prefetch. */
+    /**
+     * Timed access for a demand load/store or a prefetch.  `kind` is
+     * the L1 outcome (hit/partial/full); `depth` is 0 for an L1 hit,
+     * 1 for L2, 2 for memory.
+     */
     HierarchyResult access(Addr addr, AccessType type, Cycles now);
 
-    const Cache &l1d() const { return *l1d_; }
-    const Cache &l2() const { return *l2_; }
-    const MainMemory &memory() const { return *mem_; }
+    const Cache &l1d() const { return l1d_; }
+    const Cache &l2() const { return l2_; }
+    const MainMemory &memory() const { return mem_; }
 
     /** Bytes moved between L1 and L2 (fills + writebacks). */
-    std::uint64_t l1L2Bytes() const { return l1d_->stats().linkBytes(); }
+    std::uint64_t l1L2Bytes() const { return l1d_.stats().linkBytes(); }
 
     /** Bytes moved between L2 and memory (fills + writebacks). */
-    std::uint64_t l2MemBytes() const { return l2_->stats().linkBytes(); }
+    std::uint64_t l2MemBytes() const { return l2_.stats().linkBytes(); }
 
     const HierarchyConfig &config() const { return cfg_; }
 
@@ -87,14 +84,6 @@ class MemoryHierarchy
      * machine root keeps the legacy flat names intact.
      */
     void fillMetrics(obs::MetricsNode &into) const;
-
-    obs::MetricsNode
-    metrics() const
-    {
-        obs::MetricsNode n;
-        fillMetrics(n);
-        return n;
-    }
 
     /** Zero all statistics; cache contents are preserved. */
     void clearStats();
@@ -106,10 +95,9 @@ class MemoryHierarchy
 
   private:
     HierarchyConfig cfg_;
-    std::unique_ptr<MainMemory> mem_;
-    std::unique_ptr<MemoryLevel> mem_level_;
-    std::unique_ptr<Cache> l2_;
-    std::unique_ptr<Cache> l1d_;
+    MainMemory mem_;
+    Cache l2_;
+    Cache l1d_;
 };
 
 } // namespace memfwd

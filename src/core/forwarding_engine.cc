@@ -283,7 +283,7 @@ struct TimedHops
         // The hop reads the forwarding word through the cache — the
         // pollution effect Section 5.4 measures.
         const HierarchyResult r = hierarchy.access(word, AccessType::load, t);
-        missed |= r.l1 != MissKind::hit;
+        missed |= r.kind != MissKind::hit;
         t = r.ready + cfg.hop_cost;
     }
 

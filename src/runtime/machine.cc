@@ -12,17 +12,15 @@ namespace memfwd
 {
 
 Machine::Machine(const MachineConfig &cfg)
-    : cfg_(cfg),
+    : cfg_(cfg), hierarchy_(cfg_.hierarchy),
       tlb_(cfg.tlb.page_bytes, cfg.tlb.entries, cfg.tlb.miss_penalty)
 {
-    hierarchy_ = std::make_unique<MemoryHierarchy>(cfg_.hierarchy);
     cpu_ = std::make_unique<OooCpu>(cfg_.cpu);
-    fwd_ = std::make_unique<ForwardingEngine>(mem_, *hierarchy_,
+    fwd_ = std::make_unique<ForwardingEngine>(mem_, hierarchy_,
                                               cfg_.forwarding);
     fwd_->setTracer(&tracer_);
     if (cfg_.metadata_plane)
         fwd_->setMetadataPlane(&mem_.enableMetadataPlane());
-    prefetcher_ = std::make_unique<Prefetcher>(*hierarchy_);
 
     for (const std::string &r : cfg_.fast_forward_regions)
         ff_all_ = ff_all_ || r == "all";
@@ -98,9 +96,9 @@ Machine::rawAccess(const Access &a, bool is_load)
         // (Section 3.2), so each is a timed access of the word itself.
         const Addr word = wordAlign(a.addr);
         const MemIssue mi = cpu_->issueMem(a.addr_ready, is_load);
-        const HierarchyResult r = hierarchy_->access(
+        const HierarchyResult r = hierarchy_.access(
             word, is_load ? AccessType::load : AccessType::store, mi.issue);
-        const bool missed = r.l1 != MissKind::hit;
+        const bool missed = r.kind != MissKind::hit;
         return is_load
                    ? cpu_->finishLoad(mi, r.ready, 0, missed, word, word, 1)
                    : cpu_->finishStore(mi, r.ready, 0, missed, word, word, 1);
@@ -142,11 +140,11 @@ Machine::exec(const Access &a)
 
         Cycles done = 0;
         if constexpr (E == Exec::timed) {
-            const HierarchyResult r = hierarchy_->access(
+            const HierarchyResult r = hierarchy_.access(
                 w.final_addr, type, translate(w.final_addr, w.ready));
             if (tracer_.active()) [[unlikely]]
-                traceRef(a, type, mi.issue, w, r.l1 != MissKind::hit);
-            const bool missed = (r.l1 != MissKind::hit) || w.hop_missed_l1;
+                traceRef(a, type, mi.issue, w, r.kind != MissKind::hit);
+            const bool missed = (r.kind != MissKind::hit) || w.hop_missed_l1;
             const Addr w0 = wordAlign(a.addr);
             const Addr w1 = wordAlign(w.final_addr);
             done = is_load ? cpu_->finishLoad(mi, r.ready, w.forward_cycles,
@@ -183,11 +181,18 @@ Machine::exec(const Access &a)
         // Prefetches are non-binding: they do not follow forwarding (a
         // prefetch of a forwarded word harmlessly pulls in the forwarding
         // word itself), never block graduation, and are timing-only — a
-        // no-op when timing is skipped.
+        // no-op when timing is skipped.  One instruction fetches
+        // a.value consecutive lines from the one containing a.addr
+        // (block prefetching, Section 5.2).
         if constexpr (E == Exec::timed) {
             const MemIssue mi = cpu_->issueMem(a.addr_ready, true);
-            prefetcher_->issue(a.addr, static_cast<unsigned>(a.value),
-                               mi.issue);
+            const unsigned lines = static_cast<unsigned>(a.value);
+            const unsigned line_bytes = cfg_.hierarchy.l1d.line_bytes;
+            for (unsigned i = 0; i < lines; ++i)
+                hierarchy_.access(a.addr + Addr(i) * line_bytes,
+                                  AccessType::prefetch, mi.issue);
+            ++prefetch_instructions_;
+            prefetch_issued_ += lines;
             cpu_->finishNonBlocking(mi);
         }
         return {0, 0, 0, a.addr, false};
@@ -270,9 +275,11 @@ Machine::metrics() const
     // legacy dotted names ("cycles", "slots.busy", "l1d.load_hits", ...)
     // stay the paths counterAt() reads.
     cpu_->fillMetrics(root);
-    hierarchy_->fillMetrics(root);
+    hierarchy_.fillMetrics(root);
     fwd_->fillMetrics(root.child("fwd"));
-    prefetcher_->fillMetrics(root.child("prefetch"));
+    auto &prefetch = root.child("prefetch");
+    prefetch.counter("instructions", prefetch_instructions_);
+    prefetch.counter("issued", prefetch_issued_);
 
     auto &refs = root.child("refs");
     refs.counter("executed", refs_);

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "cache/prefetcher.hh"
 #include "common/types.hh"
 #include "core/forwarding_engine.hh"
 #include "cpu/ooo_cpu.hh"
@@ -439,13 +438,12 @@ class Machine
 
     TaggedMemory &mem() { return mem_; }
     const TaggedMemory &mem() const { return mem_; }
-    MemoryHierarchy &hierarchy() { return *hierarchy_; }
-    const MemoryHierarchy &hierarchy() const { return *hierarchy_; }
+    MemoryHierarchy &hierarchy() { return hierarchy_; }
+    const MemoryHierarchy &hierarchy() const { return hierarchy_; }
     OooCpu &cpu() { return *cpu_; }
     const OooCpu &cpu() const { return *cpu_; }
     ForwardingEngine &forwarding() { return *fwd_; }
     const ForwardingEngine &forwarding() const { return *fwd_; }
-    Prefetcher &prefetcher() { return *prefetcher_; }
     /** The TLB's page set; it counts only while the TLB is enabled. */
     const PageCache &tlb() const { return tlb_; }
 
@@ -585,10 +583,9 @@ class Machine
 
     MachineConfig cfg_;
     TaggedMemory mem_;
-    std::unique_ptr<MemoryHierarchy> hierarchy_;
+    MemoryHierarchy hierarchy_;
     std::unique_ptr<OooCpu> cpu_;
     std::unique_ptr<ForwardingEngine> fwd_;
-    std::unique_ptr<Prefetcher> prefetcher_;
     PageCache tlb_;
     FaultInjector *faults_ = nullptr;
     AnalysisGate *gate_ = nullptr;
@@ -603,6 +600,8 @@ class Machine
     std::uint64_t loads_forwarded_ = 0;
     std::uint64_t stores_forwarded_ = 0;
     std::uint64_t refs_ = 0;
+    std::uint64_t prefetch_instructions_ = 0; ///< timed prefetch refs
+    std::uint64_t prefetch_issued_ = 0;       ///< lines they fetched
 
     bool ff_all_ = false;     ///< "all" appears in fast_forward_regions
     unsigned ff_depth_ = 0;   ///< open fast-forwarded regions

@@ -10,35 +10,15 @@ namespace memfwd
 namespace
 {
 
-/** A fake backing level with fixed latency and byte accounting. */
-class FakeLevel : public MemLevel
+/**
+ * Backing memory whose 32 B line transfer (fill or writeback) takes
+ * @p cycles: a fixed latency plus a 4-cycle burst at 8 B per cycle.
+ */
+MainMemoryConfig
+memTaking(Cycles cycles)
 {
-  public:
-    explicit FakeLevel(Cycles latency) : latency_(latency) {}
-
-    Result
-    access(Addr addr, AccessType type, Cycles now) override
-    {
-        (void)addr;
-        (void)type;
-        ++fills;
-        return {now + latency_, MissKind::full, 0};
-    }
-
-    void
-    writeback(Addr line_addr, Cycles now) override
-    {
-        (void)line_addr;
-        (void)now;
-        ++writebacks;
-    }
-
-    unsigned fills = 0;
-    unsigned writebacks = 0;
-
-  private:
-    Cycles latency_;
-};
+    return {.latency = cycles - 4, .bytesPerCycle = 8};
+}
 
 CacheConfig
 smallConfig()
@@ -54,12 +34,12 @@ smallConfig()
 
 TEST(Cache, MissThenHit)
 {
-    FakeLevel below(50);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(50));
+    Cache c(smallConfig(), mem);
 
     auto miss = c.access(0x1000, AccessType::load, 0);
     EXPECT_EQ(miss.kind, MissKind::full);
-    EXPECT_EQ(miss.ready, 51u); // 1 cycle lookup + 50 below
+    EXPECT_EQ(miss.ready, 51u); // 1 cycle lookup + 50 in memory
 
     auto hit = c.access(0x1008, AccessType::load, 60);
     EXPECT_EQ(hit.kind, MissKind::hit);
@@ -71,8 +51,8 @@ TEST(Cache, MissThenHit)
 
 TEST(Cache, PartialMissCombinesWithInflightFill)
 {
-    FakeLevel below(50);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(50));
+    Cache c(smallConfig(), mem);
 
     auto first = c.access(0x1000, AccessType::load, 0);
     // Second access to the same line while the fill is in flight: a
@@ -80,14 +60,14 @@ TEST(Cache, PartialMissCombinesWithInflightFill)
     auto second = c.access(0x1010, AccessType::load, 5);
     EXPECT_EQ(second.kind, MissKind::partial);
     EXPECT_EQ(second.ready, first.ready);
-    EXPECT_EQ(below.fills, 1u);
+    EXPECT_EQ(mem.accesses(), 1u); // one fill
     EXPECT_EQ(c.stats().load_partial_misses, 1u);
 }
 
 TEST(Cache, PartialMissNearFillEndPaysAtLeastHitLatency)
 {
-    FakeLevel below(50);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(50));
+    Cache c(smallConfig(), mem);
     c.access(0x1000, AccessType::load, 0); // ready 51
     auto late = c.access(0x1000, AccessType::load, 51);
     EXPECT_EQ(late.kind, MissKind::hit);
@@ -96,8 +76,8 @@ TEST(Cache, PartialMissNearFillEndPaysAtLeastHitLatency)
 
 TEST(Cache, StoreMissAllocatesAndDirties)
 {
-    FakeLevel below(50);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(50));
+    Cache c(smallConfig(), mem);
     c.access(0x2000, AccessType::store, 0);
     EXPECT_EQ(c.stats().store_full_misses, 1u);
     EXPECT_TRUE(c.contains(0x2000));
@@ -106,15 +86,15 @@ TEST(Cache, StoreMissAllocatesAndDirties)
     const Addr set_stride = 32 * 4;
     c.access(0x2000 + set_stride, AccessType::load, 100);
     c.access(0x2000 + 2 * set_stride, AccessType::load, 200);
-    EXPECT_EQ(below.writebacks, 1u);
+    EXPECT_EQ(mem.accesses(), 4u); // three fills + one writeback
     EXPECT_EQ(c.stats().writebacks, 1u);
     EXPECT_EQ(c.stats().bytes_out, 32u);
 }
 
 TEST(Cache, LruReplacement)
 {
-    FakeLevel below(10);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(10));
+    Cache c(smallConfig(), mem);
     const Addr stride = 32 * 4; // same set
     c.access(0x0, AccessType::load, 0);          // way A
     c.access(stride, AccessType::load, 20);      // way B
@@ -127,8 +107,8 @@ TEST(Cache, LruReplacement)
 
 TEST(Cache, BytesInCountsFills)
 {
-    FakeLevel below(10);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(10));
+    Cache c(smallConfig(), mem);
     c.access(0x0, AccessType::load, 0);
     c.access(0x100, AccessType::load, 50);
     EXPECT_EQ(c.stats().bytes_in, 64u);
@@ -136,8 +116,8 @@ TEST(Cache, BytesInCountsFills)
 
 TEST(Cache, PrefetchFillsWithoutDemandStats)
 {
-    FakeLevel below(50);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(50));
+    Cache c(smallConfig(), mem);
     c.access(0x3000, AccessType::prefetch, 0);
     EXPECT_EQ(c.stats().prefetch_misses, 1u);
     EXPECT_EQ(c.stats().load_full_misses, 0u);
@@ -150,8 +130,8 @@ TEST(Cache, PrefetchFillsWithoutDemandStats)
 
 TEST(Cache, UselessPrefetchNotCounted)
 {
-    FakeLevel below(10);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(10));
+    Cache c(smallConfig(), mem);
     c.access(0x3000, AccessType::prefetch, 0);
     // Evict it without ever touching it.
     const Addr stride = 32 * 4;
@@ -162,30 +142,30 @@ TEST(Cache, UselessPrefetchNotCounted)
 
 TEST(Cache, WritebackFromAboveDirtiesResidentLine)
 {
-    FakeLevel below(10);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(10));
+    Cache c(smallConfig(), mem);
     c.access(0x4000, AccessType::load, 0);
     c.writeback(0x4000, 50);
     // Force eviction; the dirty line must be written down.
     const Addr stride = 32 * 4;
     c.access(0x4000 + stride, AccessType::load, 60);
     c.access(0x4000 + 2 * stride, AccessType::load, 70);
-    EXPECT_EQ(below.writebacks, 1u);
+    EXPECT_EQ(mem.accesses(), 4u); // three fills + one writeback
 }
 
 TEST(Cache, WritebackFromAboveAllocatesIfAbsent)
 {
-    FakeLevel below(10);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(10));
+    Cache c(smallConfig(), mem);
     c.writeback(0x5000, 0);
     EXPECT_TRUE(c.contains(0x5000));
-    EXPECT_EQ(below.fills, 0u); // no fetch: whole line arrived
+    EXPECT_EQ(mem.accesses(), 0u); // no fetch: whole line arrived
 }
 
 TEST(Cache, FlushEmptiesEverything)
 {
-    FakeLevel below(10);
-    Cache c(smallConfig(), below);
+    MainMemory mem(memTaking(10));
+    Cache c(smallConfig(), mem);
     c.access(0x0, AccessType::load, 0);
     c.flush();
     EXPECT_FALSE(c.contains(0x0));
@@ -193,10 +173,10 @@ TEST(Cache, FlushEmptiesEverything)
 
 TEST(CacheDeathTest, BadGeometryRejected)
 {
-    FakeLevel below(10);
+    MainMemory mem(memTaking(10));
     CacheConfig bad = smallConfig();
     bad.line_bytes = 48; // not a power of two
-    EXPECT_DEATH(Cache(bad, below), "power of two");
+    EXPECT_DEATH(Cache(bad, mem), "power of two");
 }
 
 // Parameterized sweep: the hit/miss invariant holds for every line
@@ -208,14 +188,14 @@ class CacheLineSweep : public ::testing::TestWithParam<unsigned>
 TEST_P(CacheLineSweep, SequentialAccessMissesOncePerLine)
 {
     const unsigned line = GetParam();
-    FakeLevel below(10);
+    MainMemory mem(memTaking(10));
     CacheConfig cfg{.name = "s",
                     .size_bytes = 8 * 1024,
                     .assoc = 2,
                     .line_bytes = line,
                     .hit_latency = 1,
                     .mshrs = 8};
-    Cache c(cfg, below);
+    Cache c(cfg, mem);
     const unsigned total = 2048;
     Cycles t = 0;
     for (unsigned off = 0; off < total; off += 8)

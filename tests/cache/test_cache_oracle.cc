@@ -18,6 +18,10 @@
  * a fixed walk penalty.  A change that keeps them passing keeps every
  * simulated cycle of the hierarchy; a change meant to alter the model
  * updates the copy along with it.  Seeds go through testSeed().
+ *
+ * The parent levels chain through the virtual `MemLevel` interface and
+ * its `MemoryLevel` adapter over MainMemory, copied here with them; the
+ * current levels call the next Cache, or MainMemory, directly.
  */
 
 #include <gtest/gtest.h>
@@ -208,6 +212,62 @@ MshrFile::busyAt(Cycles now) const
             ++busy;
     }
     return busy;
+}
+
+/** Abstract "level below" a cache: another cache or main memory. */
+class MemLevel
+{
+  public:
+    virtual ~MemLevel() = default;
+
+    /** Result of a timed access at this level. */
+    struct Result
+    {
+        Cycles ready;     ///< cycle at which the data is available
+        MissKind kind;    ///< how this level satisfied the access
+        unsigned depth;   ///< levels below that were touched (0 = here)
+    };
+
+    /**
+     * Access @p line-aligned address at @p now.  @p type distinguishes
+     * demand loads/stores from prefetches for the statistics.
+     */
+    virtual Result access(Addr addr, AccessType type, Cycles now) = 0;
+
+    /** Accept a dirty line evicted by the level above at @p now. */
+    virtual void writeback(Addr line_addr, Cycles now) = 0;
+};
+
+/** Adapts MainMemory to the MemLevel interface (always a "full miss"). */
+class MemoryLevel : public MemLevel
+{
+  public:
+    MemoryLevel(class MainMemory &mem, unsigned line_bytes)
+        : mem_(mem), line_bytes_(line_bytes)
+    {}
+
+    Result access(Addr addr, AccessType type, Cycles now) override;
+    void writeback(Addr line_addr, Cycles now) override;
+
+  private:
+    class MainMemory &mem_;
+    unsigned line_bytes_;
+};
+
+MemLevel::Result
+MemoryLevel::access(Addr addr, AccessType type, Cycles now)
+{
+    (void)addr;
+    (void)type;
+    const Cycles ready = mem_.access(now, line_bytes_);
+    return {ready, MissKind::full, 0};
+}
+
+void
+MemoryLevel::writeback(Addr line_addr, Cycles now)
+{
+    (void)line_addr;
+    mem_.access(now, line_bytes_);
 }
 
 /** A single set-associative, write-back, write-allocate cache level. */
@@ -600,8 +660,11 @@ namespace
 {
 
 /** L1 over L2 over a real MainMemory, built from cache class C. */
-template <class C>
-struct Stack
+template <class C> struct Stack;
+
+/** The parent's levels reach memory through its MemoryLevel adapter. */
+template <>
+struct Stack<parent::Cache>
 {
     Stack(const CacheConfig &l1_cfg, const CacheConfig &l2_cfg,
           const MainMemoryConfig &mem_cfg)
@@ -610,9 +673,23 @@ struct Stack
     {}
 
     MainMemory mem;
-    MemoryLevel mem_level;
-    C l2;
-    C l1;
+    parent::MemoryLevel mem_level;
+    parent::Cache l2;
+    parent::Cache l1;
+};
+
+/** The current levels chain directly: L1 -> L2 -> MainMemory. */
+template <>
+struct Stack<Cache>
+{
+    Stack(const CacheConfig &l1_cfg, const CacheConfig &l2_cfg,
+          const MainMemoryConfig &mem_cfg)
+        : mem(mem_cfg), l2(l2_cfg, mem), l1(l1_cfg, mem, &l2)
+    {}
+
+    MainMemory mem;
+    Cache l2;
+    Cache l1;
 };
 
 ::testing::AssertionResult
@@ -769,8 +846,9 @@ runCacheTrial(ReplacementPolicy policy, std::uint64_t seed, Coverage &cov)
                                              : AccessType::prefetch;
             const Addr addr = line_addr + rng.below(line / wordBytes) *
                                               wordBytes;
-            const MemLevel::Result w = want.l1.access(addr, type, now);
-            const MemLevel::Result g = got.l1.access(addr, type, now);
+            const parent::MemLevel::Result w =
+                want.l1.access(addr, type, now);
+            const HierarchyResult g = got.l1.access(addr, type, now);
             ASSERT_EQ(w.ready, g.ready) << "step " << step;
             ASSERT_EQ(w.kind, g.kind) << "step " << step;
             ASSERT_EQ(w.depth, g.depth) << "step " << step;

@@ -48,7 +48,7 @@ TEST(Hierarchy, L2HitAfterL1Eviction)
     // Address 0 has been evicted from L1 but lives in L2.
     auto r = h.access(0, AccessType::load, t + 1000);
     EXPECT_EQ(r.depth, 1u);
-    EXPECT_EQ(r.l1, MissKind::full);
+    EXPECT_EQ(r.kind, MissKind::full);
 }
 
 TEST(Hierarchy, L1HitIsCheap)
@@ -89,7 +89,7 @@ TEST(Hierarchy, ClearStatsKeepsContents)
     h.clearStats();
     EXPECT_EQ(h.l1L2Bytes(), 0u);
     auto r = h.access(0x80, AccessType::load, 100);
-    EXPECT_EQ(r.l1, MissKind::hit);
+    EXPECT_EQ(r.kind, MissKind::hit);
 }
 
 TEST(Hierarchy, ResetDropsContents)
@@ -98,7 +98,7 @@ TEST(Hierarchy, ResetDropsContents)
     h.access(0x80, AccessType::load, 0);
     h.reset();
     auto r = h.access(0x80, AccessType::load, 100);
-    EXPECT_EQ(r.l1, MissKind::full);
+    EXPECT_EQ(r.kind, MissKind::full);
 }
 
 TEST(Hierarchy, ResetDropsInFlightFills)
@@ -108,11 +108,11 @@ TEST(Hierarchy, ResetDropsInFlightFills)
     // memory instead of combining with it.
     MemoryHierarchy h;
     const auto first = h.access(0x1000, AccessType::load, 0);
-    ASSERT_EQ(first.l1, MissKind::full);
+    ASSERT_EQ(first.kind, MissKind::full);
     ASSERT_GT(first.ready, 1u);
     h.reset();
     const auto r = h.access(0x1000, AccessType::load, 1);
-    EXPECT_EQ(r.l1, MissKind::full);
+    EXPECT_EQ(r.kind, MissKind::full);
     EXPECT_EQ(r.depth, 2u);
     EXPECT_EQ(h.l1d().stats().load_partial_misses, 0u);
     EXPECT_EQ(h.l2().stats().load_full_misses, 1u);

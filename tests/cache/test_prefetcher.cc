@@ -1,83 +1,94 @@
-/** @file Unit tests for the block prefetcher. */
+/**
+ * @file
+ * Unit tests for block prefetch: one Access::prefetch through
+ * Machine::access fetches consecutive lines into the hierarchy
+ * (Section 5.2) and counts under "prefetch" in the metrics tree.
+ */
 
 #include <gtest/gtest.h>
 
-#include "cache/prefetcher.hh"
+#include <cstdint>
+
+#include "runtime/machine.hh"
 
 namespace memfwd
 {
 namespace
 {
 
-HierarchyConfig
+MachineConfig
 cfg()
 {
-    HierarchyConfig c;
-    c.l1d.size_bytes = 2048;
-    c.l1d.line_bytes = 32;
-    c.l2.line_bytes = 32;
+    MachineConfig c;
+    c.hierarchy.l1d.size_bytes = 2048;
+    c.hierarchy.setLineBytes(32);
     return c;
+}
+
+std::uint64_t
+counter(const Machine &m, const char *path)
+{
+    return m.metrics().counterAt(path);
 }
 
 TEST(Prefetcher, SingleLinePrefetchFillsL1)
 {
-    MemoryHierarchy h(cfg());
-    Prefetcher p(h);
-    p.issue(0x1000, 1, 0);
-    EXPECT_TRUE(h.l1d().contains(0x1000));
-    EXPECT_EQ(p.instructions(), 1u);
-    EXPECT_EQ(p.issued(), 1u);
+    Machine m(cfg());
+    m.access(Access::prefetch(0x1000, 1));
+    EXPECT_TRUE(m.hierarchy().l1d().contains(0x1000));
+    EXPECT_EQ(counter(m, "prefetch.instructions"), 1u);
+    EXPECT_EQ(counter(m, "prefetch.issued"), 1u);
 }
 
 TEST(Prefetcher, BlockPrefetchCoversConsecutiveLines)
 {
-    MemoryHierarchy h(cfg());
-    Prefetcher p(h);
-    p.issue(0x2000, 4, 0);
+    Machine m(cfg());
+    m.access(Access::prefetch(0x2000, 4));
     for (unsigned i = 0; i < 4; ++i)
-        EXPECT_TRUE(h.l1d().contains(0x2000 + i * 32));
-    EXPECT_FALSE(h.l1d().contains(0x2000 + 4 * 32));
-    EXPECT_EQ(p.instructions(), 1u);
-    EXPECT_EQ(p.issued(), 4u);
+        EXPECT_TRUE(m.hierarchy().l1d().contains(0x2000 + i * 32));
+    EXPECT_FALSE(m.hierarchy().l1d().contains(0x2000 + 4 * 32));
+    EXPECT_EQ(counter(m, "prefetch.instructions"), 1u);
+    EXPECT_EQ(counter(m, "prefetch.issued"), 4u);
 }
 
 TEST(Prefetcher, UnalignedAddressPrefetchesContainingLines)
 {
-    MemoryHierarchy h(cfg());
-    Prefetcher p(h);
-    p.issue(0x3010, 2, 0); // mid-line
-    EXPECT_TRUE(h.l1d().contains(0x3000));
-    EXPECT_TRUE(h.l1d().contains(0x3020));
-}
-
-TEST(Prefetcher, ReturnsLastFillCompletion)
-{
-    MemoryHierarchy h(cfg());
-    Prefetcher p(h);
-    const Cycles done = p.issue(0x4000, 2, 100);
-    EXPECT_GT(done, 100u);
-    // A prefetch of already-resident lines completes at hit latency.
-    const Cycles again = p.issue(0x4000, 2, done + 10);
-    EXPECT_EQ(again, done + 10 + h.config().l1d.hit_latency);
+    Machine m(cfg());
+    m.access(Access::prefetch(0x3010, 2)); // mid-line
+    EXPECT_TRUE(m.hierarchy().l1d().contains(0x3000));
+    EXPECT_TRUE(m.hierarchy().l1d().contains(0x3020));
 }
 
 TEST(Prefetcher, DemandHitAfterPrefetchCountsUseful)
 {
-    MemoryHierarchy h(cfg());
-    Prefetcher p(h);
-    p.issue(0x5000, 2, 0);
-    h.access(0x5020, AccessType::load, 500);
-    EXPECT_EQ(h.l1d().stats().useful_prefetches, 1u);
+    Machine m(cfg());
+    m.access(Access::prefetch(0x5000, 2));
+    m.hierarchy().access(0x5020, AccessType::load, 500);
+    EXPECT_EQ(m.hierarchy().l1d().stats().useful_prefetches, 1u);
 }
 
-TEST(Prefetcher, ClearStats)
+// Prefetches are timing-only: fast-forwarded, one fetches no line and
+// counts nothing; once its region closes, the next one does both.
+TEST(Prefetcher, FastForwardedPrefetchFetchesNothing)
 {
-    MemoryHierarchy h(cfg());
-    Prefetcher p(h);
-    p.issue(0x6000, 3, 0);
-    p.clearStats();
-    EXPECT_EQ(p.instructions(), 0u);
-    EXPECT_EQ(p.issued(), 0u);
+    Machine m(MachineConfig(cfg()).fastForward("build"));
+    {
+        RegionGuard build(m, "build");
+        const AccessResult r = m.access(Access::prefetch(0x6000, 3));
+        EXPECT_EQ(r.ready, 0u);
+    }
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_FALSE(m.hierarchy().l1d().contains(0x6000 + i * 32));
+    EXPECT_EQ(m.hierarchy().l1d().stats().prefetch_misses, 0u);
+    EXPECT_EQ(counter(m, "prefetch.instructions"), 0u);
+    EXPECT_EQ(counter(m, "prefetch.issued"), 0u);
+
+    m.access(Access::prefetch(0x6000, 3));
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_TRUE(m.hierarchy().l1d().contains(0x6000 + i * 32));
+    EXPECT_EQ(m.hierarchy().l1d().stats().prefetch_misses, 3u);
+    EXPECT_EQ(counter(m, "prefetch.instructions"), 1u);
+    EXPECT_EQ(counter(m, "prefetch.issued"), 3u);
 }
 
 } // namespace

@@ -3,22 +3,18 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "mem/main_memory.hh"
 
 namespace memfwd
 {
 namespace
 {
 
-/** Fixed-latency backing level. */
-class Below : public MemLevel
+/** Backing memory: a 32 B line transfer takes 10 cycles (6 + a
+ *  4-cycle burst at 8 B per cycle). */
+struct Below : MainMemory
 {
-  public:
-    Result
-    access(Addr, AccessType, Cycles now) override
-    {
-        return {now + 10, MissKind::full, 0};
-    }
-    void writeback(Addr, Cycles) override {}
+    Below() : MainMemory({.latency = 6, .bytesPerCycle = 8}) {}
 };
 
 CacheConfig
